@@ -3,13 +3,13 @@
  * Corpus-cache microbench: the perf trajectory of record-once /
  * replay-many.
  *
- * Runs one fleet sweep three ways — per-job synthesis (the historical
- * baseline), shared TraceCache (synthesize once per (device, app,
- * user)), and corpus replay off disk — asserts all three produce
- * byte-identical reports, and emits BENCH_corpus.json with the wall
- * times and speedups. The JSON carries timings, so unlike the figure
- * benches its bytes vary run to run; the report bytes it validates do
- * not.
+ * Runs one fleet sweep three ways — per-job synthesis (the fallback
+ * of fleets past the auto-share bound), shared TraceCache (synthesize
+ * once per (device, app, user)), and corpus replay off disk — asserts
+ * all three produce byte-identical reports, and emits BENCH_corpus.json
+ * with the wall times and speedups. The JSON carries timings, so unlike
+ * the figure benches its bytes vary run to run; the report bytes it
+ * validates do not.
  */
 
 #include <chrono>
@@ -82,9 +82,9 @@ main()
               << base.threads << " threads), best of " << kRepetitions
               << "\n\n";
 
-    // ---- Mode 1: per-job synthesis (historical baseline). ----
+    // ---- Mode 1: per-job synthesis (a one-trace auto-share bound). ----
     FleetConfig per_job = base;
-    per_job.shareTraces = false;
+    per_job.maxSharedTraces = 1;
     std::string per_job_bytes;
     const double per_job_ms = timeSweep(per_job, per_job_bytes);
 

@@ -119,16 +119,6 @@ struct FleetConfig
     /** Also retain every full SimResult (ResultSet) next to the
      *  aggregated metrics. Costs memory on big fleets. */
     bool collectResults = false;
-    /**
-     * Reuse one RuntimeSimulator engine per (worker, device, app) slot
-     * across sessions — the engine resets (keeping its allocations:
-     * session DOM copies, meter segments, event records) instead of
-     * being rebuilt per job, and pooled scheduler drivers reset between
-     * ranges instead of being re-constructed. Reports are byte-identical
-     * either way (locked by tests); off is the historical
-     * construct-per-job behaviour, kept as the comparison baseline.
-     */
-    bool reuseEngines = true;
     /** Training sessions per seen app for the PES event model. */
     int trainingTracesPerApp = 9;
     /**
@@ -141,25 +131,17 @@ struct FleetConfig
     /** Platform name the pretrained model was trained on. */
     std::string pretrainedModelDevice;
     /**
-     * Share each (device, app, user) trace across the scheduler axis
-     * through an in-process TraceCache (synthesize once, replay many).
-     * Results are bit-identical either way — synthesis is deterministic
-     * — so this is purely a wall-clock/memory trade. Off means every
-     * job re-synthesizes its trace (the historical behaviour; benches
-     * use it as the comparison baseline).
-     *
-     * Sharing keeps every distinct trace resident for the whole run,
-     * so the runner only auto-enables it when it pays (more than one
-     * scheduler replays each trace) AND the distinct-trace count is at
-     * most maxSharedTraces — giant fresh fleets fall back to bounded
-     * per-job synthesis instead of accumulating millions of traces.
-     * Warm, corpus, and external-cache runs always share.
-     */
-    bool shareTraces = true;
-    /**
-     * Auto-sharing bound: the largest devices x apps x users resident
-     * set shareTraces may cache (0 = unlimited). ~32k traces is a few
-     * hundred MB at typical session sizes.
+     * Auto-sharing bound. The runner shares each (device, app, user)
+     * trace across the scheduler axis through an in-process TraceCache
+     * (synthesize once, replay many) when that pays — more than one
+     * scheduler replays each trace — and the devices x apps x users
+     * resident set is at most this many traces (0 = unlimited; ~32k
+     * traces is a few hundred MB at typical session sizes). Past the
+     * bound, giant fresh fleets fall back to bounded per-job synthesis
+     * instead of accumulating millions of traces; 1 forces per-job
+     * synthesis. Reports are bit-identical either way — synthesis is
+     * deterministic. Warm, corpus, and external-cache runs always
+     * share.
      */
     long long maxSharedTraces = 32768;
     /**

@@ -268,45 +268,24 @@ FleetRunner::FleetRunner(FleetConfig config) : config_(std::move(config))
 FleetPlan
 FleetRunner::plan() const
 {
-    // Leased execution: the plan IS the externally supplied ranges
-    // (validated in the constructor), decomposed into the same
-    // execution units as a whole run — whole cells when drivers are
-    // warm, singletons otherwise — because runRange binds one driver
-    // and one cell to each planned range. Everything outside the
-    // leases counts as shard-skipped: other workers' leases cover it.
-    if (!config_.externalRanges.empty()) {
-        FleetPlan plan;
-        plan.totalJobs = static_cast<int>(jobs_.size());
-        const int cell = config_.effectiveUsers();
-        for (const JobRange &range : config_.externalRanges) {
-            if (config_.warmDrivers) {
-                for (int first = range.first;
-                     first < range.first + range.count; first += cell)
-                    plan.ranges.push_back(JobRange{first, cell});
-            } else {
-                for (int i = 0; i < range.count; ++i)
-                    plan.ranges.push_back(
-                        JobRange{range.first + i, 1});
-            }
-            plan.plannedJobs += range.count;
-        }
-        plan.shardSkipped = plan.totalJobs - plan.plannedJobs;
-        return plan;
-    }
+    const int total = static_cast<int>(jobs_.size());
+    // The execution unit: whole cells when drivers are warm (their
+    // cross-session state must replay in order), single jobs otherwise.
+    // runRange binds one driver and one cell to each planned range.
+    const int unit = config_.warmDrivers ? config_.effectiveUsers() : 1;
 
-    // The shard unit mirrors the execution unit: whole cells when
-    // drivers are warm (their cross-session state must replay in
-    // order), single jobs otherwise.
-    const int users_per_cell = config_.effectiveUsers();
-    std::vector<JobRange> units;
-    if (config_.warmDrivers) {
-        for (int first = 0; first < static_cast<int>(jobs_.size());
-             first += users_per_cell)
-            units.push_back(JobRange{first, users_per_cell});
-    } else {
-        units.reserve(jobs_.size());
-        for (int i = 0; i < static_cast<int>(jobs_.size()); ++i)
-            units.push_back(JobRange{i, 1});
+    // The ranges this run selects: the coordinator's leases (validated
+    // in the constructor), or this shard's share of the units — every
+    // shardCount-th unit, starting at unit shardIndex. Everything else
+    // counts as shard-skipped: other shards or leases cover it.
+    std::vector<JobRange> selected = config_.externalRanges;
+    if (selected.empty()) {
+        const long long stride =
+            static_cast<long long>(unit) * config_.shardCount;
+        for (long long first =
+                 static_cast<long long>(unit) * config_.shardIndex;
+             first < total; first += stride)
+            selected.push_back(JobRange{static_cast<int>(first), unit});
     }
 
     // Resume: collect the store's completed sessions once, as compact
@@ -337,102 +316,186 @@ FleetRunner::plan() const
     };
 
     FleetPlan plan;
-    plan.totalJobs = static_cast<int>(jobs_.size());
-    for (size_t unit = 0; unit < units.size(); ++unit) {
-        const JobRange &range = units[unit];
-        if (static_cast<int>(unit % static_cast<size_t>(
-                config_.shardCount)) != config_.shardIndex) {
-            plan.shardSkipped += range.count;
-            continue;
-        }
-        if (config_.resume) {
-            // Warm cells resume all-or-nothing: re-running a partial
-            // cell from its first session reproduces the driver's
-            // cross-session state exactly; the duplicate records
-            // deduplicate at reduction.
-            bool all_done = true;
-            for (int i = 0; i < range.count; ++i)
-                all_done &= jobDone(
-                    jobs_[static_cast<size_t>(range.first + i)]);
-            if (all_done) {
-                plan.resumeSkipped += range.count;
-                continue;
+    plan.totalJobs = total;
+    for (const JobRange &range : selected) {
+        for (int first = range.first; first < range.first + range.count;
+             first += unit) {
+            if (config_.resume) {
+                // Warm cells resume all-or-nothing: re-running a partial
+                // cell from its first session reproduces the driver's
+                // cross-session state exactly; the duplicate records
+                // deduplicate at reduction.
+                bool all_done = true;
+                for (int i = 0; i < unit; ++i)
+                    all_done &= jobDone(jobs_[static_cast<size_t>(first + i)]);
+                if (all_done) {
+                    plan.resumeSkipped += unit;
+                    continue;
+                }
             }
+            plan.ranges.push_back(JobRange{first, unit});
+            plan.plannedJobs += unit;
         }
-        plan.ranges.push_back(range);
-        plan.plannedJobs += range.count;
     }
+    plan.shardSkipped = total - plan.plannedJobs - plan.resumeSkipped;
     return plan;
 }
 
 // ------------------------------------------------------- stages 2 to 4
 
-FleetOutcome
-FleetRunner::run()
+namespace {
+
+/**
+ * One run() call: the state its stages share, and the stages. Workers
+ * touch only their own generator, engine, driver and telemetry slots;
+ * everything else they reach (the trace cache, the persist sink, the
+ * streaming reducer, the result slots) is synchronized or job-indexed.
+ */
+class Pipeline
 {
-    // ---- Instrumentation (both optional, both no-feedback): armed
-    // telemetry records counters, an attached sink records spans.
-    // Everything below branches on these pointers; report bytes are
-    // identical either way (locked by tests and CI). ----
-    TelemetryRegistry *telemetry =
-        (config_.telemetry && config_.telemetry->enabled())
-            ? config_.telemetry
-            : nullptr;
-    TraceEventSink *tsink = config_.traceSink;
-    const bool logical = tsink && tsink->logicalClock();
-    // Lane map: 0 = pipeline stages, 1..threads = workers, last =
-    // store/cache instants.
-    const int store_lane = config_.threads + 1;
-    if (tsink) {
-        tsink->nameLane(0, "runner");
-        for (int w = 0; w < config_.threads; ++w)
-            tsink->nameLane(w + 1, "worker " + std::to_string(w));
-        tsink->nameLane(store_lane, "store");
-    }
-    // Stress grids share one sink across severities, so stage spans
-    // carry the scenario to stay tellable apart in the viewer.
-    const auto stage_name = [this](const char *stage) {
+  public:
+    explicit Pipeline(const FleetRunner &runner);
+
+    void plan();
+    void setup();
+    void execute();
+    void persist();
+    void reduce();
+
+    FleetOutcome takeOutcome() { return std::move(outcome_); }
+
+  private:
+    void makeTraceCache();
+    void preloadCorpus();
+    void runRange(const JobRange &range, int worker);
+    void runJob(const JobSpec &job, int worker, SchedulerDriver &driver);
+    /** The job's trace, used both as the trace cache's loader and
+     *  without a cache: the corpus recording when replaying, else live
+     *  synthesis; then the sweep's scenario transform. */
+    InteractionTrace materialize(const JobSpec &job,
+                                 TraceGenerator &generator);
+    void streamStats(size_t job_index, SessionStats &&s);
+    void foldJob(size_t job_index, const SessionStats &s);
+
+    std::string stageName(const char *stage) const
+    {
+        // Stress grids share one sink across severities, so stage spans
+        // carry the scenario to stay tellable apart in the viewer.
         return config_.scenario.empty()
             ? std::string(stage)
             : std::string(stage) + " [" + config_.scenario + "]";
-    };
-
-    // Memory high-water mark, sampled at every stage boundary. An OS
-    // figure that varies run to run, so the logical-clock (golden-
-    // locked) mode records none — same rule as the wall times.
-    const auto sample_rss = [&] {
-        if (telemetry && !logical) {
-            telemetry->gauge(
-                "mem.peak_rss_kb",
-                static_cast<double>(currentPeakRssKb()));
-        }
-    };
-
-    FleetOutcome outcome;
-    {
-        TraceSpan plan_span(tsink, 0, stage_name("plan"), "stage");
-        const auto plan_start = std::chrono::steady_clock::now();
-        outcome.plan = plan();
-        outcome.planMs = msSince(plan_start);
     }
-    sample_rss();
-    outcome.jobCount = outcome.plan.plannedJobs;
 
-    ResultStore *store = config_.resultStore;
-    if (store) {
-        fatal_if(store->sweep() != SweepSpec::fromConfig(config_),
+    /** Memory high-water mark, sampled at every stage boundary. An OS
+     *  figure that varies run to run, so the logical-clock (golden-
+     *  locked) mode records none — same rule as the wall times. */
+    void sampleRss()
+    {
+        if (telemetry_ && !logical_) {
+            telemetry_->gauge("mem.peak_rss_kb",
+                              static_cast<double>(currentPeakRssKb()));
+        }
+    }
+
+    const std::string &deviceName(const JobSpec &job) const
+    {
+        return devices_[static_cast<size_t>(job.deviceIndex)]
+            ->platform.name();
+    }
+
+    const FleetRunner &runner_;
+    const FleetConfig &config_;
+    const std::vector<JobSpec> &jobs_;
+
+    // ---- instrumentation (both optional, both no-feedback): armed
+    // telemetry records counters, an attached sink records spans.
+    // Report bytes are identical either way (locked by tests and CI).
+    TelemetryRegistry *telemetry_ = nullptr;
+    TraceEventSink *tsink_ = nullptr;
+    bool logical_ = false;
+    /** Lane map: 0 = pipeline stages, 1..threads = workers, last =
+     *  store/cache instants. */
+    int storeLane_ = 0;
+    std::vector<TelemetryShard *> shards_;
+    std::optional<ProgressMeter> progress_;
+
+    FleetOutcome outcome_;
+    ResultStore *store_ = nullptr;
+    std::vector<std::unique_ptr<DeviceContext>> devices_;
+
+    // ---- per-worker slots: trace generators per device, engines per
+    // (device, app), pooled drivers per (scheduler, device) ----
+    std::vector<std::vector<std::unique_ptr<TraceGenerator>>> generators_;
+    std::vector<std::vector<std::unique_ptr<RuntimeSimulator>>> engines_;
+    std::vector<std::vector<std::unique_ptr<SchedulerDriver>>> drivers_;
+
+    // ---- trace storage ----
+    std::unique_ptr<TraceCache> ownedCache_;
+    TraceCache *cache_ = nullptr;
+    uint64_t tracesFromCorpus_ = 0;
+    /** On-demand corpus loads by workers (capped-cache misses/reloads);
+     *  folded into tracesFromCorpus so replay traffic is visible even
+     *  when the preload stage only verified headers. */
+    std::atomic<uint64_t> corpusLoads_{0};
+
+    PersistSink sink_;
+    /** Full results of collectResults runs, job-indexed. */
+    std::vector<std::optional<SimResult>> full_;
+
+    // ---- streaming reduction (store-less runs) ----
+    std::vector<size_t> plannedJobs_;
+    std::mutex reduceMutex_;
+    size_t reduceCursor_ = 0;
+    std::map<size_t, SessionStats> reduceWindow_;
+    size_t reduceWindowPeak_ = 0;
+};
+
+Pipeline::Pipeline(const FleetRunner &runner)
+    : runner_(runner), config_(runner.config()), jobs_(runner.jobs())
+{
+    if (config_.telemetry && config_.telemetry->enabled())
+        telemetry_ = config_.telemetry;
+    tsink_ = config_.traceSink;
+    logical_ = tsink_ && tsink_->logicalClock();
+    storeLane_ = config_.threads + 1;
+    if (tsink_) {
+        tsink_->nameLane(0, "runner");
+        for (int w = 0; w < config_.threads; ++w)
+            tsink_->nameLane(w + 1, "worker " + std::to_string(w));
+        tsink_->nameLane(storeLane_, "store");
+    }
+}
+
+void
+Pipeline::plan()
+{
+    {
+        TraceSpan plan_span(tsink_, 0, stageName("plan"), "stage");
+        const auto plan_start = std::chrono::steady_clock::now();
+        outcome_.plan = runner_.plan();
+        outcome_.planMs = msSince(plan_start);
+    }
+    sampleRss();
+    outcome_.jobCount = outcome_.plan.plannedJobs;
+}
+
+void
+Pipeline::setup()
+{
+    store_ = config_.resultStore;
+    if (store_) {
+        fatal_if(store_->sweep() != SweepSpec::fromConfig(config_),
                  "fleet: result store '%s' holds a different sweep",
-                 store->dir().c_str());
+                 store_->dir().c_str());
     }
 
     // ---- Shared immutable state (built before any worker starts). ----
     bool needs_model = false;
     for (const SchedulerKind kind : config_.schedulers)
         needs_model |= kind == SchedulerKind::Pes;
-    needs_model &= outcome.plan.plannedJobs > 0;
+    needs_model &= outcome_.plan.plannedJobs > 0;
 
-    std::vector<std::unique_ptr<DeviceContext>> devices;
-    devices.reserve(config_.devices.size());
+    devices_.reserve(config_.devices.size());
     for (const AcmpPlatform &platform : config_.devices) {
         auto ctx = std::make_unique<DeviceContext>(platform);
         if (needs_model) {
@@ -446,109 +509,75 @@ FleetRunner::run()
                 ctx->model = &*ctx->ownedModel;
             }
         }
-        devices.push_back(std::move(ctx));
+        devices_.push_back(std::move(ctx));
     }
 
-    // ---- Parallel phase: full-result runs keep job-indexed slots;
-    // everything else reduces in a stream (below), so the resident set
-    // never scales with the user axis. ----
-    std::vector<SessionStats> stats;
-    std::vector<char> executed;
-    std::vector<SimResult> full;
-    if (config_.collectResults) {
-        stats.resize(jobs_.size());
-        executed.assign(jobs_.size(), 0);
-        full.resize(jobs_.size());
-    }
-
-    // Streaming canonical reduction for the stats-only, store-less
-    // path (store-backed runs reduce from the store instead): float
-    // sums must fold in ascending job order to stay bit-stable across
-    // thread counts, so a cursor walks the planned jobs in order and
-    // out-of-order completions wait in a bounded window. Sketch merges
-    // commute bin-wise, so each session's latency sketch folds into
-    // its cell the moment the session finishes and only the few dozen
-    // scalars are stashed — a million-user sweep holds the window's
-    // scalars, not a million sketches.
-    const bool streaming_reduce = !store && !config_.collectResults;
-    std::vector<size_t> planned_jobs;
-    if (streaming_reduce) {
-        for (const JobRange &range : outcome.plan.ranges)
+    // Streaming canonical reduction for store-less runs (store-backed
+    // runs reduce from the store instead): float sums must fold in
+    // ascending job order to stay bit-stable across thread counts, so a
+    // cursor walks the planned jobs in order and out-of-order
+    // completions wait in a bounded window. Sketch merges commute
+    // bin-wise, so each session's latency sketch folds into its cell
+    // the moment the session finishes and only the few dozen scalars
+    // are stashed — a million-user sweep holds the window's scalars,
+    // not a million sketches.
+    if (!store_) {
+        for (const JobRange &range : outcome_.plan.ranges)
             for (int i = 0; i < range.count; ++i)
-                planned_jobs.push_back(
+                plannedJobs_.push_back(
                     static_cast<size_t>(range.first + i));
-        std::sort(planned_jobs.begin(), planned_jobs.end());
+        std::sort(plannedJobs_.begin(), plannedJobs_.end());
     }
-    std::mutex reduce_mutex;
-    size_t reduce_cursor = 0;
-    std::map<size_t, SessionStats> reduce_window;
-    size_t reduce_window_peak = 0;
-    const auto foldJob = [&](size_t job_index, const SessionStats &s) {
-        const JobSpec &job = jobs_[job_index];
-        outcome.metrics.add(
-            devices[static_cast<size_t>(job.deviceIndex)]
-                ->platform.name(),
-            config_.apps[static_cast<size_t>(job.appIndex)].name,
-            schedulerKindName(
-                config_.schedulers[static_cast<size_t>(
-                    job.schedulerIndex)]),
-            s);
-    };
-    const auto streamStats = [&](size_t job_index, SessionStats &&s) {
-        std::lock_guard<std::mutex> lock(reduce_mutex);
-        if (reduce_cursor < planned_jobs.size() &&
-            planned_jobs[reduce_cursor] == job_index) {
-            foldJob(job_index, s);
-            ++reduce_cursor;
-            while (reduce_cursor < planned_jobs.size()) {
-                const auto it =
-                    reduce_window.find(planned_jobs[reduce_cursor]);
-                if (it == reduce_window.end())
-                    break;
-                foldJob(it->first, it->second);
-                reduce_window.erase(it);
-                ++reduce_cursor;
-            }
-        } else {
-            const JobSpec &job = jobs_[job_index];
-            outcome.metrics.addEventLatencySketch(
-                devices[static_cast<size_t>(job.deviceIndex)]
-                    ->platform.name(),
-                config_.apps[static_cast<size_t>(job.appIndex)].name,
-                schedulerKindName(
-                    config_.schedulers[static_cast<size_t>(
-                        job.schedulerIndex)]),
-                s.latencySketch);
-            s.latencySketch.clear();
-            reduce_window.emplace(job_index, std::move(s));
-            reduce_window_peak =
-                std::max(reduce_window_peak, reduce_window.size());
-        }
-    };
+    if (config_.collectResults)
+        full_.resize(jobs_.size());
 
-    // Per-worker, per-device trace generators (each caches built apps).
-    std::vector<std::vector<std::unique_ptr<TraceGenerator>>> generators(
-        static_cast<size_t>(config_.threads));
-    for (auto &slots : generators)
-        slots.resize(devices.size());
-
-    // Reusable per-(worker, device, app) simulator engines and pooled
-    // per-(worker, scheduler, device) drivers: a session resets the slot
-    // instead of rebuilding it, keeping the engine's allocations (DOM
-    // copies, meter segments, record vectors) warm across jobs. Slots
-    // are worker-private, so no locking and no cross-worker sharing.
-    const size_t num_apps = config_.apps.size();
-    std::vector<std::vector<std::unique_ptr<RuntimeSimulator>>> engines(
-        static_cast<size_t>(config_.threads));
-    std::vector<std::vector<std::unique_ptr<SchedulerDriver>>> driver_pool(
-        static_cast<size_t>(config_.threads));
-    if (config_.reuseEngines) {
-        for (auto &slots : engines)
-            slots.resize(devices.size() * num_apps);
-        for (auto &slots : driver_pool)
-            slots.resize(config_.schedulers.size() * devices.size());
+    // Worker-private slots: a session resets its engine and driver
+    // instead of rebuilding them, keeping the engine's allocations (DOM
+    // copies, meter segments, record vectors) warm across jobs.
+    const size_t workers = static_cast<size_t>(config_.threads);
+    generators_.resize(workers);
+    engines_.resize(workers);
+    drivers_.resize(workers);
+    for (size_t w = 0; w < workers; ++w) {
+        generators_[w].resize(devices_.size());
+        engines_[w].resize(devices_.size() * config_.apps.size());
+        drivers_[w].resize(config_.schedulers.size() * devices_.size());
     }
 
+    makeTraceCache();
+    if (config_.corpus)
+        preloadCorpus();
+
+    // ---- Persist sink (stage 3): checkpoints flow during execution. ----
+    if (store_) {
+        sink_.store = store_;
+        sink_.label = config_.persistLabel.empty()
+            ? "s" + std::to_string(config_.shardIndex)
+            : config_.persistLabel;
+        sink_.params = {
+            {"writer", "fleet_runner"},
+            {"shard", std::to_string(config_.shardIndex) + "/" +
+                          std::to_string(config_.shardCount)},
+        };
+        sink_.checkpointEvery = config_.checkpointEvery;
+        sink_.traceSink = tsink_;
+        sink_.instantLane = storeLane_;
+    }
+
+    // Per-worker telemetry shards, created up front in worker-index
+    // order so the snapshot's merge order is deterministic.
+    if (telemetry_) {
+        shards_.reserve(workers);
+        for (size_t w = 0; w < workers; ++w)
+            shards_.push_back(telemetry_->makeShard());
+    }
+    if (config_.progress)
+        progress_.emplace(outcome_.plan.plannedJobs);
+}
+
+void
+Pipeline::makeTraceCache()
+{
     // Shared trace storage: each (device, app, user) trace materializes
     // once — synthesized on first use, or loaded from the corpus — and
     // replays read-only across the scheduler axis. Warm sweeps, corpus
@@ -559,364 +588,109 @@ FleetRunner::run()
     // (traceCacheCap), which keeps sharing on for giant fleets while
     // evicting least-recently-replayed traces.
     const long long distinct_traces =
-        static_cast<long long>(devices.size()) *
+        static_cast<long long>(devices_.size()) *
         static_cast<long long>(config_.apps.size()) *
         config_.effectiveUsers();
-    const bool auto_share = config_.shareTraces &&
-        config_.schedulers.size() > 1 &&
+    const bool auto_share = config_.schedulers.size() > 1 &&
         (config_.traceCacheCap > 0 || config_.maxSharedTraces <= 0 ||
          distinct_traces <= config_.maxSharedTraces);
-    const bool share_traces = auto_share || config_.warmDrivers ||
-        config_.corpus != nullptr || config_.traceCache != nullptr;
-    std::unique_ptr<TraceCache> owned_cache;
-    TraceCache *cache = nullptr;
-    if (share_traces) {
-        cache = config_.traceCache;
-        if (!cache) {
-            owned_cache = std::make_unique<TraceCache>();
-            owned_cache->setCapacity(config_.traceCacheCap, 0);
-            if (tsink) {
-                // Only the run-owned cache: a caller-provided cache
-                // outlives this run and keeps its own hook policy.
-                owned_cache->setEvictionHook([tsink, store_lane] {
-                    tsink->instant(store_lane, "cache evict", "cache");
-                });
+    if (!auto_share && !config_.warmDrivers && !config_.corpus &&
+        !config_.traceCache)
+        return;
+    cache_ = config_.traceCache;
+    if (cache_)
+        return;
+    ownedCache_ = std::make_unique<TraceCache>();
+    ownedCache_->setCapacity(config_.traceCacheCap, 0);
+    if (tsink_) {
+        // Only the run-owned cache: a caller-provided cache outlives
+        // this run and keeps its own hook policy.
+        ownedCache_->setEvictionHook([tsink = tsink_, lane = storeLane_] {
+            tsink->instant(lane, "cache evict", "cache");
+        });
+    }
+    cache_ = ownedCache_.get();
+}
+
+void
+Pipeline::preloadCorpus()
+{
+    // Replay-from-disk fleets resolve every planned trace up front so a
+    // missing or corrupt recording fails before any session runs, with
+    // a per-entry diagnostic. With an LRU-capped cache, loading
+    // everything would only evict it again — so the capped path
+    // verifies each recording's header once (no event decode) and lets
+    // sessions load on demand. A scenario transform also demotes the
+    // preload to header verification: inserting the raw recording would
+    // poison the cache with untransformed traces, so sessions
+    // load+derive on demand through the cache's deterministic loader.
+    const CorpusStore &corpus = *config_.corpus;
+    const bool capped = (ownedCache_ && config_.traceCacheCap > 0) ||
+        static_cast<bool>(config_.traceTransform);
+    std::set<std::tuple<std::string, std::string, uint64_t>> checked;
+    for (const JobRange &range : outcome_.plan.ranges) {
+        for (int i = 0; i < range.count; ++i) {
+            const JobSpec &job = jobs_[static_cast<size_t>(range.first + i)];
+            const AppProfile &profile =
+                config_.apps[static_cast<size_t>(job.appIndex)];
+            const std::string &device_name = deviceName(job);
+            // Every job's trace must exist in the corpus even when a
+            // caller-provided warm cache already holds the key — a
+            // stale cache must not mask a missing recording.
+            const CorpusEntry *entry =
+                corpus.find(profile.name, device_name, job.userSeed);
+            fatal_if(!entry,
+                     "corpus '%s' has no trace for app '%s' on '%s' "
+                     "with user seed %llu (re-record, or drop "
+                     "--corpus to synthesize live)",
+                     corpus.dir().c_str(), profile.name.c_str(),
+                     device_name.c_str(),
+                     static_cast<unsigned long long>(job.userSeed));
+            std::string error;
+            if (capped) {
+                if (!checked
+                         .insert({device_name, profile.name, job.userSeed})
+                         .second)
+                    continue;  // scheduler axis revisits the key
+                fatal_if(!corpus.verifyHeader(*entry, &error),
+                         "corpus '%s': %s", corpus.dir().c_str(),
+                         error.c_str());
+                continue;
             }
-            cache = owned_cache.get();
+            if (cache_->lookup(device_name, profile.name, job.userSeed))
+                continue;  // already resident
+            auto trace = corpus.load(*entry, &error);
+            fatal_if(!trace, "corpus '%s': %s", corpus.dir().c_str(),
+                     error.c_str());
+            cache_->insert(device_name, std::move(*trace));
+            ++tracesFromCorpus_;
         }
     }
+}
 
-    // ---- Corpus preload: replay-from-disk fleets resolve every
-    // planned trace up front so a missing or corrupt recording fails
-    // before any session runs, with a per-entry diagnostic. With an
-    // LRU-capped cache, loading everything would only evict it again —
-    // so the capped path verifies each recording's header once (no
-    // event decode) and lets sessions load on demand. ----
-    uint64_t traces_from_corpus = 0;
-    if (config_.corpus) {
-        // A scenario transform also demotes the preload to header
-        // verification: inserting the raw recording would poison the
-        // cache with untransformed traces, so sessions load+derive on
-        // demand through the cache's deterministic loader instead.
-        const bool capped = (owned_cache && config_.traceCacheCap > 0) ||
-            static_cast<bool>(config_.traceTransform);
-        std::set<std::tuple<std::string, std::string, uint64_t>> checked;
-        for (const JobRange &range : outcome.plan.ranges) {
-            for (int i = 0; i < range.count; ++i) {
-                const JobSpec &job =
-                    jobs_[static_cast<size_t>(range.first + i)];
-                const AppProfile &profile =
-                    config_.apps[static_cast<size_t>(job.appIndex)];
-                const std::string &device_name =
-                    devices[static_cast<size_t>(job.deviceIndex)]
-                        ->platform.name();
-                // Every job's trace must exist in the corpus even when
-                // a caller-provided warm cache already holds the key —
-                // a stale cache must not mask a missing recording.
-                const CorpusEntry *entry = config_.corpus->find(
-                    profile.name, device_name, job.userSeed);
-                fatal_if(!entry,
-                         "corpus '%s' has no trace for app '%s' on '%s' "
-                         "with user seed %llu (re-record, or drop "
-                         "--corpus to synthesize live)",
-                         config_.corpus->dir().c_str(),
-                         profile.name.c_str(), device_name.c_str(),
-                         static_cast<unsigned long long>(job.userSeed));
-                std::string error;
-                if (capped) {
-                    if (!checked
-                             .insert({device_name, profile.name,
-                                      job.userSeed})
-                             .second)
-                        continue;  // scheduler axis revisits the key
-                    fatal_if(!config_.corpus->verifyHeader(*entry,
-                                                           &error),
-                             "corpus '%s': %s",
-                             config_.corpus->dir().c_str(),
-                             error.c_str());
-                    continue;
-                }
-                if (cache->lookup(device_name, profile.name,
-                                  job.userSeed))
-                    continue;  // already resident
-                auto trace = config_.corpus->load(*entry, &error);
-                fatal_if(!trace, "corpus '%s': %s",
-                         config_.corpus->dir().c_str(), error.c_str());
-                cache->insert(device_name, std::move(*trace));
-                ++traces_from_corpus;
-            }
-        }
-    }
-
-    // ---- Persist sink (stage 3): checkpoints flow during execution. ----
-    PersistSink sink;
-    if (store) {
-        sink.store = store;
-        sink.label = config_.persistLabel.empty()
-            ? "s" + std::to_string(config_.shardIndex)
-            : config_.persistLabel;
-        sink.params = {
-            {"writer", "fleet_runner"},
-            {"shard", std::to_string(config_.shardIndex) + "/" +
-                          std::to_string(config_.shardCount)},
-        };
-        sink.checkpointEvery = config_.checkpointEvery;
-        sink.traceSink = tsink;
-        sink.instantLane = store_lane;
-    }
-
-    // On-demand corpus loads by workers (capped-cache misses/reloads);
-    // folded into tracesFromCorpus so replay traffic is visible even
-    // when the preload stage only verified headers.
-    std::atomic<uint64_t> corpus_loads{0};
-
-    // Per-worker telemetry shards, created up front in worker-index
-    // order so the snapshot's merge order is deterministic.
-    std::vector<TelemetryShard *> shards;
-    if (telemetry) {
-        shards.reserve(static_cast<size_t>(config_.threads));
-        for (int w = 0; w < config_.threads; ++w)
-            shards.push_back(telemetry->makeShard());
-    }
-
-    std::optional<ProgressMeter> progress;
-    if (config_.progress)
-        progress.emplace(outcome.plan.plannedJobs);
-
-    const auto runJob = [&](const JobSpec &job, int worker,
-                            SchedulerDriver &driver) {
-        DeviceContext &device = *devices[static_cast<size_t>(
-            job.deviceIndex)];
-        auto &gen_slot =
-            generators[static_cast<size_t>(worker)]
-                      [static_cast<size_t>(job.deviceIndex)];
-        if (!gen_slot)
-            gen_slot = std::make_unique<TraceGenerator>(device.platform);
-
-        const AppProfile &profile =
-            config_.apps[static_cast<size_t>(job.appIndex)];
-
-        TelemetryShard *shard =
-            telemetry ? shards[static_cast<size_t>(worker)] : nullptr;
-        const auto job_start = std::chrono::steady_clock::now();
-        // Per-job execute span on this worker's lane, covering trace
-        // materialization plus the simulated session.
-        TraceSpan job_span(
-            tsink, worker + 1,
-            tsink ? profile.name + "/" +
-                    schedulerKindName(
-                        config_.schedulers[static_cast<size_t>(
-                            job.schedulerIndex)]) +
-                    " u" + std::to_string(job.userIndex)
-                  : std::string(),
-            "job");
-
-        // Population traits are a pure function of the job's user seed,
-        // so cache refills on any worker re-derive the same cohort and
-        // multipliers (the trace-cache key stays (device, app, seed)).
-        std::optional<UserTraits> traits;
-        if (config_.population) {
-            traits = samplePopulationTraits(*config_.population,
-                                            job.userSeed);
-        }
-        const UserParams *trait_scale =
-            traits ? &traits->scale : nullptr;
-
-        InteractionTrace fresh;
-        TraceHandle handle;  // keeps an evicted trace alive while used
-        const InteractionTrace *trace = nullptr;
-        if (cache) {
-            // Misses materialize deterministically: from the corpus
-            // when replaying (an evicted preload must reload the
-            // recording, never re-synthesize), live synthesis otherwise.
-            handle = cache->getOrLoad(
-                device.platform.name(), profile.name, job.userSeed,
-                [&]() -> InteractionTrace {
-                    InteractionTrace materialized;
-                    if (config_.corpus) {
-                        // Throw (not fatal): this runs on a worker, and
-                        // the pool turns the exception into a run-level
-                        // diagnostic while other workers keep going and
-                        // the final checkpoint still flushes.
-                        const CorpusEntry *entry = config_.corpus->find(
-                            profile.name, device.platform.name(),
-                            job.userSeed);
-                        std::string error;
-                        auto loaded = entry
-                            ? config_.corpus->load(*entry, &error)
-                            : std::nullopt;
-                        if (!loaded) {
-                            throw std::runtime_error(
-                                "corpus '" + config_.corpus->dir() +
-                                "': " +
-                                (entry ? error
-                                       : "preloaded entry disappeared"));
-                        }
-                        corpus_loads.fetch_add(1);
-                        materialized = std::move(*loaded);
-                    } else {
-                        materialized = gen_slot->generate(
-                            profile, job.userSeed, trait_scale);
-                        // Cohort stress stacks on synthesis only —
-                        // corpus recordings already captured their
-                        // population's behaviour at record time.
-                        if (traits) {
-                            materialized = applyCohortScenario(
-                                *traits, materialized, job.userSeed);
-                        }
-                    }
-                    // Scenario derivation happens INSIDE the loader:
-                    // re-materializing an evicted key reproduces the
-                    // transformed trace byte-identically (the transform
-                    // is pure by contract).
-                    if (config_.traceTransform)
-                        materialized =
-                            config_.traceTransform(materialized);
-                    return materialized;
-                });
-            trace = handle.get();
-        } else {
-            fresh = gen_slot->generate(profile, job.userSeed, trait_scale);
-            if (traits)
-                fresh = applyCohortScenario(*traits, fresh, job.userSeed);
-            if (config_.traceTransform)
-                fresh = config_.traceTransform(fresh);
-            trace = &fresh;
-        }
-
-        SimConfig sim_config;
-        sim_config.renderScale = profile.renderScale;
-        if (config_.seedMode == SeedMode::Fleet) {
-            // Per-shard speculation-noise stream (instead of the
-            // default fixed seed) so fleets are reproducible per user,
-            // not merely per run.
-            sim_config.specNoiseSeed =
-                hashCombine(job.userSeed, kSpecNoiseSalt);
-        }
-
-        RuntimeSimulator *simulator = nullptr;
-        std::optional<RuntimeSimulator> local_simulator;
-        if (config_.reuseEngines) {
-            auto &slot = engines[static_cast<size_t>(worker)]
-                [static_cast<size_t>(job.deviceIndex) * num_apps +
-                 static_cast<size_t>(job.appIndex)];
-            if (!slot) {
-                slot = std::make_unique<RuntimeSimulator>(
-                    device.platform, device.power,
-                    gen_slot->appFor(profile), sim_config);
-            }
-            // The engine's app/platform/renderScale are fixed per slot;
-            // only the per-session noise seed varies job to job.
-            slot->setSpecNoiseSeed(sim_config.specNoiseSeed);
-            simulator = slot.get();
-        } else {
-            local_simulator.emplace(device.platform, device.power,
-                                    gen_slot->appFor(profile), sim_config);
-            simulator = &*local_simulator;
-        }
-
-        SessionStats session_stats;
-        if (config_.collectResults) {
-            SimResult result = simulator->run(*trace, driver);
-            session_stats = SessionStats::reduce(result);
-            stats[static_cast<size_t>(job.index)] = session_stats;
-            full[static_cast<size_t>(job.index)] = std::move(result);
-            executed[static_cast<size_t>(job.index)] = 1;
-        } else if (config_.reuseEngines) {
-            // Stats-only fast path: reduce the session in-flight, never
-            // materializing per-event records (bit-identical reduction,
-            // locked by tests).
-            session_stats = simulator->runStats(*trace, driver);
-        } else {
-            session_stats =
-                SessionStats::reduce(simulator->run(*trace, driver));
-        }
-        if (sink.store) {
-            SessionRecord record;
-            record.device = device.platform.name();
-            record.app = profile.name;
-            record.scheduler = schedulerKindName(
-                config_.schedulers[static_cast<size_t>(
-                    job.schedulerIndex)]);
-            record.userIndex = static_cast<uint32_t>(job.userIndex);
-            record.userSeed = job.userSeed;
-            record.stats = session_stats;
-            sink.push(std::move(record));
-        }
-        if (shard) {
-            // Event/session counters come from the already-reduced
-            // SessionStats — the simulator's hot loop stays untouched
-            // (no per-event timer or counter calls).
-            const SessionStats &s = session_stats;
-            shard->count("sim.sessions");
-            shard->count("sim.events", static_cast<uint64_t>(s.events));
-            shard->count("sim.violations",
-                         static_cast<uint64_t>(s.violations));
-            // Wall-clock job durations vary run to run, so the
-            // logical-clock (golden-locked) mode records none.
-            if (!logical)
-                shard->duration("runner.job_ms", msSince(job_start));
-        }
-        if (streaming_reduce)
-            streamStats(static_cast<size_t>(job.index),
-                        std::move(session_stats));
-        if (progress)
-            progress->bump();
-    };
-
-    // ---- Stage 2: execute the planned ranges. ----
+void
+Pipeline::execute()
+{
     const auto start = std::chrono::steady_clock::now();
     {
         // Span opens before the pool spins up and closes after it
         // drains, so at threads=1 the logical-clock tick order is fully
         // determined (the main thread blocks in wait() while the lone
         // worker takes its ticks in job order).
-        TraceSpan execute_span(tsink, 0, stage_name("execute"), "stage");
-        ThreadPool pool(config_.threads, telemetry != nullptr);
-
-        // One driver per range: a per-cell "warmed device" for warm
-        // ranges, a fresh-state driver for singleton ranges. With
-        // engine reuse the driver comes from the worker's pool and is
-        // reset to as-constructed state instead of rebuilt.
-        const auto runRange = [&](const JobRange &range, int worker) {
-            const JobSpec &head =
-                jobs_[static_cast<size_t>(range.first)];
-            DeviceContext &device = *devices[static_cast<size_t>(
-                head.deviceIndex)];
-            const SchedulerKind kind =
-                config_.schedulers[static_cast<size_t>(
-                    head.schedulerIndex)];
-            SchedulerDriver *driver = nullptr;
-            std::unique_ptr<SchedulerDriver> fresh;
-            if (config_.reuseEngines) {
-                auto &slot = driver_pool[static_cast<size_t>(worker)]
-                    [static_cast<size_t>(head.schedulerIndex) *
-                         devices.size() +
-                     static_cast<size_t>(head.deviceIndex)];
-                if (!slot || !slot->resetFresh())
-                    slot = makeFleetScheduler(kind, device);
-                driver = slot.get();
-            } else {
-                fresh = makeFleetScheduler(kind, device);
-                driver = fresh.get();
-            }
-            for (int i = 0; i < range.count; ++i)
-                runJob(jobs_[static_cast<size_t>(range.first + i)],
-                       worker, *driver);
-        };
+        TraceSpan execute_span(tsink_, 0, stageName("execute"), "stage");
+        ThreadPool pool(config_.threads, telemetry_ != nullptr);
 
         // Fresh fleets plan one singleton range per session; submitting
         // each as its own pool task costs a queue round-trip per
         // session. Batch contiguous ranges so the pool sees far fewer
-        // tasks than sessions — canonical (streamed or slot-indexed)
-        // reduction keeps reports byte-identical regardless of how
-        // ranges are grouped onto tasks. The batch size is capped:
-        // tasks run FIFO over contiguous chunks, so the streaming
-        // reducer's out-of-order window never exceeds the active task
-        // frontier (~threads × chunk jobs) — giant chunks would let
-        // fast workers race megabytes of stashed scalars ahead of the
-        // in-order cursor.
-        const std::vector<JobRange> &ranges = outcome.plan.ranges;
+        // tasks than sessions — canonical reduction keeps reports
+        // byte-identical regardless of how ranges are grouped onto
+        // tasks. The batch size is capped: tasks run FIFO over
+        // contiguous chunks, so the streaming reducer's out-of-order
+        // window never exceeds the active task frontier (~threads ×
+        // chunk jobs) — giant chunks would let fast workers race
+        // megabytes of stashed scalars ahead of the in-order cursor.
+        const std::vector<JobRange> &ranges = outcome_.plan.ranges;
         const size_t target_tasks =
             static_cast<size_t>(config_.threads) * 4;
         constexpr size_t kMaxRangesPerTask = 512;
@@ -927,118 +701,324 @@ FleetRunner::run()
                 : 1);
         for (size_t first = 0; first < ranges.size(); first += chunk) {
             const size_t count = std::min(chunk, ranges.size() - first);
-            pool.submit([&, first, count](int worker) {
+            pool.submit([this, &ranges, first, count](int worker) {
                 for (size_t r = first; r < first + count; ++r)
                     runRange(ranges[r], worker);
             });
         }
         pool.wait();
         for (const std::string &error : pool.errors())
-            outcome.diagnostics.push_back(error);
-        outcome.poolStats = pool.stats();
+            outcome_.diagnostics.push_back(error);
+        outcome_.poolStats = pool.stats();
     }
-    const auto stop = std::chrono::steady_clock::now();
-    sample_rss();
-    if (progress)
-        progress->finish();
+    outcome_.wallMs = msSince(start);
+    sampleRss();
+    if (progress_)
+        progress_->finish();
+}
 
-    // ---- Stage 3: final checkpoint flush. ----
+void
+Pipeline::runRange(const JobRange &range, int worker)
+{
+    // One driver per range: a per-cell "warmed device" for warm ranges,
+    // a fresh-state driver for singleton ranges. It comes from the
+    // worker's pool, reset to its as-constructed state.
+    const JobSpec &head = jobs_[static_cast<size_t>(range.first)];
+    std::unique_ptr<SchedulerDriver> &driver =
+        drivers_[static_cast<size_t>(worker)]
+                [static_cast<size_t>(head.schedulerIndex) *
+                     devices_.size() +
+                 static_cast<size_t>(head.deviceIndex)];
+    if (!driver || !driver->resetFresh()) {
+        driver = makeFleetScheduler(
+            config_.schedulers[static_cast<size_t>(head.schedulerIndex)],
+            *devices_[static_cast<size_t>(head.deviceIndex)]);
+    }
+    for (int i = 0; i < range.count; ++i)
+        runJob(jobs_[static_cast<size_t>(range.first + i)], worker,
+               *driver);
+}
+
+InteractionTrace
+Pipeline::materialize(const JobSpec &job, TraceGenerator &generator)
+{
+    const AppProfile &profile =
+        config_.apps[static_cast<size_t>(job.appIndex)];
+    InteractionTrace trace;
+    if (config_.corpus) {
+        // Replay reloads the recording, never re-synthesizes. Throw
+        // (not fatal): this runs on a worker, and the pool turns the
+        // exception into a run-level diagnostic while other workers
+        // keep going and the final checkpoint still flushes.
+        const CorpusEntry *entry = config_.corpus->find(
+            profile.name, deviceName(job), job.userSeed);
+        std::string error;
+        auto loaded = entry ? config_.corpus->load(*entry, &error)
+                            : std::nullopt;
+        if (!loaded) {
+            throw std::runtime_error(
+                "corpus '" + config_.corpus->dir() + "': " +
+                (entry ? error : "preloaded entry disappeared"));
+        }
+        corpusLoads_.fetch_add(1);
+        trace = std::move(*loaded);
+    } else {
+        // Population traits are a pure function of the job's user seed,
+        // so a refill on any worker re-derives the same cohort and
+        // multipliers (the trace-cache key stays (device, app, seed)).
+        std::optional<UserTraits> traits;
+        if (config_.population) {
+            traits = samplePopulationTraits(*config_.population,
+                                            job.userSeed);
+        }
+        trace = generator.generate(profile, job.userSeed,
+                                   traits ? &traits->scale : nullptr);
+        // Cohort stress stacks on synthesis only — corpus recordings
+        // already captured their population's behaviour at record time.
+        if (traits)
+            trace = applyCohortScenario(*traits, trace, job.userSeed);
+    }
+    // The scenario transform runs inside the cache's loader too:
+    // re-materializing an evicted key reproduces the transformed trace
+    // byte-identically (the transform is pure by contract).
+    if (config_.traceTransform)
+        trace = config_.traceTransform(trace);
+    return trace;
+}
+
+void
+Pipeline::runJob(const JobSpec &job, int worker, SchedulerDriver &driver)
+{
+    DeviceContext &device =
+        *devices_[static_cast<size_t>(job.deviceIndex)];
+    auto &generator = generators_[static_cast<size_t>(worker)]
+                                 [static_cast<size_t>(job.deviceIndex)];
+    if (!generator)
+        generator = std::make_unique<TraceGenerator>(device.platform);
+    const AppProfile &profile =
+        config_.apps[static_cast<size_t>(job.appIndex)];
+    const char *scheduler = schedulerKindName(
+        config_.schedulers[static_cast<size_t>(job.schedulerIndex)]);
+
+    TelemetryShard *shard =
+        telemetry_ ? shards_[static_cast<size_t>(worker)] : nullptr;
+    const auto job_start = std::chrono::steady_clock::now();
+    // Per-job execute span on this worker's lane, covering trace
+    // materialization plus the simulated session.
+    TraceSpan job_span(tsink_, worker + 1,
+                       tsink_ ? profile.name + "/" + scheduler + " u" +
+                               std::to_string(job.userIndex)
+                              : std::string(),
+                       "job");
+
+    InteractionTrace fresh;
+    TraceHandle handle;  // keeps an evicted trace alive while used
+    const InteractionTrace *trace = &fresh;
+    if (cache_) {
+        handle = cache_->getOrLoad(
+            device.platform.name(), profile.name, job.userSeed,
+            [&] { return materialize(job, *generator); });
+        trace = handle.get();
+    } else {
+        fresh = materialize(job, *generator);
+    }
+
+    auto &engine =
+        engines_[static_cast<size_t>(worker)]
+                [static_cast<size_t>(job.deviceIndex) *
+                     config_.apps.size() +
+                 static_cast<size_t>(job.appIndex)];
+    if (!engine) {
+        SimConfig sim_config;
+        sim_config.renderScale = profile.renderScale;
+        engine = std::make_unique<RuntimeSimulator>(
+            device.platform, device.power, generator->appFor(profile),
+            sim_config);
+    }
+    // The engine's app/platform/renderScale are fixed per slot; only
+    // the speculation-noise seed varies job to job. Fleet users get a
+    // per-user stream (instead of the default fixed seed) so fleets are
+    // reproducible per user, not merely per run.
+    if (config_.seedMode == SeedMode::Fleet)
+        engine->setSpecNoiseSeed(hashCombine(job.userSeed, kSpecNoiseSalt));
+
+    SessionStats session_stats;
+    if (config_.collectResults) {
+        SimResult result = engine->run(*trace, driver);
+        session_stats = SessionStats::reduce(result);
+        full_[static_cast<size_t>(job.index)] = std::move(result);
+    } else {
+        session_stats = engine->runStats(*trace, driver);
+    }
+    if (store_) {
+        SessionRecord record;
+        record.device = device.platform.name();
+        record.app = profile.name;
+        record.scheduler = scheduler;
+        record.userIndex = static_cast<uint32_t>(job.userIndex);
+        record.userSeed = job.userSeed;
+        record.stats = session_stats;
+        sink_.push(std::move(record));
+    }
+    if (shard) {
+        // Event/session counters come from the already-reduced
+        // SessionStats — the simulator's hot loop stays untouched (no
+        // per-event timer or counter calls).
+        shard->count("sim.sessions");
+        shard->count("sim.events",
+                     static_cast<uint64_t>(session_stats.events));
+        shard->count("sim.violations",
+                     static_cast<uint64_t>(session_stats.violations));
+        // Wall-clock job durations vary run to run, so the
+        // logical-clock (golden-locked) mode records none.
+        if (!logical_)
+            shard->duration("runner.job_ms", msSince(job_start));
+    }
+    if (!store_)
+        streamStats(static_cast<size_t>(job.index),
+                    std::move(session_stats));
+    if (progress_)
+        progress_->bump();
+}
+
+void
+Pipeline::foldJob(size_t job_index, const SessionStats &s)
+{
+    const JobSpec &job = jobs_[job_index];
+    outcome_.metrics.add(
+        deviceName(job), config_.apps[static_cast<size_t>(job.appIndex)].name,
+        schedulerKindName(
+            config_.schedulers[static_cast<size_t>(job.schedulerIndex)]),
+        s);
+}
+
+void
+Pipeline::streamStats(size_t job_index, SessionStats &&s)
+{
+    std::lock_guard<std::mutex> lock(reduceMutex_);
+    if (reduceCursor_ < plannedJobs_.size() &&
+        plannedJobs_[reduceCursor_] == job_index) {
+        foldJob(job_index, s);
+        ++reduceCursor_;
+        while (reduceCursor_ < plannedJobs_.size()) {
+            const auto it = reduceWindow_.find(plannedJobs_[reduceCursor_]);
+            if (it == reduceWindow_.end())
+                break;
+            foldJob(it->first, it->second);
+            reduceWindow_.erase(it);
+            ++reduceCursor_;
+        }
+        return;
+    }
+    const JobSpec &job = jobs_[job_index];
+    outcome_.metrics.addEventLatencySketch(
+        deviceName(job), config_.apps[static_cast<size_t>(job.appIndex)].name,
+        schedulerKindName(
+            config_.schedulers[static_cast<size_t>(job.schedulerIndex)]),
+        s.latencySketch);
+    s.latencySketch.clear();
+    reduceWindow_.emplace(job_index, std::move(s));
+    reduceWindowPeak_ = std::max(reduceWindowPeak_, reduceWindow_.size());
+}
+
+void
+Pipeline::persist()
+{
+    // ---- Final checkpoint flush. ----
     {
-        TraceSpan persist_span(tsink, 0, stage_name("persist"), "stage");
+        TraceSpan persist_span(tsink_, 0, stageName("persist"), "stage");
         const auto persist_start = std::chrono::steady_clock::now();
-        if (store)
-            sink.finish();
-        outcome.persistMs = msSince(persist_start);
+        if (store_)
+            sink_.finish();
+        outcome_.persistMs = msSince(persist_start);
     }
-    sample_rss();
-    for (const std::string &error : sink.errors)
-        outcome.diagnostics.push_back(error);
-    outcome.persistedRecords = sink.persisted;
-    outcome.checkpointFlushes = sink.flushes;
-    outcome.checkpointBytes = sink.flushedBytes;
+    sampleRss();
+    for (const std::string &error : sink_.errors)
+        outcome_.diagnostics.push_back(error);
+    outcome_.persistedRecords = sink_.persisted;
+    outcome_.checkpointFlushes = sink_.flushes;
+    outcome_.checkpointBytes = sink_.flushedBytes;
 
-    outcome.wallMs =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (cache) {
-        outcome.traceCacheHits = cache->hits();
-        outcome.traceCacheMisses = cache->misses();
-        outcome.traceCacheEvictions = cache->evictions();
-        outcome.traceCacheDuplicateSynthesis = cache->duplicateSynthesis();
-        outcome.traceCacheContention = cache->lockContention();
+    if (cache_) {
+        outcome_.traceCacheHits = cache_->hits();
+        outcome_.traceCacheMisses = cache_->misses();
+        outcome_.traceCacheEvictions = cache_->evictions();
+        outcome_.traceCacheDuplicateSynthesis = cache_->duplicateSynthesis();
+        outcome_.traceCacheContention = cache_->lockContention();
     }
-    outcome.persistContention = sink.pushContention;
-    outcome.tracesFromCorpus = traces_from_corpus + corpus_loads.load();
+    outcome_.persistContention = sink_.pushContention;
+    outcome_.tracesFromCorpus = tracesFromCorpus_ + corpusLoads_.load();
 
     // Fold run-level traffic into the registry's root shard so the
     // snapshot in the telemetry artifact is self-contained.
-    if (telemetry) {
-        telemetry->count("cache.hits", outcome.traceCacheHits);
-        telemetry->count("cache.misses", outcome.traceCacheMisses);
-        telemetry->count("cache.evictions",
-                         outcome.traceCacheEvictions);
-        telemetry->count("cache.duplicate_synthesis",
-                         outcome.traceCacheDuplicateSynthesis);
-        telemetry->count("cache.lock_waits",
-                         outcome.traceCacheContention.waits);
-        telemetry->count("store.push_lock_waits",
-                         outcome.persistContention.waits);
-        telemetry->count("corpus.loads", outcome.tracesFromCorpus);
-        telemetry->count("store.checkpoint_flushes",
-                         outcome.checkpointFlushes);
-        telemetry->count("store.checkpoint_bytes",
-                         outcome.checkpointBytes);
-        telemetry->count("pool.tasks", outcome.poolStats.tasks);
+    if (telemetry_) {
+        telemetry_->count("cache.hits", outcome_.traceCacheHits);
+        telemetry_->count("cache.misses", outcome_.traceCacheMisses);
+        telemetry_->count("cache.evictions", outcome_.traceCacheEvictions);
+        telemetry_->count("cache.duplicate_synthesis",
+                          outcome_.traceCacheDuplicateSynthesis);
+        telemetry_->count("cache.lock_waits",
+                          outcome_.traceCacheContention.waits);
+        telemetry_->count("store.push_lock_waits",
+                          outcome_.persistContention.waits);
+        telemetry_->count("corpus.loads", outcome_.tracesFromCorpus);
+        telemetry_->count("store.checkpoint_flushes",
+                          outcome_.checkpointFlushes);
+        telemetry_->count("store.checkpoint_bytes",
+                          outcome_.checkpointBytes);
+        telemetry_->count("pool.tasks", outcome_.poolStats.tasks);
     }
+}
 
-    // ---- Stage 4: deterministic reduction. ----
-    TraceSpan reduce_span(tsink, 0, stage_name("reduce"), "stage");
+void
+Pipeline::reduce()
+{
+    // ---- Deterministic reduction. ----
+    TraceSpan reduce_span(tsink_, 0, stageName("reduce"), "stage");
     const auto reduce_start = std::chrono::steady_clock::now();
-    if (store) {
+    if (store_) {
         // Reduce FROM the store: one code path for whole, sharded and
         // resumed runs — the reports cover everything persisted.
         StoreReduction reduction;
         std::string error;
-        if (!reduceStore(*store, reduction, &error)) {
-            outcome.diagnostics.push_back("reduce: " + error);
+        if (!reduceStore(*store_, reduction, &error)) {
+            outcome_.diagnostics.push_back("reduce: " + error);
         } else {
-            outcome.metrics = std::move(reduction.metrics);
+            outcome_.metrics = std::move(reduction.metrics);
             for (const std::string &problem : reduction.problems)
-                outcome.diagnostics.push_back("reduce: " + problem);
-        }
-    } else if (config_.collectResults) {
-        for (const JobSpec &job : jobs_) {
-            if (!executed[static_cast<size_t>(job.index)])
-                continue;
-            const DeviceContext &device =
-                *devices[static_cast<size_t>(job.deviceIndex)];
-            outcome.metrics.add(
-                device.platform.name(),
-                config_.apps[static_cast<size_t>(job.appIndex)].name,
-                schedulerKindName(config_.schedulers[static_cast<size_t>(
-                    job.schedulerIndex)]),
-                stats[static_cast<size_t>(job.index)]);
+                outcome_.diagnostics.push_back("reduce: " + problem);
         }
     } else {
         // Stream drain: only jobs stranded behind a gap an errored
         // range left behind wait here; fold them in the same ascending
         // job order the cursor would have used.
-        for (const auto &[job_index, session_stats] : reduce_window)
+        for (const auto &[job_index, session_stats] : reduceWindow_)
             foldJob(job_index, session_stats);
-        reduce_window.clear();
-        if (telemetry)
-            telemetry->gauge("runner.reduce_window_peak",
-                             static_cast<double>(reduce_window_peak));
+        reduceWindow_.clear();
+        if (telemetry_)
+            telemetry_->gauge("runner.reduce_window_peak",
+                              static_cast<double>(reduceWindowPeak_));
     }
-    if (config_.collectResults) {
-        for (const JobSpec &job : jobs_) {
-            if (executed[static_cast<size_t>(job.index)])
-                outcome.results.add(
-                    std::move(full[static_cast<size_t>(job.index)]));
-        }
+    for (std::optional<SimResult> &result : full_) {
+        if (result)
+            outcome_.results.add(std::move(*result));
     }
-    outcome.reduceMs = msSince(reduce_start);
-    sample_rss();
-    return outcome;
+    outcome_.reduceMs = msSince(reduce_start);
+    sampleRss();
+}
+
+} // namespace
+
+FleetOutcome
+FleetRunner::run()
+{
+    Pipeline pipeline(*this);
+    pipeline.plan();
+    pipeline.setup();
+    pipeline.execute();
+    pipeline.persist();
+    pipeline.reduce();
+    return pipeline.takeOutcome();
 }
 
 RunTelemetry

@@ -3,14 +3,18 @@
  * The fleet runner: staged batch execution of many simulated sessions.
  *
  * run() is an explicit four-stage pipeline, each stage a building block
- * that tools can reason about independently:
+ * that tools can reason about independently (a setup step between plan
+ * and execute builds devices, the PES model and the trace cache):
  *
- *  1. plan    — enumerate the job cross-product, select this machine's
- *               shard (--shard k/N), and drop jobs already persisted in
- *               the result store (--resume).
- *  2. execute — run the planned shards on a ThreadPool; workers write
- *               SessionStats into job-indexed slots. Worker exceptions
- *               become run-level diagnostics, never process death.
+ *  1. plan    — enumerate the job cross-product, select this run's
+ *               ranges (--shard k/N or coordinator leases), split them
+ *               into execution units, and drop units already persisted
+ *               in the result store (--resume).
+ *  2. execute — run the planned ranges on a ThreadPool; workers reduce
+ *               each session to SessionStats and hand it to the persist
+ *               sink (with a store) or to an in-order streaming fold
+ *               (without). Worker exceptions become run-level
+ *               diagnostics, never process death.
  *  3. persist — checkpoint completed sessions into the attached
  *               ResultStore as .psum parts (every checkpointEvery
  *               sessions and at the end), so a killed sweep loses at
@@ -18,7 +22,8 @@
  *  4. reduce  — aggregate per-cell summaries. With a store attached the
  *               reduction reads back FROM the store, so whole, sharded,
  *               and killed-and-resumed runs all reduce through one path
- *               and their reports are byte-identical.
+ *               and their reports are byte-identical; without one, the
+ *               streaming fold drains.
  *
  * Three properties make it the substrate for large-scale sweeps:
  *

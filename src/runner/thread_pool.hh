@@ -6,8 +6,8 @@
  * receive the id of the worker executing them so callers can keep cheap
  * worker-local state (the fleet runner's per-worker trace-generator
  * caches) without locking. The pool makes no ordering promises — fleet
- * determinism comes from writing results into job-indexed slots and
- * aggregating in job order, never from scheduling.
+ * determinism comes from aggregating results in job order, never from
+ * scheduling.
  *
  * A task that throws does NOT terminate the process (the default fate
  * of an exception escaping a std::thread): the pool catches it, records

@@ -136,11 +136,7 @@ RuntimeSimulator::reset(const InteractionTrace &trace,
     segmentArena_.clear();
     busyIntervals_.clear();
     lastDisplay_ = 0.0;
-
-    statsViolations_ = 0;
-    statsLatencySum_ = 0.0;
-    statsMaxLatency_ = 0.0;
-    statsLatencies_.clear();
+    acc_.clear();
 
     // Rebuild result_ keeping the vectors' allocated storage.
     std::vector<EventRecord> events = std::move(result_.events);
@@ -153,51 +149,40 @@ RuntimeSimulator::reset(const InteractionTrace &trace,
     result_.events = std::move(events);
     result_.pfbTrace = std::move(pfb);
     result_.predictionDegrees = std::move(degrees);
-    if (statsOnly_)
+    if (!recordDetail_)
         return;
 
     result_.schedulerName = driver.name();
     result_.appName = trace.appName;
-    result_.events.assign(trace.events.size(), EventRecord{});
-    for (size_t i = 0; i < trace.events.size(); ++i) {
-        EventRecord &rec = result_.events[i];
-        rec.traceIndex = static_cast<int>(i);
-        rec.type = trace.events[i].type;
-        rec.arrival = trace.events[i].arrival;
-        rec.qosTarget = trace.events[i].qosTarget();
-    }
+    result_.events.reserve(trace.events.size());
 }
 
 SimResult
 RuntimeSimulator::run(const InteractionTrace &trace,
                       SchedulerDriver &driver)
 {
-    panic_if(trace.events.empty(), "RuntimeSimulator: empty trace");
-    statsOnly_ = false;
-    reset(trace, driver);
-    replay();
-    return finalize();
+    replay(trace, driver, true);
+    return std::move(result_);
 }
 
 SessionStats
 RuntimeSimulator::runStats(const InteractionTrace &trace,
                            SchedulerDriver &driver)
 {
-    panic_if(trace.events.empty(), "RuntimeSimulator: empty trace");
-    statsOnly_ = true;
-    reset(trace, driver);
-    replay();
-    return finalizeStats();
+    replay(trace, driver, false);
+    return acc_.finish(result_);
 }
 
 void
-RuntimeSimulator::replay()
+RuntimeSimulator::replay(const InteractionTrace &trace,
+                         SchedulerDriver &driver, bool record_detail)
 {
-    SchedulerDriver &driver = *driver_;
+    panic_if(trace.events.empty(), "RuntimeSimulator: empty trace");
+    recordDetail_ = record_detail;
+    reset(trace, driver);
     SimulatorApi api(*this);
     driver.begin(api);
 
-    const InteractionTrace &trace = *trace_;
     const int total = static_cast<int>(trace.events.size());
     while (servedCount_ < total) {
         // 1. Deliver any due arrival (one per iteration).
@@ -237,6 +222,7 @@ RuntimeSimulator::replay()
                 fireTick();
         }
     }
+    finish();
 }
 
 void
@@ -422,33 +408,23 @@ RuntimeSimulator::serveEvent(int trace_index, TimeMs frame_ready,
     queue_.pop();
 
     const TraceEvent &e = trace_->events[static_cast<size_t>(trace_index)];
-    if (statsOnly_) {
-        // Events are served strictly in trace order, so accumulating the
-        // latency reduction here reproduces SessionStats::reduce() term
-        // for term (same values, same accumulation order).
-        EventRecord rec;
-        rec.arrival = e.arrival;
-        rec.qosTarget = e.qosTarget();
-        rec.frameReady = frame_ready;
-        rec.displayed =
-            vsync_.nextVsyncAt(std::max(e.arrival, frame_ready));
-        const double lat = rec.latency();
-        statsViolations_ += rec.violated() ? 1 : 0;
-        statsLatencySum_ += lat;
-        statsLatencies_.push_back(lat);
-        statsMaxLatency_ = std::max(statsMaxLatency_, lat);
-        lastDisplay_ = std::max(lastDisplay_, rec.displayed);
-    } else {
-        EventRecord &rec = result_.events[static_cast<size_t>(trace_index)];
-        rec.frameReady = frame_ready;
-        rec.displayed =
-            vsync_.nextVsyncAt(std::max(e.arrival, frame_ready));
-        rec.configIndex = config_index;
-        rec.busyEnergy = busy_energy;
-        rec.execMs = exec_ms;
-        rec.servedSpeculatively = speculative;
-        lastDisplay_ = std::max(lastDisplay_, rec.displayed);
-    }
+    EventRecord rec;
+    rec.traceIndex = trace_index;
+    rec.type = e.type;
+    rec.arrival = e.arrival;
+    rec.qosTarget = e.qosTarget();
+    rec.frameReady = frame_ready;
+    rec.displayed = vsync_.nextVsyncAt(std::max(e.arrival, frame_ready));
+    rec.configIndex = config_index;
+    rec.busyEnergy = busy_energy;
+    rec.execMs = exec_ms;
+    rec.servedSpeculatively = speculative;
+    lastDisplay_ = std::max(lastDisplay_, rec.displayed);
+    // Events are served strictly in trace order, so the records land in
+    // trace order and the accumulator sums them in that order.
+    acc_.add(rec);
+    if (recordDetail_)
+        result_.events.push_back(rec);
 
     // Commit the event's application-state effects.
     session_->commitEvent(e.node, e.type);
@@ -655,7 +631,7 @@ RuntimeSimulator::apiChargeSchedulerOverhead(TimeMs duration)
 void
 RuntimeSimulator::apiRecordPfbSample(int pfb_size, bool after_squash)
 {
-    if (!config_.recordPfb || statsOnly_)
+    if (!config_.recordPfb || !recordDetail_)
         return;
     result_.pfbTrace.push_back(
         {now_, servedCount_, pfb_size, after_squash});
@@ -675,7 +651,7 @@ RuntimeSimulator::apiNotePrediction(bool correct)
 void
 RuntimeSimulator::apiNotePredictionRound(int degree)
 {
-    if (statsOnly_)
+    if (!recordDetail_)
         return;
     result_.predictionDegrees.push_back(degree);
 }
@@ -727,13 +703,12 @@ RuntimeSimulator::retagEndOfRunWaste()
     specFrames_.clear();
 }
 
-SimResult
-RuntimeSimulator::finalize()
+void
+RuntimeSimulator::finish()
 {
     retagEndOfRunWaste();
 
     result_.duration = std::max(now_, lastDisplay_);
-    // Close the idle gap between the last activity and the duration end.
     const EnergyTotals totals = meter_.tagTotals();
     result_.totalEnergy = totals.total;
     result_.busyEnergy = totals.of(EnergyTag::Busy);
@@ -741,41 +716,6 @@ RuntimeSimulator::finalize()
     result_.overheadEnergy = totals.of(EnergyTag::Overhead);
     result_.wasteEnergy = totals.of(EnergyTag::SpeculativeWaste);
     result_.avgQueueLength = queue_.lengthStats().mean();
-    return std::move(result_);
-}
-
-SessionStats
-RuntimeSimulator::finalizeStats()
-{
-    retagEndOfRunWaste();
-
-    SessionStats s;
-    s.events = static_cast<int>(trace_->events.size());
-    s.violations = statsViolations_;
-    s.maxLatencyMs = statsMaxLatency_;
-    if (s.events > 0) {
-        s.meanLatencyMs = statsLatencySum_ / s.events;
-        SampleSet latencies;
-        for (double lat : statsLatencies_) {
-            latencies.add(lat);
-            s.latencySketch.add(lat);
-        }
-        s.p95LatencyMs = latencies.percentile(95.0);
-    }
-    const EnergyTotals totals = meter_.tagTotals();
-    s.totalEnergyMj = totals.total;
-    s.busyEnergyMj = totals.of(EnergyTag::Busy);
-    s.idleEnergyMj = totals.of(EnergyTag::Idle);
-    s.overheadEnergyMj = totals.of(EnergyTag::Overhead);
-    s.wasteEnergyMj = totals.of(EnergyTag::SpeculativeWaste);
-    s.durationMs = std::max(now_, lastDisplay_);
-    s.predictionsMade = result_.predictionsMade;
-    s.predictionsCorrect = result_.predictionsCorrect;
-    s.mispredictions = result_.mispredictions;
-    s.mispredictWasteMs = result_.mispredictWasteMs;
-    s.avgQueueLength = queue_.lengthStats().mean();
-    s.fellBackToReactive = result_.fellBackToReactive;
-    return s;
 }
 
 } // namespace pes

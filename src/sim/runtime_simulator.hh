@@ -20,10 +20,11 @@
  * DOMs, meter segments, the segment arena, event records), so a warmed
  * engine replays a session with near-zero allocator traffic. Per-exec
  * busy-segment lists live as (first, count) slices of a shared append-only
- * arena instead of per-item vectors, and runStats() offers a stats-only
- * fast path that reduces the session straight to SessionStats — the exact
- * same numbers SessionStats::reduce() would produce from the full
- * SimResult — without materializing per-event records.
+ * arena instead of per-item vectors. Every served event feeds one
+ * SessionAccumulator — the same one SessionStats::reduce() uses — so
+ * runStats() returns the session's SessionStats without recording
+ * anything per event; run() additionally records the per-event detail
+ * (event records, PFB samples, prediction degrees).
  */
 
 #ifndef PES_SIM_RUNTIME_SIMULATOR_HH
@@ -78,8 +79,8 @@ class RuntimeSimulator
     /**
      * Replay @p trace under @p driver and return only the per-session
      * reduction — bit-identical to SessionStats::reduce(run(...)) but
-     * without materializing per-event records, PFB samples, or name
-     * strings. The fast path for fleet runs that do not retain results.
+     * without recording per-event records, PFB samples, or name
+     * strings. The path for fleet runs that do not retain results.
      */
     SessionStats runStats(const InteractionTrace &trace,
                           SchedulerDriver &driver);
@@ -122,8 +123,9 @@ class RuntimeSimulator
     };
 
     // ---- main loop pieces ----
+    void replay(const InteractionTrace &trace, SchedulerDriver &driver,
+                bool record_detail);
     void reset(const InteractionTrace &trace, SchedulerDriver &driver);
-    void replay();
     void deliverArrival();
     void startExec(const WorkItem &item);
     void advanceBusy(TimeMs until);
@@ -138,8 +140,7 @@ class RuntimeSimulator
     Workload resolveTruth(const WorkItem &item, bool &matched) const;
     int configIndexOfCurrent();
     void retagEndOfRunWaste();
-    SimResult finalize();
-    SessionStats finalizeStats();
+    void finish();
 
     // ---- SimulatorApi backend (see simulator_api.hh) ----
     void apiServeFromSpeculation(int trace_index, uint64_t work_id);
@@ -178,20 +179,16 @@ class RuntimeSimulator
     /** Arena of busy-segment ids referenced by ExecState/SpecFrame. */
     std::vector<uint64_t> segmentArena_;
     std::vector<std::pair<TimeMs, TimeMs>> busyIntervals_;
+    /** Session-level totals; per-event detail only under run(). */
     SimResult result_;
     TimeMs lastDisplay_ = 0.0;
+    /** Set by run(): record event records, PFB samples and degrees. */
+    bool recordDetail_ = false;
+    SessionAccumulator acc_;
 
     /** Memoized platform_->configIndex(currentConfig_). */
     int cachedConfigIndex_ = -1;
     AcmpConfig cachedConfig_;
-
-    // ---- stats-only fast path ----
-    bool statsOnly_ = false;
-    int statsViolations_ = 0;
-    double statsLatencySum_ = 0.0;
-    double statsMaxLatency_ = 0.0;
-    /** Per-event latencies in trace order (percentile input). */
-    std::vector<double> statsLatencies_;
 };
 
 } // namespace pes

@@ -2,41 +2,61 @@
 
 #include <algorithm>
 
-#include "util/stats.hh"
-
 namespace pes {
 
 SessionStats
 SessionStats::reduce(const SimResult &result)
 {
+    SessionAccumulator acc;
+    for (const EventRecord &e : result.events)
+        acc.add(e);
+    return acc.finish(result);
+}
+
+void
+SessionAccumulator::clear()
+{
+    violations_ = 0;
+    latencySum_ = 0.0;
+    maxLatency_ = 0.0;
+    latencies_.clear();
+}
+
+void
+SessionAccumulator::add(const EventRecord &event)
+{
+    const double lat = event.latency();
+    violations_ += event.violated() ? 1 : 0;
+    latencySum_ += lat;
+    maxLatency_ = std::max(maxLatency_, lat);
+    latencies_.add(lat);
+}
+
+SessionStats
+SessionAccumulator::finish(const SimResult &session)
+{
     SessionStats s;
-    s.events = static_cast<int>(result.events.size());
-    SampleSet latencies;
-    double latency_sum = 0.0;
-    for (const EventRecord &e : result.events) {
-        s.violations += e.violated() ? 1 : 0;
-        const double lat = e.latency();
-        latency_sum += lat;
-        latencies.add(lat);
-        s.latencySketch.add(lat);
-        s.maxLatencyMs = std::max(s.maxLatencyMs, lat);
-    }
+    s.events = static_cast<int>(latencies_.count());
+    s.violations = violations_;
+    s.maxLatencyMs = maxLatency_;
     if (s.events > 0) {
-        s.meanLatencyMs = latency_sum / s.events;
-        s.p95LatencyMs = latencies.percentile(95.0);
+        s.meanLatencyMs = latencySum_ / s.events;
+        for (double lat : latencies_.samples())
+            s.latencySketch.add(lat);
+        s.p95LatencyMs = latencies_.percentile(95.0);
     }
-    s.totalEnergyMj = result.totalEnergy;
-    s.busyEnergyMj = result.busyEnergy;
-    s.idleEnergyMj = result.idleEnergy;
-    s.overheadEnergyMj = result.overheadEnergy;
-    s.wasteEnergyMj = result.wasteEnergy;
-    s.durationMs = result.duration;
-    s.predictionsMade = result.predictionsMade;
-    s.predictionsCorrect = result.predictionsCorrect;
-    s.mispredictions = result.mispredictions;
-    s.mispredictWasteMs = result.mispredictWasteMs;
-    s.avgQueueLength = result.avgQueueLength;
-    s.fellBackToReactive = result.fellBackToReactive;
+    s.totalEnergyMj = session.totalEnergy;
+    s.busyEnergyMj = session.busyEnergy;
+    s.idleEnergyMj = session.idleEnergy;
+    s.overheadEnergyMj = session.overheadEnergy;
+    s.wasteEnergyMj = session.wasteEnergy;
+    s.durationMs = session.duration;
+    s.predictionsMade = session.predictionsMade;
+    s.predictionsCorrect = session.predictionsCorrect;
+    s.mispredictions = session.mispredictions;
+    s.mispredictWasteMs = session.mispredictWasteMs;
+    s.avgQueueLength = session.avgQueueLength;
+    s.fellBackToReactive = session.fellBackToReactive;
     return s;
 }
 

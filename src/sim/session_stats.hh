@@ -4,10 +4,10 @@
  *
  * SessionStats is the unit of record for fleet aggregation: a few dozen
  * scalars reduced from a session, cheap enough to retain for fleets far
- * beyond what keeping raw SimResults allows. It lives in the sim layer so
- * the simulator can produce it directly on the stats-only fast path (no
- * materialized SimResult at all); the classic reduce(SimResult) entry
- * point remains for callers that do hold full results.
+ * beyond what keeping raw SimResults allows. The per-event half of the
+ * reduction lives in one SessionAccumulator: the simulator feeds it as
+ * it serves events, and reduce(SimResult) feeds it from a finished
+ * result's records, so the two entry points share one arithmetic.
  */
 
 #ifndef PES_SIM_SESSION_STATS_HH
@@ -15,6 +15,7 @@
 
 #include "sim/sim_types.hh"
 #include "util/psketch.hh"
+#include "util/stats.hh"
 
 namespace pes {
 
@@ -42,13 +43,42 @@ struct SessionStats
     /**
      * Per-event latency sketch of the session: merged bin-wise across
      * sessions at reduction, it yields true event-level p50/p95/p99
-     * per cell from bounded memory, for fleets of any size. Filled on
-     * both the full-result and the stats-only fast path.
+     * per cell from bounded memory, for fleets of any size.
      */
     PercentileSketch latencySketch;
 
     /** Reduce a full simulation result. */
     static SessionStats reduce(const SimResult &result);
+};
+
+/**
+ * The per-event half of the session reduction: violations and the
+ * latency mean, p95, max and sketch, fed one served event at a time in
+ * trace order. One instance can reduce many sessions; clear() keeps the
+ * latency buffer's capacity, so a warm engine stops allocating here.
+ */
+class SessionAccumulator
+{
+  public:
+    /** Start a new session. */
+    void clear();
+
+    /** Fold in the next event, in trace order. */
+    void add(const EventRecord &event);
+
+    /**
+     * The session's SessionStats: the events folded in so far, plus
+     * the session-level scalars (energy, duration, prediction
+     * bookkeeping, queue length) of @p session.
+     */
+    SessionStats finish(const SimResult &session);
+
+  private:
+    int violations_ = 0;
+    double latencySum_ = 0.0;
+    double maxLatency_ = 0.0;
+    /** Per-event latencies in trace order (percentile input). */
+    SampleSet latencies_;
 };
 
 } // namespace pes

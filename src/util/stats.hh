@@ -56,6 +56,8 @@ class SampleSet
   public:
     /** Add one observation. */
     void add(double x) { xs_.push_back(x); sorted_ = false; }
+    /** Drop every sample, keeping the buffer's capacity. */
+    void clear() { xs_.clear(); sorted_ = false; }
 
     /** Number of samples. */
     size_t count() const { return xs_.size(); }

@@ -110,8 +110,9 @@ TEST_P(PerApp, TraceInvariants)
     TimeMs chain = 0.0;
     for (size_t i = 0; i < trace.events.size(); ++i) {
         const TraceEvent &e = trace.events[i];
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(e.arrival, trace.events[i - 1].arrival) << p.name;
+        }
         // Positive workloads with a sane ceiling.
         EXPECT_GT(e.totalWork().ndep, 0.0);
         EXPECT_LT(e.totalWork().ndep, 10000.0);
@@ -159,8 +160,9 @@ TEST_P(PerApp, PesServesEveryEventAndStaysSane)
                 1e-6)
         << p.name;
     // Predictions were validated (unless the app tripped the fallback).
-    if (!r.fellBackToReactive)
+    if (!r.fellBackToReactive) {
         EXPECT_GT(r.predictionsMade, 0) << p.name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -584,9 +584,9 @@ reportBytes(FleetRunner &runner, const FleetOutcome &outcome)
 
 TEST(FleetCorpus, RecordedReplayIsByteIdenticalToLiveSynthesis)
 {
-    // Live synthesis (per-job, no sharing: the historical path).
+    // Live synthesis (per-job, no sharing).
     FleetConfig live = fidelityFleet();
-    live.shareTraces = false;
+    live.maxSharedTraces = 1;
     FleetRunner live_runner(live);
     const std::string live_bytes =
         reportBytes(live_runner, live_runner.run());
@@ -674,7 +674,7 @@ TEST(FleetCorpus, CappedCacheReplayReloadsFromCorpusNotSynthesis)
 TEST(FleetCorpus, SharedTraceSweepMatchesPerJobSynthesis)
 {
     FleetConfig per_job = fidelityFleet();
-    per_job.shareTraces = false;
+    per_job.maxSharedTraces = 1;
     FleetRunner per_job_runner(per_job);
     const FleetOutcome a = per_job_runner.run();
     EXPECT_EQ(a.traceCacheHits + a.traceCacheMisses, 0u);
@@ -684,7 +684,6 @@ TEST(FleetCorpus, SharedTraceSweepMatchesPerJobSynthesis)
     // way). Comparing 1-thread-shared against 4-thread-per-job also
     // recrosses the thread-count determinism guarantee.
     FleetConfig shared = fidelityFleet();
-    ASSERT_TRUE(shared.shareTraces);  // the default
     shared.threads = 1;
     FleetRunner shared_runner(shared);
     const FleetOutcome b = shared_runner.run();

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the simulator hot path: reusable per-worker engines and
- * pooled scheduler drivers (byte-identical to construct-per-job), the
- * stats-only fast path (bit-identical to reducing full results),
- * single-flight trace synthesis (duplicate_synthesis pinned to 0), and
- * engine reuse across run() calls (no state leaks between sessions).
+ * Tests for the simulator hot path: pooled engines and drivers reset
+ * to as-constructed state (bit-identical to fresh ones, for every
+ * scheduler), the stats-only path (bit-identical to reducing full
+ * results), single-flight trace synthesis (duplicate_synthesis pinned
+ * to 0), and engine reuse across run() calls (no state leaks between
+ * sessions).
  */
 
 #include <gtest/gtest.h>
@@ -17,13 +18,16 @@
 #include <vector>
 
 #include "core/ebs_scheduler.hh"
+#include "core/experiment.hh"
 #include "corpus/corpus_store.hh"
 #include "corpus/trace_cache.hh"
+#include "results/result_format.hh"
 #include "runner/fleet_config.hh"
 #include "runner/fleet_runner.hh"
 #include "runner/reporters.hh"
 #include "sim/runtime_simulator.hh"
 #include "trace/generator.hh"
+#include "util/rng.hh"
 
 namespace pes {
 namespace {
@@ -63,21 +67,49 @@ runToBytes(FleetConfig config)
     return JsonReporter::toString(report) + CsvReporter::toString(report);
 }
 
-// --------------------------------------- reused engines, pooled drivers
+// --------------------------------------- pooled engines, pooled drivers
 
-TEST(HotPath, ReusedEnginesMatchConstructPerJobByteForByte)
+TEST(HotPath, ResetFreshPooledDriverMatchesFreshEngineAndDriver)
 {
-    for (const int threads : {1, 8}) {
-        FleetConfig reused = hotpathFleet();
-        reused.threads = threads;
-        ASSERT_TRUE(reused.reuseEngines);  // the default IS the fast path
+    // What a fleet worker does across ranges: one engine and one driver
+    // replay a session, the driver resets to as-constructed state, and
+    // both replay the next session. That second session must reduce
+    // bit-identically to the same trace on a new engine and driver.
+    Experiment exp;
+    const AppProfile &profile = appByName("social_feed");
+    const WebApp &app = exp.generator().appFor(profile);
+    const InteractionTrace first = exp.generator().generate(profile, 1);
+    const InteractionTrace second = exp.generator().generate(profile, 2);
+    SimConfig sim_config;
+    sim_config.renderScale = profile.renderScale;
+    const uint64_t second_noise = hashCombine(2, 0x5eed);
 
-        FleetConfig fresh = hotpathFleet();
-        fresh.threads = threads;
-        fresh.reuseEngines = false;
+    for (const SchedulerKind kind :
+         {SchedulerKind::Interactive, SchedulerKind::Ondemand,
+          SchedulerKind::Ebs, SchedulerKind::Pes, SchedulerKind::Oracle}) {
+        SCOPED_TRACE(schedulerKindName(kind));
+        RuntimeSimulator pooled_engine(exp.platform(), exp.power(), app,
+                                       sim_config);
+        const auto pooled = exp.makeScheduler(kind);
+        pooled_engine.setSpecNoiseSeed(hashCombine(1, 0x5eed));
+        const SessionStats warmup = pooled_engine.runStats(first, *pooled);
+        ASSERT_TRUE(pooled->resetFresh());
+        pooled_engine.setSpecNoiseSeed(second_noise);
+        const SessionStats reused = pooled_engine.runStats(second, *pooled);
 
-        EXPECT_EQ(runToBytes(reused), runToBytes(fresh))
-            << "threads=" << threads;
+        RuntimeSimulator fresh_engine(exp.platform(), exp.power(), app,
+                                      sim_config);
+        const auto fresh = exp.makeScheduler(kind);
+        fresh_engine.setSpecNoiseSeed(second_noise);
+        const SessionStats expected = fresh_engine.runStats(second, *fresh);
+
+        EXPECT_TRUE(sessionStatsEqual(reused, expected));
+        if (kind == SchedulerKind::Pes) {
+            // Otherwise the speculation state resetFresh() must clear
+            // was never exercised.
+            EXPECT_GT(warmup.predictionsMade, 0);
+            EXPECT_GT(expected.predictionsMade, 0);
+        }
     }
 }
 
@@ -86,7 +118,7 @@ TEST(HotPath, StatsOnlyFastPathMatchesCollectedResults)
     for (const int threads : {1, 8}) {
         FleetConfig stats_only = hotpathFleet();
         stats_only.threads = threads;
-        ASSERT_FALSE(stats_only.collectResults);  // default: fast path on
+        ASSERT_FALSE(stats_only.collectResults);  // default: runStats
 
         FleetConfig collected = hotpathFleet();
         collected.threads = threads;
@@ -99,10 +131,10 @@ TEST(HotPath, StatsOnlyFastPathMatchesCollectedResults)
 
 TEST(HotPath, CorpusReplayByteIdenticalAcrossEngineModes)
 {
-    // Record the population once, then replay it with reused engines,
-    // per-job engines, and the stats-only path: all four reports must
-    // match byte for byte (live synthesis vs corpus replay is covered
-    // by test_corpus; this pins the hot-path knobs on the replay path).
+    // Record the population once, then replay it on the stats-only path
+    // and with full results: both reports must match byte for byte
+    // (live synthesis vs corpus replay is covered by test_corpus; this
+    // pins the engine's two entry points on the replay path).
     const fs::path dir =
         fs::temp_directory_path() / "pes_hotpath_corpus";
     fs::remove_all(dir);
@@ -128,15 +160,11 @@ TEST(HotPath, CorpusReplayByteIdenticalAcrossEngineModes)
     FleetConfig replay = hotpathFleet();
     replay.threads = 4;
     replay.corpus = &*store;
-    const std::string reused_bytes = runToBytes(replay);
-
-    FleetConfig per_job = replay;
-    per_job.reuseEngines = false;
-    EXPECT_EQ(runToBytes(per_job), reused_bytes);
+    const std::string stats_bytes = runToBytes(replay);
 
     FleetConfig collected = replay;
     collected.collectResults = true;
-    EXPECT_EQ(runToBytes(collected), reused_bytes);
+    EXPECT_EQ(runToBytes(collected), stats_bytes);
 
     fs::remove_all(dir);
 }
@@ -308,28 +336,10 @@ TEST(HotPath, RunStatsIsBitIdenticalToReducingTheFullResult)
     const SessionStats full =
         SessionStats::reduce(sim.run(trace, full_driver));
 
-    // Same reused engine, stats-only path: the accumulators must
-    // reproduce the reduction bit for bit (the report contract).
+    // Same reused engine, stats-only path: the reduction must match
+    // bit for bit, sketch included (the report contract).
     EbsScheduler stats_driver;
-    const SessionStats stats = sim.runStats(trace, stats_driver);
-
-    EXPECT_EQ(stats.events, full.events);
-    EXPECT_EQ(stats.violations, full.violations);
-    EXPECT_EQ(stats.totalEnergyMj, full.totalEnergyMj);
-    EXPECT_EQ(stats.busyEnergyMj, full.busyEnergyMj);
-    EXPECT_EQ(stats.idleEnergyMj, full.idleEnergyMj);
-    EXPECT_EQ(stats.overheadEnergyMj, full.overheadEnergyMj);
-    EXPECT_EQ(stats.wasteEnergyMj, full.wasteEnergyMj);
-    EXPECT_EQ(stats.durationMs, full.durationMs);
-    EXPECT_EQ(stats.meanLatencyMs, full.meanLatencyMs);
-    EXPECT_EQ(stats.p95LatencyMs, full.p95LatencyMs);
-    EXPECT_EQ(stats.maxLatencyMs, full.maxLatencyMs);
-    EXPECT_EQ(stats.predictionsMade, full.predictionsMade);
-    EXPECT_EQ(stats.predictionsCorrect, full.predictionsCorrect);
-    EXPECT_EQ(stats.mispredictions, full.mispredictions);
-    EXPECT_EQ(stats.mispredictWasteMs, full.mispredictWasteMs);
-    EXPECT_EQ(stats.avgQueueLength, full.avgQueueLength);
-    EXPECT_EQ(stats.fellBackToReactive, full.fellBackToReactive);
+    EXPECT_TRUE(sessionStatsEqual(sim.runStats(trace, stats_driver), full));
 }
 
 } // namespace

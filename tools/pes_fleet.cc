@@ -88,10 +88,6 @@ usage()
         "(see pes_corpus) instead\n"
         "                     of synthesizing; reports stay "
         "byte-identical to live synthesis\n"
-        "  --no-trace-share   synthesize per job instead of sharing each "
-        "(device, app, user)\n"
-        "                     trace across schedulers (slower; identical "
-        "reports)\n"
         "  --trace-cache-cap=N  LRU-bound the shared trace cache to N "
         "resident traces\n"
         "                     (0 = unbounded; eviction never changes "
@@ -466,6 +462,62 @@ struct ObsOptions
                                         : TraceEventSink::Clock::Wall);
     }
 };
+
+/**
+ * Consume one sweep-shape flag shared by the run and stress verbs into
+ * @p config; true when @p arg was one. Flags only one verb takes stay
+ * in that verb's loop.
+ */
+bool
+consumeSweepFlag(const std::string &arg, FleetConfig &config)
+{
+    std::string value;
+    if (arg == "--warm") {
+        config.warmDrivers = true;
+    } else if (arg == "--eval-population") {
+        config.seedMode = SeedMode::Evaluation;
+    } else if (flagValue(arg, "schedulers", value)) {
+        config.schedulers = parseSchedulerList(value);
+    } else if (flagValue(arg, "apps", value)) {
+        config.apps = parseAppList(value);
+    } else if (flagValue(arg, "devices", value)) {
+        config.devices = parseDeviceList(value);
+    } else if (flagValue(arg, "users", value)) {
+        const long users = parseLong(value, "users");
+        fatal_if(users < 1 || users > 100000000,
+                 "--users must be in [1, 1e8]");
+        config.users = static_cast<int>(users);
+    } else if (flagValue(arg, "threads", value)) {
+        const long threads = parseLong(value, "threads");
+        fatal_if(threads < 1 || threads > 4096,
+                 "--threads must be in [1, 4096]");
+        config.threads = static_cast<int>(threads);
+    } else if (flagValue(arg, "seed", value)) {
+        config.baseSeed = parseSeed(value);
+    } else if (flagValue(arg, "shard", value)) {
+        const size_t slash = value.find('/');
+        fatal_if(slash == std::string::npos,
+                 "--shard expects K/N (e.g. 0/4), got '%s'", value.c_str());
+        const long k = parseLong(value.substr(0, slash), "shard");
+        const long n = parseLong(value.substr(slash + 1), "shard");
+        fatal_if(n < 1 || n > 1000000 || k < 0 || k >= n,
+                 "--shard=K/N needs 0 <= K < N, got '%s'", value.c_str());
+        config.shardIndex = static_cast<int>(k);
+        config.shardCount = static_cast<int>(n);
+    } else if (flagValue(arg, "checkpoint-every", value)) {
+        const long every = parseLong(value, "checkpoint-every");
+        fatal_if(every < 0 || every > 100000000,
+                 "--checkpoint-every must be in [0, 1e8]");
+        config.checkpointEvery = static_cast<int>(every);
+    } else if (flagValue(arg, "trace-cache-cap", value)) {
+        const long cap = parseLong(value, "trace-cache-cap");
+        fatal_if(cap < 0, "--trace-cache-cap must be >= 0");
+        config.traceCacheCap = static_cast<size_t>(cap);
+    } else {
+        return false;
+    }
+    return true;
+}
 
 /** Write the buffered trace-event JSON (fatal on I/O failure). */
 void
@@ -1124,16 +1176,10 @@ cmdStress(int argc, char **argv)
             return listFamilies();
         } else if (arg == "--quiet") {
             quiet = true;
-        } else if (obs.consume(arg)) {
-            // observability flags (shared across verbs)
-        } else if (arg == "--warm") {
-            base.warmDrivers = true;
-        } else if (arg == "--eval-population") {
-            base.seedMode = SeedMode::Evaluation;
+        } else if (obs.consume(arg) || consumeSweepFlag(arg, base)) {
+            // observability and sweep flags (shared across verbs)
         } else if (arg == "--resume") {
             resume = true;
-        } else if (arg == "--no-trace-share") {
-            base.shareTraces = false;
         } else if (flagValue(arg, "family", value)) {
             family_name = value;
         } else if (flagValue(arg, "scenario-spec", value)) {
@@ -1142,49 +1188,10 @@ cmdStress(int argc, char **argv)
             severities_spec = value;
         } else if (flagValue(arg, "scenario-seed", value)) {
             scenario_seed = parseSeed(value);
-        } else if (flagValue(arg, "schedulers", value)) {
-            base.schedulers = parseSchedulerList(value);
-        } else if (flagValue(arg, "apps", value)) {
-            base.apps = parseAppList(value);
-        } else if (flagValue(arg, "devices", value)) {
-            base.devices = parseDeviceList(value);
-        } else if (flagValue(arg, "users", value)) {
-            const long users = parseLong(value, "users");
-            fatal_if(users < 1 || users > 100000000,
-                     "--users must be in [1, 1e8]");
-            base.users = static_cast<int>(users);
-        } else if (flagValue(arg, "threads", value)) {
-            const long threads = parseLong(value, "threads");
-            fatal_if(threads < 1 || threads > 4096,
-                     "--threads must be in [1, 4096]");
-            base.threads = static_cast<int>(threads);
-        } else if (flagValue(arg, "seed", value)) {
-            base.baseSeed = parseSeed(value);
         } else if (flagValue(arg, "corpus", value)) {
             corpus_dir = value;
         } else if (flagValue(arg, "results-dir", value)) {
             results_dir = value;
-        } else if (flagValue(arg, "shard", value)) {
-            const size_t slash = value.find('/');
-            fatal_if(slash == std::string::npos,
-                     "--shard expects K/N (e.g. 0/4), got '%s'",
-                     value.c_str());
-            const long k = parseLong(value.substr(0, slash), "shard");
-            const long n = parseLong(value.substr(slash + 1), "shard");
-            fatal_if(n < 1 || n > 1000000 || k < 0 || k >= n,
-                     "--shard=K/N needs 0 <= K < N, got '%s'",
-                     value.c_str());
-            base.shardIndex = static_cast<int>(k);
-            base.shardCount = static_cast<int>(n);
-        } else if (flagValue(arg, "checkpoint-every", value)) {
-            const long every = parseLong(value, "checkpoint-every");
-            fatal_if(every < 0 || every > 100000000,
-                     "--checkpoint-every must be in [0, 1e8]");
-            base.checkpointEvery = static_cast<int>(every);
-        } else if (flagValue(arg, "trace-cache-cap", value)) {
-            const long cap = parseLong(value, "trace-cache-cap");
-            fatal_if(cap < 0, "--trace-cache-cap must be >= 0");
-            base.traceCacheCap = static_cast<size_t>(cap);
         } else if (flagValue(arg, "reports-dir", value)) {
             reports_dir = value;
         } else if (flagValue(arg, "out", value)) {
@@ -1433,61 +1440,16 @@ main(int argc, char **argv)
             return listPopulations();
         } else if (arg == "--quiet") {
             quiet = true;
-        } else if (obs.consume(arg)) {
-            // observability flags (shared across verbs)
-        } else if (arg == "--warm") {
-            config.warmDrivers = true;
-        } else if (arg == "--no-trace-share") {
-            config.shareTraces = false;
+        } else if (obs.consume(arg) || consumeSweepFlag(arg, config)) {
+            // observability and sweep flags (shared across verbs)
         } else if (arg == "--resume") {
             config.resume = true;
         } else if (flagValue(arg, "results-dir", value)) {
             results_dir = value;
-        } else if (flagValue(arg, "shard", value)) {
-            const size_t slash = value.find('/');
-            fatal_if(slash == std::string::npos,
-                     "--shard expects K/N (e.g. 0/4), got '%s'",
-                     value.c_str());
-            const long k = parseLong(value.substr(0, slash), "shard");
-            const long n = parseLong(value.substr(slash + 1), "shard");
-            fatal_if(n < 1 || n > 1000000 || k < 0 || k >= n,
-                     "--shard=K/N needs 0 <= K < N, got '%s'",
-                     value.c_str());
-            config.shardIndex = static_cast<int>(k);
-            config.shardCount = static_cast<int>(n);
-        } else if (flagValue(arg, "checkpoint-every", value)) {
-            const long every = parseLong(value, "checkpoint-every");
-            fatal_if(every < 0 || every > 100000000,
-                     "--checkpoint-every must be in [0, 1e8]");
-            config.checkpointEvery = static_cast<int>(every);
-        } else if (flagValue(arg, "trace-cache-cap", value)) {
-            const long cap = parseLong(value, "trace-cache-cap");
-            fatal_if(cap < 0, "--trace-cache-cap must be >= 0");
-            config.traceCacheCap = static_cast<size_t>(cap);
-        } else if (arg == "--eval-population") {
-            config.seedMode = SeedMode::Evaluation;
         } else if (flagValue(arg, "population", value)) {
             population_ref = value;
         } else if (flagValue(arg, "corpus", value)) {
             corpus_dir = value;
-        } else if (flagValue(arg, "schedulers", value)) {
-            config.schedulers = parseSchedulerList(value);
-        } else if (flagValue(arg, "apps", value)) {
-            config.apps = parseAppList(value);
-        } else if (flagValue(arg, "devices", value)) {
-            config.devices = parseDeviceList(value);
-        } else if (flagValue(arg, "users", value)) {
-            const long users = parseLong(value, "users");
-            fatal_if(users < 1 || users > 100000000,
-                     "--users must be in [1, 1e8]");
-            config.users = static_cast<int>(users);
-        } else if (flagValue(arg, "threads", value)) {
-            const long threads = parseLong(value, "threads");
-            fatal_if(threads < 1 || threads > 4096,
-                     "--threads must be in [1, 4096]");
-            config.threads = static_cast<int>(threads);
-        } else if (flagValue(arg, "seed", value)) {
-            config.baseSeed = parseSeed(value);
         } else if (flagValue(arg, "out", value)) {
             out_path = value;
         } else if (flagValue(arg, "csv", value)) {
@@ -1498,10 +1460,6 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    fatal_if(config.users < 1 || config.users > 100000000,
-             "--users must be in [1, 1e8]");
-    fatal_if(config.threads < 1 || config.threads > 4096,
-             "--threads must be in [1, 4096]");
     obs.applyLogging(true);
 
     fatal_if(config.resume && results_dir.empty(),
