@@ -1,7 +1,9 @@
 #include "runner/fleet_config.hh"
 
+#include <algorithm>
 #include <climits>
 
+#include "core/experiment.hh"
 #include "population/population_spec.hh"
 #include "trace/generator.hh"
 #include "util/logging.hh"
@@ -147,15 +149,6 @@ deviceRegistry()
     return registry;
 }
 
-std::vector<AcmpPlatform>
-knownDevices()
-{
-    std::vector<AcmpPlatform> devices;
-    for (const DeviceInfo &info : deviceRegistry())
-        devices.push_back(info.platform);
-    return devices;
-}
-
 std::optional<AcmpPlatform>
 deviceByPlatformName(const std::string &name)
 {
@@ -197,6 +190,86 @@ parseDeviceList(const std::string &spec)
     }
     fatal_if(devices.empty(), "empty device list '%s'", spec.c_str());
     return devices;
+}
+
+Flags
+sweepFlags(FleetConfig &config, const std::vector<std::string> &names)
+{
+    const std::string schedulers = "pes,ebs";
+    const std::string apps = "cnn,amazon,social_feed";
+    config.schedulers = parseSchedulerList(schedulers);
+    config.apps = parseAppList(apps);
+    config.users = 100;
+    config.threads = Experiment::defaultSweepThreads();
+    // The list parsers fatal() on unknown names themselves.
+    const auto axis = [](auto &field, auto parse) {
+        return [&field, parse](const std::string &value) {
+            field = parse(value);
+            return true;
+        };
+    };
+    Flags all = {
+        customFlag("schedulers", "LIST",
+                   axis(config.schedulers, parseSchedulerList),
+                   "interactive, ondemand, ebs, pes, oracle [" +
+                       schedulers + "]"),
+        customFlag("apps", "LIST", axis(config.apps, parseAppList),
+                   "app names or seen/unseen/all/extra\n[" + apps + "]"),
+        customFlag("devices", "LIST", axis(config.devices, parseDeviceList),
+                   "exynos5410, tegra-parker [exynos5410]"),
+        intFlag("users", "N", config.users, 1, 100000000,
+                "users per cell [" + std::to_string(config.users) + "]"),
+        intFlag("threads", "N", config.threads, 1, 4096,
+                "worker threads [hardware threads]"),
+        seedFlag("seed", "S", config.baseSeed, "population seed [0xf1ee7]"),
+        customFlag("eval-population", "",
+                   [&config](const std::string &) {
+                       config.seedMode = SeedMode::Evaluation;
+                       return true;
+                   },
+                   "the paper's Sec.-6.1 evaluation users"),
+        switchFlag("warm", config.warmDrivers,
+                   "one warmed driver per cell, sessions in order"),
+        partFlag("shard", config.shardIndex, config.shardCount, 1000000,
+                 "run shard K of N; `pes_fleet merge` joins them"),
+        intFlag("checkpoint-every", "N", config.checkpointEvery, 0,
+                100000000,
+                "sessions per store checkpoint [" +
+                    std::to_string(config.checkpointEvery) + "]"),
+        intFlag("trace-cache-cap", "N", config.traceCacheCap, 0, LLONG_MAX,
+                "LRU trace-cache bound (0 = unbounded)"),
+    };
+    if (names.empty())
+        return all;
+    Flags picked;
+    for (const std::string &name : names) {
+        const auto it = std::find_if(
+            all.begin(), all.end(),
+            [&name](const Flag &flag) { return flag.name == name; });
+        panic_if(it == all.end(), "sweepFlags: no sweep flag '%s'",
+                 name.c_str());
+        picked.push_back(*it);
+    }
+    return picked;
+}
+
+int
+applyPopulation(const std::string &ref,
+                std::optional<PopulationSpec> &holder, FleetConfig &config)
+{
+    if (ref.empty())
+        return 0;
+    fatal_if(config.seedMode == SeedMode::Evaluation,
+             "--population cannot be combined with --eval-population "
+             "(the evaluation seeds are a fixed cohort)");
+    std::vector<IntegrityProblem> problems;
+    holder = resolvePopulation(ref, problems);
+    if (!holder)
+        return failProblems(problems);
+    config.population = &*holder;
+    config.populationTag = populationTag(*holder);
+    config.populationDigest = populationDigest(*holder);
+    return 0;
 }
 
 } // namespace pes

@@ -27,6 +27,7 @@
 #include "hw/acmp.hh"
 #include "trace/app_profile.hh"
 #include "trace/trace.hh"
+#include "util/flags.hh"
 
 namespace pes {
 
@@ -303,7 +304,7 @@ uint64_t fleetUserSeed(const FleetConfig &config, int user_index);
  */
 std::vector<JobSpec> enumerateJobs(const FleetConfig &config);
 
-// ---------------- CLI parsing helpers (pes_fleet, tests) ----------------
+// ------------- axis parsing (the tools' flags, tests, benches) -------------
 
 /**
  * Parse a comma-separated scheduler list ("pes,ebs,interactive");
@@ -323,6 +324,31 @@ std::vector<AppProfile> parseAppList(const std::string &spec);
  */
 std::vector<AcmpPlatform> parseDeviceList(const std::string &spec);
 
+/**
+ * The sweep-shape flags, declared once for every verb that builds a
+ * FleetConfig from its command line (pes_fleet run and stress,
+ * pes_coordinator init, pes_corpus record and replay). Installs the
+ * command-line defaults into @p config — pes,ebs over
+ * cnn,amazon,social_feed, 100 users per cell, one worker per hardware
+ * thread — and returns the flags named in @p names (every sweep flag
+ * when empty), in that order. The flags write into @p config, which
+ * must outlive the parse.
+ */
+Flags sweepFlags(FleetConfig &config,
+                 const std::vector<std::string> &names = {});
+
+/**
+ * Resolve a `--population=SPEC` reference (a built-in name or a .json
+ * spec file; empty = none) into @p config. The spec lands in @p holder,
+ * which must outlive every use of @p config (the config only borrows
+ * it). Returns 0, or prints the problems and returns their exit code
+ * (3 missing spec file, 4 malformed spec); fatal() when @p config
+ * already draws the evaluation seeds.
+ */
+int applyPopulation(const std::string &ref,
+                    std::optional<PopulationSpec> &holder,
+                    FleetConfig &config);
+
 /** One row of the device registry: the model plus its CLI spellings. */
 struct DeviceInfo
 {
@@ -339,9 +365,6 @@ struct DeviceInfo
  * platform here updates parsing and discovery together.
  */
 const std::vector<DeviceInfo> &deviceRegistry();
-
-/** The registry's platforms only, in registry order. */
-std::vector<AcmpPlatform> knownDevices();
 
 /** Look up a device by its platform name (e.g. "Exynos 5410"); nullopt
  *  when no known device matches (corpus manifests store this name). */

@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 #include "runner/fleet_config.hh"
 #include "util/json.hh"
+#include "util/logging.hh"
 #include "util/strings.hh"
+#include "util/table.hh"
 
 namespace pes {
 
@@ -371,6 +374,46 @@ CsvReporter::parseReport(const std::string &text)
     }
     report.cells = std::move(*cells);
     return report;
+}
+
+void
+writeReportFiles(const FleetReport &report, const std::string &json_path,
+                 const std::string &csv_path, std::ostream &log)
+{
+    if (!json_path.empty()) {
+        std::ofstream os(json_path);
+        fatal_if(!os, "cannot open '%s'", json_path.c_str());
+        JsonReporter::write(report, os);
+        log << "[json: " << json_path << "]\n";
+    }
+    if (!csv_path.empty()) {
+        std::ofstream os(csv_path);
+        fatal_if(!os, "cannot open '%s'", csv_path.c_str());
+        CsvReporter::write(report, os);
+        log << "[csv: " << csv_path << "]\n";
+    }
+}
+
+void
+printCellTable(const FleetReport &report, std::ostream &os)
+{
+    Table table({"device", "app", "scheduler", "sessions", "viol%",
+                 "energy(mJ)", "waste(mJ)", "lat(ms)", "p95(ms)",
+                 "pred%"});
+    for (const CellSummary &c : report.cells) {
+        table.beginRow()
+            .cell(c.device)
+            .cell(c.app)
+            .cell(c.scheduler)
+            .cell(static_cast<long>(c.sessions))
+            .cell(c.violationRate * 100.0, 2)
+            .cell(c.meanEnergyMj, 1)
+            .cell(c.meanWasteEnergyMj, 1)
+            .cell(c.meanLatencyMs, 2)
+            .cell(c.p95SessionLatencyMs, 2)
+            .cell(c.predictionAccuracy * 100.0, 1);
+    }
+    table.print(os);
 }
 
 } // namespace pes

@@ -84,6 +84,18 @@ FleetReport makeFleetReport(const FleetConfig &config,
                             const MetricsAggregator &metrics);
 
 /**
+ * Write @p report as JSON to @p json_path and as CSV to @p csv_path
+ * (each skipped when empty), noting each file written on @p log;
+ * fatal() when a file cannot be opened. The tools' one report writer.
+ */
+void writeReportFiles(const FleetReport &report,
+                      const std::string &json_path,
+                      const std::string &csv_path, std::ostream &log);
+
+/** Print the human summary of @p report: one table row per cell. */
+void printCellTable(const FleetReport &report, std::ostream &os);
+
+/**
  * JSON sink: one object with a "meta" header and a "cells" array.
  */
 class JsonReporter

@@ -23,7 +23,8 @@
  * (`pes_fleet diff --exact` gates it in CI).
  */
 
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -41,83 +42,13 @@
 #include "runner/reporters.hh"
 #include "telemetry/run_telemetry.hh"
 #include "telemetry/telemetry.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
-#include "util/strings.hh"
 #include "util/table.hh"
 
 using namespace pes;
 
 namespace {
-
-void
-usage()
-{
-    std::cout <<
-        "pes_coordinator - leased work-queue orchestration of one "
-        "fleet sweep\n\n"
-        "Verbs:\n"
-        "  pes_coordinator init --queue-dir=DIR --results-dir=DIR "
-        "[sweep flags]\n"
-        "      [--grain=N] [--lease-ms=MS]\n"
-        "      partition the sweep into job-range leases (grain jobs "
-        "per range,\n"
-        "      cell-aligned under --warm) and create the shared result "
-        "store.\n"
-        "      sweep flags: --schedulers --apps --devices --users "
-        "--seed\n"
-        "      --eval-population --population --warm --checkpoint-every "
-        "(pes_fleet\n"
-        "      defaults). --population=SPEC (built-in name or .json "
-        "file) embeds the\n"
-        "      mixture spec in queue.json so every worker re-derives "
-        "identical seeds.\n"
-        "      Scenario (stress) sweeps are not coordinatable yet — "
-        "shard those.\n"
-        "  pes_coordinator run --queue-dir=DIR [--out=FILE] "
-        "[--csv=FILE]\n"
-        "      [--interval-ms=MS] [--steal-factor=F] "
-        "[--min-steal-ms=MS]\n"
-        "      [--max-wall-ms=MS] [--once] [--telemetry-out=FILE] "
-        "[--quiet]\n"
-        "      supervise until every lease is done: reopen expired "
-        "leases\n"
-        "      (epoch+1 fences the dead holder), steal from stragglers "
-        "when a\n"
-        "      2x-faster peer exists, then verify the store covers the "
-        "plan and\n"
-        "      reduce it to the whole-run-identical reports.\n"
-        "      exit: 0 done+reduced, 1 supervision error or wall "
-        "budget\n"
-        "      exceeded, 4 store fails coverage or reduction\n"
-        "  pes_coordinator status --queue-dir=DIR\n"
-        "      one table row per range (state, epoch, owner, age) plus "
-        "worker\n"
-        "      rates\n"
-        "  pes_coordinator reduce --queue-dir=DIR [--out=FILE] "
-        "[--csv=FILE]\n"
-        "      reduce whatever the store holds right now (no "
-        "completion check)\n";
-}
-
-bool
-flagValue(const std::string &arg, const std::string &name,
-          std::string &out)
-{
-    const std::string prefix = "--" + name + "=";
-    if (!startsWith(arg, prefix))
-        return false;
-    out = arg.substr(prefix.size());
-    return true;
-}
-
-long
-parseLong(const std::string &value, const std::string &flag)
-{
-    long long v;
-    fatal_if(!parseInt64(value, v), "bad value '%s' for --%s",
-             value.c_str(), flag.c_str());
-    return static_cast<long>(v);
-}
 
 LeaseQueue
 openQueue(const std::string &queue_dir)
@@ -137,24 +68,6 @@ openStore(const LeaseQueue &queue)
     auto store = ResultStore::open(queue.plan().resultsDir, &error);
     fatal_if(!store, "cannot open results store: %s", error.c_str());
     return std::move(*store);
-}
-
-void
-writeReports(const FleetReport &report, const std::string &out_path,
-             const std::string &csv_path)
-{
-    if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        fatal_if(!os, "cannot open '%s'", out_path.c_str());
-        JsonReporter::write(report, os);
-        std::cout << "[json: " << out_path << "]\n";
-    }
-    if (!csv_path.empty()) {
-        std::ofstream os(csv_path);
-        fatal_if(!os, "cannot open '%s'", csv_path.c_str());
-        CsvReporter::write(report, os);
-        std::cout << "[csv: " << csv_path << "]\n";
-    }
 }
 
 /** Reduce @p store and write reports; returns the exit code. */
@@ -184,73 +97,36 @@ reduceAndReport(const ResultStore &store, const std::string &out_path,
                       << " expected sessions missing (partial sweep)";
         std::cout << "\n";
     }
-    writeReports(makeStoreReport(store, reduction.metrics), out_path,
-                 csv_path);
+    writeReportFiles(makeStoreReport(store, reduction.metrics), out_path,
+                     csv_path, std::cout);
     return 0;
 }
 
 // ---------------------------------------------------------------- init
 
 int
-cmdInit(int argc, char **argv)
+cmdInit(const Command &cmd)
 {
     std::string queue_dir, results_dir, population_ref;
-    long grain = 0;
-    long lease_ms = 30000;
+    int grain = 0;
+    int64_t lease_ms = 30000;
     FleetConfig config;
-    config.schedulers = parseSchedulerList("pes,ebs");
-    config.apps = parseAppList("cnn,amazon,social_feed");
-    config.users = 100;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (flagValue(arg, "queue-dir", value)) {
-            queue_dir = value;
-        } else if (flagValue(arg, "results-dir", value)) {
-            results_dir = value;
-        } else if (flagValue(arg, "grain", value)) {
-            grain = parseLong(value, "grain");
-            fatal_if(grain < 1, "--grain must be >= 1");
-        } else if (flagValue(arg, "lease-ms", value)) {
-            lease_ms = parseLong(value, "lease-ms");
-            fatal_if(lease_ms < 100, "--lease-ms must be >= 100");
-        } else if (arg == "--warm") {
-            config.warmDrivers = true;
-        } else if (arg == "--eval-population") {
-            config.seedMode = SeedMode::Evaluation;
-        } else if (flagValue(arg, "population", value)) {
-            population_ref = value;
-        } else if (flagValue(arg, "schedulers", value)) {
-            config.schedulers = parseSchedulerList(value);
-        } else if (flagValue(arg, "apps", value)) {
-            config.apps = parseAppList(value);
-        } else if (flagValue(arg, "devices", value)) {
-            config.devices = parseDeviceList(value);
-        } else if (flagValue(arg, "users", value)) {
-            const long users = parseLong(value, "users");
-            fatal_if(users < 1 || users > 100000000,
-                     "--users must be in [1, 1e8]");
-            config.users = static_cast<int>(users);
-        } else if (flagValue(arg, "seed", value)) {
-            uint64_t seed;
-            fatal_if(!parseUint64(value, seed),
-                     "bad value '%s' for --seed", value.c_str());
-            config.baseSeed = seed;
-        } else if (flagValue(arg, "checkpoint-every", value)) {
-            const long every = parseLong(value, "checkpoint-every");
-            fatal_if(every < 0 || every > 100000000,
-                     "--checkpoint-every must be in [0, 1e8]");
-            config.checkpointEvery = static_cast<int>(every);
-        } else {
-            std::cerr << "init: unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({
+        {
+            stringFlag("queue-dir", "DIR", queue_dir,
+                       "queue to create (required)"),
+            stringFlag("results-dir", "DIR", results_dir,
+                       "shared store to create (required)"),
+            stringFlag("population", "SPEC", population_ref,
+                       "mixture population, embedded in the queue"),
+            intFlag("grain", "N", grain, 1, INT_MAX,
+                    "jobs per range [users per cell]"),
+            intFlag("lease-ms", "MS", lease_ms, 100, INT64_MAX,
+                    "lease duration [30000]"),
+        },
+        sweepFlags(config, {"schedulers", "apps", "devices", "users", "seed",
+                            "eval-population", "warm", "checkpoint-every"}),
+    });
     fatal_if(queue_dir.empty(), "init: --queue-dir=DIR is required");
     fatal_if(results_dir.empty(),
              "init: --results-dir=DIR is required");
@@ -258,21 +134,8 @@ cmdInit(int argc, char **argv)
     // Mixture population: resolved here, embedded in queue.json below
     // so workers reconstruct the exact spec (and digest) from the plan.
     std::optional<PopulationSpec> population;
-    if (!population_ref.empty()) {
-        fatal_if(config.seedMode == SeedMode::Evaluation,
-                 "--population cannot be combined with "
-                 "--eval-population");
-        std::vector<IntegrityProblem> problems;
-        population = resolvePopulation(population_ref, problems);
-        if (!population) {
-            for (const IntegrityProblem &p : problems)
-                std::cerr << "FAIL " << p.message << "\n";
-            return integrityExitCode(problems);
-        }
-        config.population = &*population;
-        config.populationTag = populationTag(*population);
-        config.populationDigest = populationDigest(*population);
-    }
+    if (const int rc = applyPopulation(population_ref, population, config))
+        return rc;
 
     // The store is created first, with the same spec workers re-derive
     // from queue.json — so the queue's identity and the manifest's can
@@ -284,8 +147,7 @@ cmdInit(int argc, char **argv)
 
     const int jobs = config.jobCount();
     const int users_per_cell = config.effectiveUsers();
-    int effective_grain =
-        grain > 0 ? static_cast<int>(grain) : users_per_cell;
+    int effective_grain = grain > 0 ? grain : users_per_cell;
     if (config.warmDrivers)
         effective_grain = alignedGrain(effective_grain, users_per_cell);
 
@@ -319,7 +181,7 @@ cmdInit(int argc, char **argv)
 // ----------------------------------------------------------------- run
 
 int
-cmdRun(int argc, char **argv)
+cmdRun(const Command &cmd)
 {
     std::string queue_dir, out_path, csv_path, telemetry_out;
     long interval_ms = 200;
@@ -327,44 +189,23 @@ cmdRun(int argc, char **argv)
     bool once = false;
     bool quiet = false;
     CoordinatorOptions options;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--once") {
-            once = true;
-        } else if (flagValue(arg, "queue-dir", value)) {
-            queue_dir = value;
-        } else if (flagValue(arg, "out", value)) {
-            out_path = value;
-        } else if (flagValue(arg, "csv", value)) {
-            csv_path = value;
-        } else if (flagValue(arg, "telemetry-out", value)) {
-            telemetry_out = value;
-        } else if (flagValue(arg, "interval-ms", value)) {
-            interval_ms = parseLong(value, "interval-ms");
-            fatal_if(interval_ms < 10,
-                     "--interval-ms must be >= 10");
-        } else if (flagValue(arg, "max-wall-ms", value)) {
-            max_wall_ms = parseLong(value, "max-wall-ms");
-        } else if (flagValue(arg, "steal-factor", value)) {
-            double f;
-            fatal_if(!parseDouble(value, f) || f < 1.0,
-                     "--steal-factor must be >= 1");
-            options.stealFactor = f;
-        } else if (flagValue(arg, "min-steal-ms", value)) {
-            options.minStealMs = parseLong(value, "min-steal-ms");
-        } else {
-            std::cerr << "run: unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({{
+        stringFlag("queue-dir", "DIR", queue_dir, "lease queue (required)"),
+        stringFlag("out", "FILE", out_path, "write the JSON report"),
+        stringFlag("csv", "FILE", csv_path, "write the CSV report"),
+        stringFlag("telemetry-out", "FILE", telemetry_out,
+                   "write a RunTelemetry JSON summary"),
+        intFlag("interval-ms", "MS", interval_ms, 10, LONG_MAX,
+                "supervision period [200]"),
+        doubleFlag("steal-factor", "F", options.stealFactor, 1.0,
+                   kUnbounded, "steal ranges held F x too long [4]"),
+        intFlag("min-steal-ms", "MS", options.minStealMs, 0, INT64_MAX,
+                "never steal before this hold time [2000]"),
+        intFlag("max-wall-ms", "MS", max_wall_ms, 0, LONG_MAX,
+                "fail when not done in time (0 = never)"),
+        switchFlag("once", once, "one supervision pass, then exit"),
+        switchFlag("quiet", quiet, "suppress progress chatter"),
+    }});
     LeaseQueue queue = openQueue(queue_dir);
 
     TelemetryRegistry telemetry;
@@ -445,23 +286,11 @@ cmdRun(int argc, char **argv)
 // -------------------------------------------------------------- status
 
 int
-cmdStatus(int argc, char **argv)
+cmdStatus(const Command &cmd)
 {
     std::string queue_dir;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (flagValue(arg, "queue-dir", value)) {
-            queue_dir = value;
-        } else {
-            std::cerr << "status: unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({{stringFlag("queue-dir", "DIR", queue_dir,
+                           "lease queue (required)")}});
     LeaseQueue queue = openQueue(queue_dir);
     std::vector<Lease> leases;
     std::string error;
@@ -507,30 +336,16 @@ cmdStatus(int argc, char **argv)
 // -------------------------------------------------------------- reduce
 
 int
-cmdReduce(int argc, char **argv)
+cmdReduce(const Command &cmd)
 {
     std::string queue_dir, out_path, csv_path;
     bool quiet = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (flagValue(arg, "queue-dir", value)) {
-            queue_dir = value;
-        } else if (flagValue(arg, "out", value)) {
-            out_path = value;
-        } else if (flagValue(arg, "csv", value)) {
-            csv_path = value;
-        } else {
-            std::cerr << "reduce: unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({{
+        stringFlag("queue-dir", "DIR", queue_dir, "lease queue (required)"),
+        stringFlag("out", "FILE", out_path, "write the JSON report"),
+        stringFlag("csv", "FILE", csv_path, "write the CSV report"),
+        switchFlag("quiet", quiet, "suppress progress chatter"),
+    }});
     LeaseQueue queue = openQueue(queue_dir);
     ResultStore store = openStore(queue);
     return reduceAndReport(store, out_path, csv_path, quiet, nullptr);
@@ -541,20 +356,19 @@ cmdReduce(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    const std::string verb = argc > 1 ? argv[1] : "";
-    if (verb == "init")
-        return cmdInit(argc, argv);
-    if (verb == "run")
-        return cmdRun(argc, argv);
-    if (verb == "status")
-        return cmdStatus(argc, argv);
-    if (verb == "reduce")
-        return cmdReduce(argc, argv);
-    if (verb == "--help" || verb == "-h") {
-        usage();
-        return 0;
-    }
-    std::cerr << "pes_coordinator: unknown verb '" << verb << "'\n\n";
-    usage();
-    return 1;
+    static const Tool tool{
+        "pes_coordinator",
+        "leased work-queue orchestration of one fleet sweep",
+        {
+            {"init", cmdInit, "partition a sweep into leases and a store",
+             "Scenario (stress) sweeps cannot be coordinated; shard those. "
+             "Start workers\nwith `pes_fleet work --coordinator=DIR`."},
+            {"run", cmdRun, "supervise leases until done, then reduce",
+             "Reopens expired leases and steals from stragglers.\nexit: 0 "
+             "done and reduced, 1 supervision error or wall budget, 4 store\n"
+             "fails coverage or reduction"},
+            {"status", cmdStatus, "print each range's state and worker rates"},
+            {"reduce", cmdReduce, "reduce whatever the store holds now"},
+        }};
+    return runTool(tool, argc, argv);
 }

@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -30,78 +29,13 @@
 #include "util/integrity.hh"
 #include "runner/fleet_runner.hh"
 #include "runner/reporters.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
-#include "util/strings.hh"
 #include "util/table.hh"
 
 using namespace pes;
 
 namespace {
-
-int
-usage()
-{
-    std::cerr <<
-        "pes_corpus - record / replay / mutate persisted trace corpora\n"
-        "\n"
-        "usage:\n"
-        "  pes_corpus record   --dir=DIR [--apps=LIST] [--devices=LIST]\n"
-        "                      [--users=N] [--seed=S] [--eval-population]\n"
-        "                      [--quiet]\n"
-        "  pes_corpus inspect  --dir=DIR [--app=NAME] [--device=NAME]\n"
-        "                      [--user=SEED]\n"
-        "  pes_corpus validate --dir=DIR [--segment=K/N] [--quiet]\n"
-        "                      exit: 0 clean, 3 missing files, 4 corrupt.\n"
-        "                      --segment streams one segment manifest of "
-        "an N-way\n"
-        "                      split (memory bounded by that segment)\n"
-        "  pes_corpus shard    --dir=DIR --segments=N [--quiet]\n"
-        "                      split manifest.json into N hashed-seed "
-        "segment\n"
-        "                      manifests (manifest.seg-K-of-N.json); "
-        "traces stay\n"
-        "                      put, and open() reads the segment set as "
-        "one corpus\n"
-        "  pes_corpus replay   --dir=DIR [--schedulers=LIST] [--threads=N]\n"
-        "                      [--warm] [--out=FILE] [--csv=FILE] [--quiet]\n"
-        "  pes_corpus mutate   --dir=DIR --into=DIR --op=OP [--seed=S]\n"
-        "                      ops: time-scale --factor=F\n"
-        "                           event-drop --drop=P\n"
-        "                           burst      --rate=R --burst=N\n"
-        "                           concat     --gap=MS\n"
-        "                           jitter     --magnitude=M\n";
-    return 2;
-}
-
-long
-requireLong(const std::string &value, const char *flag, long lo, long hi)
-{
-    long long v;
-    fatal_if(!parseInt64(value, v) || v < lo || v > hi,
-             "bad value '%s' for --%s (expected integer in [%ld, %ld])",
-             value.c_str(), flag, lo, hi);
-    return static_cast<long>(v);
-}
-
-uint64_t
-requireSeed(const std::string &value, const char *flag)
-{
-    uint64_t v;
-    fatal_if(!parseUint64(value, v), "bad value '%s' for --%s",
-             value.c_str(), flag);
-    return v;
-}
-
-double
-requireDouble(const std::string &value, const char *flag, double lo,
-              double hi)
-{
-    double v;
-    fatal_if(!parseDouble(value, v) || v < lo || v > hi,
-             "bad value '%s' for --%s (expected number in [%g, %g])",
-             value.c_str(), flag, lo, hi);
-    return v;
-}
 
 CorpusStore
 openOrDie(const std::string &dir)
@@ -116,36 +50,21 @@ openOrDie(const std::string &dir)
 // ------------------------------------------------------------- record
 
 int
-cmdRecord(const std::vector<std::pair<std::string, std::string>> &flags)
+cmdRecord(const Command &cmd)
 {
     std::string dir;
-    std::vector<AppProfile> apps = parseAppList("cnn,amazon,social_feed");
-    std::vector<AcmpPlatform> devices{AcmpPlatform::exynos5410()};
-    FleetConfig seeds;  // only the user-seed derivation is used
-    int users = 100;
+    FleetConfig config;  // only the axes and the user-seed derivation
     bool quiet = false;
-
-    for (const auto &[name, value] : flags) {
-        if (name == "dir") {
-            dir = value;
-        } else if (name == "apps") {
-            apps = parseAppList(value);
-        } else if (name == "devices") {
-            devices = parseDeviceList(value);
-        } else if (name == "users") {
-            users = static_cast<int>(
-                requireLong(value, "users", 1, 100000000));
-        } else if (name == "seed") {
-            seeds.baseSeed = requireSeed(value, "seed");
-        } else if (name == "eval-population") {
-            seeds.seedMode = SeedMode::Evaluation;
-        } else if (name == "quiet") {
-            quiet = true;
-        } else {
-            fatal("record: unknown option '--%s'", name.c_str());
-        }
-    }
+    cmd.parse({
+        {stringFlag("dir", "DIR", dir, "corpus to create (required)")},
+        sweepFlags(config,
+                   {"apps", "devices", "users", "seed", "eval-population"}),
+        {switchFlag("quiet", quiet, "suppress progress chatter")},
+    });
     fatal_if(dir.empty(), "--dir is required");
+    const std::vector<AcmpPlatform> devices = config.devices.empty()
+        ? std::vector<AcmpPlatform>{AcmpPlatform::exynos5410()}
+        : config.devices;
 
     std::string error;
     auto store = CorpusStore::create(dir, &error);
@@ -159,13 +78,13 @@ cmdRecord(const std::vector<std::pair<std::string, std::string>> &flags)
         provenance.device = platform.name();
         provenance.params = {{"source", "synthetic"},
                              {"seed_mode",
-                              seeds.seedMode == SeedMode::Fleet
+                              config.seedMode == SeedMode::Fleet
                                   ? "fleet"
                                   : "evaluation"}};
-        for (const AppProfile &profile : apps) {
-            for (int u = 0; u < users; ++u) {
+        for (const AppProfile &profile : config.apps) {
+            for (int u = 0; u < config.users; ++u) {
                 const InteractionTrace trace = generator.generate(
-                    profile, fleetUserSeed(seeds, u));
+                    profile, fleetUserSeed(config, u));
                 fatal_if(!store->add(trace, provenance, &error),
                          "record failed: %s", error.c_str());
                 events += trace.events.size();
@@ -186,25 +105,18 @@ cmdRecord(const std::vector<std::pair<std::string, std::string>> &flags)
 // ------------------------------------------------------------ inspect
 
 int
-cmdInspect(const std::vector<std::pair<std::string, std::string>> &flags)
+cmdInspect(const Command &cmd)
 {
     std::string dir, app_filter, device_filter;
-    bool have_user_filter = false;
     uint64_t user_filter = 0;
-    for (const auto &[name, value] : flags) {
-        if (name == "dir") {
-            dir = value;
-        } else if (name == "app") {
-            app_filter = value;
-        } else if (name == "device") {
-            device_filter = value;
-        } else if (name == "user") {
-            user_filter = requireSeed(value, "user");
-            have_user_filter = true;
-        } else {
-            fatal("inspect: unknown option '--%s'", name.c_str());
-        }
-    }
+    const FlagParse parsed = cmd.parse({{
+        stringFlag("dir", "DIR", dir, "corpus (required)"),
+        stringFlag("app", "NAME", app_filter, "only this app"),
+        stringFlag("device", "NAME", device_filter, "only this platform"),
+        seedFlag("user", "SEED", user_filter, "only this user seed"),
+    }});
+    const bool have_user_filter =
+        std::count(parsed.given.begin(), parsed.given.end(), "user") > 0;
     const CorpusStore store = openOrDie(dir);
 
     Table table({"app", "device", "user_seed", "events", "checksum",
@@ -240,36 +152,22 @@ cmdInspect(const std::vector<std::pair<std::string, std::string>> &flags)
 // ----------------------------------------------------------- validate
 
 int
-cmdValidate(const std::vector<std::pair<std::string, std::string>> &flags)
+cmdValidate(const Command &cmd)
 {
     std::string dir;
-    long seg_k = -1, seg_n = 0;
+    int seg_k = 0, seg_n = 0;
     bool quiet = false;
-    for (const auto &[name, value] : flags) {
-        if (name == "dir") {
-            dir = value;
-        } else if (name == "segment") {
-            const size_t slash = value.find('/');
-            fatal_if(slash == std::string::npos,
-                     "--segment expects K/N (e.g. 0/4), got '%s'",
-                     value.c_str());
-            seg_k = requireLong(value.substr(0, slash), "segment", 0,
-                                1000000);
-            seg_n = requireLong(value.substr(slash + 1), "segment", 1,
-                                1000000);
-            fatal_if(seg_k >= seg_n, "--segment=K/N needs K < N");
-        } else if (name == "quiet") {
-            quiet = true;
-        } else {
-            fatal("validate: unknown option '--%s'", name.c_str());
-        }
-    }
+    cmd.parse({{
+        stringFlag("dir", "DIR", dir, "corpus (required)"),
+        partFlag("segment", seg_k, seg_n, 1000000,
+                 "validate one segment of an N-way split"),
+        switchFlag("quiet", quiet, "print nothing; gate on the exit code"),
+    }});
     std::optional<CorpusStore> store;
     if (seg_n > 0) {
         fatal_if(dir.empty(), "--dir is required");
         std::string error;
-        store = CorpusStore::openSegment(dir, static_cast<int>(seg_k),
-                                         static_cast<int>(seg_n), &error);
+        store = CorpusStore::openSegment(dir, seg_k, seg_n, &error);
         fatal_if(!store, "cannot open segment: %s", error.c_str());
     } else {
         store = openOrDie(dir);
@@ -298,21 +196,17 @@ cmdValidate(const std::vector<std::pair<std::string, std::string>> &flags)
 // -------------------------------------------------------------- shard
 
 int
-cmdShard(const std::vector<std::pair<std::string, std::string>> &flags)
+cmdShard(const Command &cmd)
 {
     std::string dir;
-    long segments = 0;
+    int segments = 0;
     bool quiet = false;
-    for (const auto &[name, value] : flags) {
-        if (name == "dir")
-            dir = value;
-        else if (name == "segments")
-            segments = requireLong(value, "segments", 1, 1000000);
-        else if (name == "quiet")
-            quiet = true;
-        else
-            fatal("shard: unknown option '--%s'", name.c_str());
-    }
+    cmd.parse({{
+        stringFlag("dir", "DIR", dir, "corpus (required)"),
+        intFlag("segments", "N", segments, 1, 1000000,
+                "segment count (required)"),
+        switchFlag("quiet", quiet, "suppress progress chatter"),
+    }});
     fatal_if(segments < 1, "--segments=N is required");
 
     CorpusStore store = openOrDie(dir);
@@ -320,7 +214,7 @@ cmdShard(const std::vector<std::pair<std::string, std::string>> &flags)
              "corpus '%s' is already segmented %d-way", dir.c_str(),
              store.segmentCount());
     std::string error;
-    fatal_if(!store.shard(static_cast<int>(segments), &error),
+    fatal_if(!store.shard(segments, &error),
              "shard failed: %s", error.c_str());
     if (!quiet) {
         std::cout << "sharded " << store.entries().size()
@@ -336,34 +230,20 @@ cmdShard(const std::vector<std::pair<std::string, std::string>> &flags)
 // ------------------------------------------------------------- replay
 
 int
-cmdReplay(const std::vector<std::pair<std::string, std::string>> &flags)
+cmdReplay(const Command &cmd)
 {
     std::string dir, out_path, csv_path;
     FleetConfig config;
-    config.schedulers = {SchedulerKind::Pes, SchedulerKind::Ebs};
-    config.threads = Experiment::defaultSweepThreads();
     bool quiet = false;
-
-    for (const auto &[name, value] : flags) {
-        if (name == "dir") {
-            dir = value;
-        } else if (name == "schedulers") {
-            config.schedulers = parseSchedulerList(value);
-        } else if (name == "threads") {
-            config.threads = static_cast<int>(
-                requireLong(value, "threads", 1, 4096));
-        } else if (name == "warm") {
-            config.warmDrivers = true;
-        } else if (name == "out") {
-            out_path = value;
-        } else if (name == "csv") {
-            csv_path = value;
-        } else if (name == "quiet") {
-            quiet = true;
-        } else {
-            fatal("replay: unknown option '--%s'", name.c_str());
-        }
-    }
+    cmd.parse({
+        {stringFlag("dir", "DIR", dir, "corpus (required)")},
+        sweepFlags(config, {"schedulers", "threads", "warm"}),
+        {
+            stringFlag("out", "FILE", out_path, "write the JSON report"),
+            stringFlag("csv", "FILE", csv_path, "write the CSV report"),
+            switchFlag("quiet", quiet, "suppress progress chatter"),
+        },
+    });
     const CorpusStore store = openOrDie(dir);
     fatal_if(store.entries().empty(), "corpus '%s' is empty",
              dir.c_str());
@@ -381,6 +261,7 @@ cmdReplay(const std::vector<std::pair<std::string, std::string>> &flags)
     }
     std::sort(seeds.begin(), seeds.end());
     seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+    config.apps.clear();
     for (const auto &[app, unused] : apps) {
         (void)unused;
         config.apps.push_back(appByName(app));
@@ -412,33 +293,8 @@ cmdReplay(const std::vector<std::pair<std::string, std::string>> &flags)
     FleetOutcome outcome = runner.run();
     const FleetReport report = makeFleetReport(cfg, outcome.metrics);
 
-    Table table({"device", "app", "scheduler", "sessions", "viol%",
-                 "energy(mJ)", "lat(ms)", "p95(ms)"});
-    for (const CellSummary &c : report.cells) {
-        table.beginRow()
-            .cell(c.device)
-            .cell(c.app)
-            .cell(c.scheduler)
-            .cell(static_cast<long>(c.sessions))
-            .cell(c.violationRate * 100.0, 2)
-            .cell(c.meanEnergyMj, 1)
-            .cell(c.meanLatencyMs, 2)
-            .cell(c.p95SessionLatencyMs, 2);
-    }
-    table.print(std::cout);
-
-    if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        fatal_if(!os, "cannot open '%s'", out_path.c_str());
-        JsonReporter::write(report, os);
-        std::cout << "[json: " << out_path << "]\n";
-    }
-    if (!csv_path.empty()) {
-        std::ofstream os(csv_path);
-        fatal_if(!os, "cannot open '%s'", csv_path.c_str());
-        CsvReporter::write(report, os);
-        std::cout << "[csv: " << csv_path << "]\n";
-    }
+    printCellTable(report, std::cout);
+    writeReportFiles(report, out_path, csv_path, std::cout);
     if (!quiet) {
         std::cout << outcome.jobCount << " sessions replayed from "
                   << outcome.tracesFromCorpus << " recorded traces in "
@@ -458,7 +314,7 @@ cmdReplay(const std::vector<std::pair<std::string, std::string>> &flags)
 // ------------------------------------------------------------- mutate
 
 int
-cmdMutate(const std::vector<std::pair<std::string, std::string>> &flags)
+cmdMutate(const Command &cmd)
 {
     std::string dir, into, op;
     double factor = 1.5;
@@ -469,41 +325,22 @@ cmdMutate(const std::vector<std::pair<std::string, std::string>> &flags)
     double magnitude = 0.3;
     uint64_t seed = 0x5eedc0de;
     bool quiet = false;
-    std::vector<std::string> param_flags;  // validated against --op below
-
-    for (const auto &[name, value] : flags) {
-        if (name == "dir") {
-            dir = value;
-        } else if (name == "into") {
-            into = value;
-        } else if (name == "op") {
-            op = value;
-        } else if (name == "factor") {
-            factor = requireDouble(value, "factor", 1e-3, 1e3);
-            param_flags.push_back(name);
-        } else if (name == "drop") {
-            drop = requireDouble(value, "drop", 0.0, 1.0);
-            param_flags.push_back(name);
-        } else if (name == "rate") {
-            rate = requireDouble(value, "rate", 0.0, 1.0);
-            param_flags.push_back(name);
-        } else if (name == "burst") {
-            burst = static_cast<int>(requireLong(value, "burst", 1, 1000));
-            param_flags.push_back(name);
-        } else if (name == "gap") {
-            gap_ms = requireDouble(value, "gap", 0.0, 1e9);
-            param_flags.push_back(name);
-        } else if (name == "magnitude") {
-            magnitude = requireDouble(value, "magnitude", 0.0, 1.0);
-            param_flags.push_back(name);
-        } else if (name == "seed") {
-            seed = requireSeed(value, "seed");
-        } else if (name == "quiet") {
-            quiet = true;
-        } else {
-            fatal("mutate: unknown option '--%s'", name.c_str());
-        }
-    }
+    const FlagParse parsed = cmd.parse({{
+        stringFlag("dir", "DIR", dir, "source corpus (required)"),
+        stringFlag("into", "DIR", into, "destination corpus (required)"),
+        stringFlag("op", "OP", op,
+                   "time-scale, event-drop, burst, concat or jitter"),
+        doubleFlag("factor", "F", factor, 1e-3, 1e3,
+                   "time-scale multiplier [1.5]"),
+        doubleFlag("drop", "P", drop, 0.0, 1.0, "event-drop rate [0.2]"),
+        doubleFlag("rate", "R", rate, 0.0, 1.0, "burst rate [0.25]"),
+        intFlag("burst", "N", burst, 1, 1000, "burst size [4]"),
+        doubleFlag("gap", "MS", gap_ms, 0.0, 1e9, "concat gap [4000]"),
+        doubleFlag("magnitude", "M", magnitude, 0.0, 1.0,
+                   "jitter magnitude [0.3]"),
+        seedFlag("seed", "S", seed, "mutation seed [0x5eedc0de]"),
+        switchFlag("quiet", quiet, "suppress progress chatter"),
+    }});
     fatal_if(into.empty(), "--into (destination corpus) is required");
     fatal_if(op != "time-scale" && op != "event-drop" && op != "burst" &&
              op != "concat" && op != "jitter",
@@ -512,15 +349,14 @@ cmdMutate(const std::vector<std::pair<std::string, std::string>> &flags)
              op.c_str());
     // Reject parameters the chosen operator ignores: silently falling
     // back to a default would record a wrong-but-plausible corpus.
-    for (const std::string &flag : param_flags) {
-        const bool applies =
-            (op == "time-scale" && flag == "factor") ||
-            (op == "event-drop" && flag == "drop") ||
-            (op == "burst" && (flag == "rate" || flag == "burst")) ||
-            (op == "concat" && flag == "gap") ||
-            (op == "jitter" && flag == "magnitude");
-        fatal_if(!applies, "--%s does not apply to --op=%s", flag.c_str(),
-                 op.c_str());
+    static const std::map<std::string, std::string> kParamOp = {
+        {"factor", "time-scale"}, {"drop", "event-drop"},
+        {"rate", "burst"},        {"burst", "burst"},
+        {"gap", "concat"},        {"magnitude", "jitter"}};
+    for (const std::string &flag : parsed.given) {
+        const auto it = kParamOp.find(flag);
+        fatal_if(it != kParamOp.end() && it->second != op,
+                 "--%s does not apply to --op=%s", flag.c_str(), op.c_str());
     }
 
     const CorpusStore source = openOrDie(dir);
@@ -605,41 +441,20 @@ cmdMutate(const std::vector<std::pair<std::string, std::string>> &flags)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string cmd = argv[1];
-    if (cmd == "--help" || cmd == "-h")
-        return usage();
-
-    // Uniform "--name=value" / "--switch" flag collection.
-    std::vector<std::pair<std::string, std::string>> flags;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h")
-            return usage();
-        if (!startsWith(arg, "--")) {
-            std::cerr << "unexpected argument '" << arg << "'\n";
-            return usage();
-        }
-        const size_t eq = arg.find('=');
-        if (eq == std::string::npos)
-            flags.emplace_back(arg.substr(2), "");
-        else
-            flags.emplace_back(arg.substr(2, eq - 2), arg.substr(eq + 1));
-    }
-
-    if (cmd == "record")
-        return cmdRecord(flags);
-    if (cmd == "inspect")
-        return cmdInspect(flags);
-    if (cmd == "validate")
-        return cmdValidate(flags);
-    if (cmd == "shard")
-        return cmdShard(flags);
-    if (cmd == "replay")
-        return cmdReplay(flags);
-    if (cmd == "mutate")
-        return cmdMutate(flags);
-    std::cerr << "unknown command '" << cmd << "'\n";
-    return usage();
+    static const Tool tool{
+        "pes_corpus",
+        "record / replay / mutate persisted trace corpora",
+        {
+            {"record", cmdRecord, "synthesize sessions into a corpus",
+             "Seeds derive like pes_fleet's: `pes_fleet --corpus=DIR` "
+             "replays it exactly."},
+            {"inspect", cmdInspect, "list a corpus's traces"},
+            {"validate", cmdValidate, "verify every trace of a corpus",
+             "exit: 0 clean, 3 missing files, 4 corrupt"},
+            {"shard", cmdShard, "split the manifest into segments"},
+            {"replay", cmdReplay, "run a sweep over a corpus's own axes"},
+            {"mutate", cmdMutate, "derive a mutated corpus",
+             "Each --op takes only its own parameter flags."},
+        }};
+    return runTool(tool, argc, argv);
 }

@@ -24,6 +24,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -48,6 +50,7 @@
 #include "telemetry/run_telemetry.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_sink.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -55,213 +58,6 @@
 using namespace pes;
 
 namespace {
-
-void
-usage()
-{
-    std::cout <<
-        "pes_fleet - batch fleet simulation (schedulers x apps x "
-        "devices x users)\n\n"
-        "Options (defaults in brackets):\n"
-        "  --schedulers=LIST  comma list: interactive, ondemand, ebs, "
-        "pes, oracle [pes,ebs]\n"
-        "  --apps=LIST        app names, or groups seen/unseen/all/extra "
-        "[cnn,amazon,social_feed]\n"
-        "  --devices=LIST     exynos5410, tegra-parker [exynos5410]\n"
-        "  --users=N          simulated users per cell [100]\n"
-        "  --threads=N        worker threads [hardware concurrency]\n"
-        "  --seed=S           base seed of the fleet population "
-        "[0xf1ee7]\n"
-        "  --eval-population  draw users from the paper's Sec.-6.1 "
-        "evaluation seeds\n"
-        "  --population=SPEC  draw users from a mixture population: a "
-        "built-in name\n"
-        "                     (--list-populations) or a spec-file path "
-        "ending in .json.\n"
-        "                     Identity-bearing: stores/diffs refuse to "
-        "mix populations.\n"
-        "                     exit: 3 missing spec file, 4 "
-        "malformed/invalid spec\n"
-        "  --warm             one warmed driver per cell (sessions of a "
-        "cell run in order)\n"
-        "  --corpus=DIR       replay traces from a recorded corpus "
-        "(see pes_corpus) instead\n"
-        "                     of synthesizing; reports stay "
-        "byte-identical to live synthesis\n"
-        "  --trace-cache-cap=N  LRU-bound the shared trace cache to N "
-        "resident traces\n"
-        "                     (0 = unbounded; eviction never changes "
-        "report bytes)\n"
-        "  --results-dir=DIR  persist per-session results into a .psum "
-        "result store,\n"
-        "                     checkpointing as the sweep runs; reports "
-        "reduce from the store\n"
-        "  --resume           skip sessions already persisted in "
-        "--results-dir\n"
-        "  --shard=K/N        execute only shard K of N (0-based); run "
-        "all N shards\n"
-        "                     (any machines), then `pes_fleet merge`\n"
-        "  --checkpoint-every=N  sessions buffered per checkpoint flush "
-        "[1024]\n"
-        "  --out=FILE         write the JSON report\n"
-        "  --csv=FILE         write the CSV report\n"
-        "  --list-apps        print every known application profile and "
-        "exit\n"
-        "  --list-devices     print every known device model and exit\n"
-        "  --list-populations print every built-in mixture population "
-        "and exit\n"
-        "  --quiet            suppress progress chatter\n"
-        "  --help             this text\n"
-        "\n"
-        "Observability (accepted by the default sweep — also spellable "
-        "`pes_fleet run` —\n"
-        "and by the stress and merge verbs; reports stay byte-identical "
-        "with these on\n"
-        "or off):\n"
-        "  --telemetry-out=FILE  write a versioned RunTelemetry JSON "
-        "summary\n"
-        "                     (sessions/sec, events/sec, per-stage wall "
-        "time, cache/\n"
-        "                     pool/checkpoint traffic). stress writes "
-        "one per severity\n"
-        "                     (FILE.sev-<tag>.json) plus the grid "
-        "rollup at FILE\n"
-        "  --trace-out=FILE   write Chrome trace-event JSON of the "
-        "runner pipeline\n"
-        "                     (open in chrome://tracing or "
-        "https://ui.perfetto.dev)\n"
-        "  --logical-clock    stamp trace events with virtual time "
-        "(monotone counter):\n"
-        "                     deterministic trace structure; wall-"
-        "derived telemetry\n"
-        "                     fields are zeroed\n"
-        "  --progress         throttled completed/planned sessions "
-        "line on stderr\n"
-        "  --log-level=LVL    stderr verbosity: debug, info, warn, "
-        "error (default:\n"
-        "                     PES_LOG, else quiet)\n"
-        "\n"
-        "Verbs:\n"
-        "  pes_fleet merge --into=DIR --from=DIR1,DIR2,... "
-        "[--out=FILE] [--csv=FILE] [--quiet]\n"
-        "                     merge shard result stores (same sweep) "
-        "into one store and\n"
-        "                     write its reports — byte-identical to a "
-        "single whole run.\n"
-        "                     exit: 0 clean, 3 missing part files, 4 "
-        "corrupt stores\n"
-        "  pes_fleet stress --family=NAME | --scenario-spec=FILE\n"
-        "                     [--severities=LIST] [--scenario-seed=S] "
-        "[--out=FILE]\n"
-        "                     [--csv=FILE] [--reports-dir=DIR] "
-        "[--results-dir=DIR]\n"
-        "                     [--resume] [--shard=K/N] "
-        "[--list-families] [sweep flags]\n"
-        "                     sweep one stress family over a severity "
-        "grid (default\n"
-        "                     0,0.25,0.5,0.75,1) and reduce the per-"
-        "severity sweeps into\n"
-        "                     per-scheduler robustness curves "
-        "(JSON/CSV, byte-identical\n"
-        "                     for any --threads and across shard/"
-        "resume). --results-dir\n"
-        "                     persists one result store per severity "
-        "(sev-<s> subdirs);\n"
-        "                     --reports-dir writes one fleet report "
-        "JSON per severity.\n"
-        "                     sweep flags: --schedulers --apps "
-        "--devices --users --seed\n"
-        "                     --eval-population --warm --threads "
-        "--corpus and the\n"
-        "                     persistence knobs above.\n"
-        "                     exit: 0 clean, 1 run problems, 3 missing "
-        "spec file,\n"
-        "                     4 malformed/invalid spec or severity "
-        "grid\n"
-        "  pes_fleet work --coordinator=DIR [--worker=ID] "
-        "[--threads=N]\n"
-        "                     [--max-ranges=N] [--idle-timeout-ms=MS] "
-        "[--quiet]\n"
-        "                     claim job-range leases from a "
-        "pes_coordinator queue and\n"
-        "                     execute them into the sweep's shared "
-        "result store,\n"
-        "                     heartbeating while running. Run any "
-        "number of workers\n"
-        "                     concurrently (and kill them freely): "
-        "expired leases are\n"
-        "                     reissued and the reduced report stays "
-        "byte-identical to a\n"
-        "                     whole single-process run. exit: 0 queue "
-        "drained, 1 run\n"
-        "                     problems, 2 starved with the sweep "
-        "incomplete\n"
-        "  pes_fleet diff BASE TEST [--exact] [--tolerance=REL] "
-        "[--abs-tolerance=ABS]\n"
-        "                     [--metric=LIST] [--tolerance-file=FILE] "
-        "[--out=FILE] [--quiet]\n"
-        "                     compare two runs cell-by-cell. BASE/TEST "
-        "are result-store\n"
-        "                     directories or report JSON/CSV files, in "
-        "any combination.\n"
-        "                     --exact gates bit-identical determinism; "
-        "otherwise metrics\n"
-        "                     pass within --tolerance (relative, "
-        "default 0.01) or\n"
-        "                     --abs-tolerance (default 1e-9). --out "
-        "writes a machine-\n"
-        "                     readable diff JSON.\n"
-        "                     exit: 0 within tolerance, 2 drift "
-        "(regressed/improved/\n"
-        "                     missing/extra cells), 3 missing inputs, "
-        "4 corrupt or\n"
-        "                     incomparable inputs.\n"
-        "                     --tolerance-file=FILE applies calibrated "
-        "per-metric bands\n"
-        "                     (see --calibrate) instead of the global "
-        "knobs\n"
-        "  pes_fleet diff --calibrate=N REP1 ... REPN [--sigmas=K]\n"
-        "                     [--tolerance-out=FILE]\n"
-        "                     derive per-metric tolerances from N "
-        "replicate runs of the\n"
-        "                     same sweep: each metric's band is K "
-        "(default 3) standard\n"
-        "                     deviations of its worst per-cell spread. "
-        "The emitted JSON\n"
-        "                     is consumed by `diff --tolerance-file` "
-        "and `pes_perf gate\n"
-        "                     --tolerance-file` (one calibration, both "
-        "gates)\n";
-}
-
-bool
-flagValue(const std::string &arg, const std::string &name,
-          std::string &out)
-{
-    const std::string prefix = "--" + name + "=";
-    if (!startsWith(arg, prefix))
-        return false;
-    out = arg.substr(prefix.size());
-    return true;
-}
-
-long
-parseLong(const std::string &value, const std::string &flag)
-{
-    long long v;
-    fatal_if(!parseInt64(value, v), "bad value '%s' for --%s",
-             value.c_str(), flag.c_str());
-    return static_cast<long>(v);
-}
-
-uint64_t
-parseSeed(const std::string &value)
-{
-    uint64_t v;
-    fatal_if(!parseUint64(value, v), "bad value '%s' for --seed",
-             value.c_str());
-    return v;
-}
 
 /** --list-apps: the discovery view of the app registry (incl. extras). */
 int
@@ -326,33 +122,6 @@ listPopulations()
     return 0;
 }
 
-/**
- * Resolve a `--population=SPEC` flag into @p config (the spec itself
- * lands in @p holder, which must outlive the runner — the config only
- * borrows it). Prints classified diagnostics and returns the integrity
- * exit code on failure, 0 on success.
- */
-int
-applyPopulationFlag(const std::string &ref,
-                    std::optional<PopulationSpec> &holder,
-                    FleetConfig &config)
-{
-    fatal_if(config.seedMode == SeedMode::Evaluation,
-             "--population cannot be combined with --eval-population "
-             "(the evaluation seeds are a fixed cohort)");
-    std::vector<IntegrityProblem> problems;
-    holder = resolvePopulation(ref, problems);
-    if (!holder) {
-        for (const IntegrityProblem &p : problems)
-            std::cerr << "FAIL " << p.message << "\n";
-        return integrityExitCode(problems);
-    }
-    config.population = &*holder;
-    config.populationTag = populationTag(*holder);
-    config.populationDigest = populationDigest(*holder);
-    return 0;
-}
-
 /** Validate @p store; prints problems and returns the exit code (0 ok). */
 int
 validateStore(const ResultStore &store, bool quiet)
@@ -368,25 +137,6 @@ validateStore(const ResultStore &store, bool quiet)
     return integrityExitCode(problems);
 }
 
-/** Write the JSON/CSV reports of @p report (shared by sweep and merge). */
-void
-writeReports(const FleetReport &report, const std::string &out_path,
-             const std::string &csv_path)
-{
-    if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        fatal_if(!os, "cannot open '%s'", out_path.c_str());
-        JsonReporter::write(report, os);
-        std::cout << "[json: " << out_path << "]\n";
-    }
-    if (!csv_path.empty()) {
-        std::ofstream os(csv_path);
-        fatal_if(!os, "cannot open '%s'", csv_path.c_str());
-        CsvReporter::write(report, os);
-        std::cout << "[csv: " << csv_path << "]\n";
-    }
-}
-
 // ------------------------------------------------------- observability
 
 /**
@@ -400,26 +150,30 @@ struct ObsOptions
     std::string traceOut;
     bool logicalClock = false;
     bool progress = false;
-    std::string logLevel;
+    std::optional<LogLevel> logLevel;
 
-    /** Consume @p arg; true when it was an observability flag. */
-    bool consume(const std::string &arg)
+    /** The observability flags, writing into this object. */
+    Flags flags()
     {
-        std::string value;
-        if (flagValue(arg, "telemetry-out", value)) {
-            telemetryOut = value;
-        } else if (flagValue(arg, "trace-out", value)) {
-            traceOut = value;
-        } else if (arg == "--logical-clock") {
-            logicalClock = true;
-        } else if (arg == "--progress") {
-            progress = true;
-        } else if (flagValue(arg, "log-level", value)) {
-            logLevel = value;
-        } else {
-            return false;
-        }
-        return true;
+        return {
+            stringFlag("telemetry-out", "FILE", telemetryOut,
+                       "write a RunTelemetry JSON summary"),
+            stringFlag("trace-out", "FILE", traceOut,
+                       "write Chrome trace-event JSON of the pipeline"),
+            switchFlag("logical-clock", logicalClock,
+                       "virtual-time traces; zeroes wall-derived telemetry"),
+            switchFlag("progress", progress, "progress line on stderr"),
+            customFlag("log-level", "LVL",
+                       [this](const std::string &value) {
+                           LogLevel level;
+                           if (!parseLogLevel(value, level))
+                               return false;
+                           logLevel = level;
+                           return true;
+                       },
+                       "stderr verbosity (overrides PES_LOG)",
+                       "debug, info, warn or error"),
+        };
     }
 
     /** Whether any telemetry artifact was requested. */
@@ -435,13 +189,8 @@ struct ObsOptions
      */
     void applyLogging(bool default_quiet) const
     {
-        if (!logLevel.empty()) {
-            LogLevel level;
-            fatal_if(!parseLogLevel(logLevel, level),
-                     "bad value '%s' for --log-level "
-                     "(debug|info|warn|error)",
-                     logLevel.c_str());
-            setLogLevel(level);
+        if (logLevel) {
+            setLogLevel(*logLevel);
         } else if (default_quiet && !std::getenv("PES_LOG")) {
             setQuiet(true);
         }
@@ -462,62 +211,6 @@ struct ObsOptions
                                         : TraceEventSink::Clock::Wall);
     }
 };
-
-/**
- * Consume one sweep-shape flag shared by the run and stress verbs into
- * @p config; true when @p arg was one. Flags only one verb takes stay
- * in that verb's loop.
- */
-bool
-consumeSweepFlag(const std::string &arg, FleetConfig &config)
-{
-    std::string value;
-    if (arg == "--warm") {
-        config.warmDrivers = true;
-    } else if (arg == "--eval-population") {
-        config.seedMode = SeedMode::Evaluation;
-    } else if (flagValue(arg, "schedulers", value)) {
-        config.schedulers = parseSchedulerList(value);
-    } else if (flagValue(arg, "apps", value)) {
-        config.apps = parseAppList(value);
-    } else if (flagValue(arg, "devices", value)) {
-        config.devices = parseDeviceList(value);
-    } else if (flagValue(arg, "users", value)) {
-        const long users = parseLong(value, "users");
-        fatal_if(users < 1 || users > 100000000,
-                 "--users must be in [1, 1e8]");
-        config.users = static_cast<int>(users);
-    } else if (flagValue(arg, "threads", value)) {
-        const long threads = parseLong(value, "threads");
-        fatal_if(threads < 1 || threads > 4096,
-                 "--threads must be in [1, 4096]");
-        config.threads = static_cast<int>(threads);
-    } else if (flagValue(arg, "seed", value)) {
-        config.baseSeed = parseSeed(value);
-    } else if (flagValue(arg, "shard", value)) {
-        const size_t slash = value.find('/');
-        fatal_if(slash == std::string::npos,
-                 "--shard expects K/N (e.g. 0/4), got '%s'", value.c_str());
-        const long k = parseLong(value.substr(0, slash), "shard");
-        const long n = parseLong(value.substr(slash + 1), "shard");
-        fatal_if(n < 1 || n > 1000000 || k < 0 || k >= n,
-                 "--shard=K/N needs 0 <= K < N, got '%s'", value.c_str());
-        config.shardIndex = static_cast<int>(k);
-        config.shardCount = static_cast<int>(n);
-    } else if (flagValue(arg, "checkpoint-every", value)) {
-        const long every = parseLong(value, "checkpoint-every");
-        fatal_if(every < 0 || every > 100000000,
-                 "--checkpoint-every must be in [0, 1e8]");
-        config.checkpointEvery = static_cast<int>(every);
-    } else if (flagValue(arg, "trace-cache-cap", value)) {
-        const long cap = parseLong(value, "trace-cache-cap");
-        fatal_if(cap < 0, "--trace-cache-cap must be >= 0");
-        config.traceCacheCap = static_cast<size_t>(cap);
-    } else {
-        return false;
-    }
-    return true;
-}
 
 /** Write the buffered trace-event JSON (fatal on I/O failure). */
 void
@@ -556,41 +249,22 @@ severityPath(const std::string &base, const std::string &tag)
 // -------------------------------------------------------------- merge
 
 int
-cmdMerge(int argc, char **argv)
+cmdMerge(const Command &cmd)
 {
     std::string into, out_path, csv_path;
     std::vector<std::string> from;
     bool quiet = false;
     ObsOptions obs;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (obs.consume(arg)) {
-            // observability flags (shared across verbs)
-        } else if (flagValue(arg, "into", value)) {
-            into = value;
-        } else if (flagValue(arg, "from", value)) {
-            for (const std::string &raw : split(value, ',')) {
-                const std::string dir = trim(raw);
-                if (!dir.empty())
-                    from.push_back(dir);
-            }
-        } else if (flagValue(arg, "out", value)) {
-            out_path = value;
-        } else if (flagValue(arg, "csv", value)) {
-            csv_path = value;
-        } else {
-            std::cerr << "merge: unknown option '" << arg << "'\n\n";
-            usage();
-            return 2;
-        }
-    }
+    cmd.parse({
+        {
+            stringFlag("into", "DIR", into, "destination store (required)"),
+            listFlag("from", "DIRS", from, "source stores (required)"),
+            stringFlag("out", "FILE", out_path, "write the JSON report"),
+            stringFlag("csv", "FILE", csv_path, "write the CSV report"),
+            switchFlag("quiet", quiet, "suppress progress chatter"),
+        },
+        obs.flags(),
+    });
     fatal_if(into.empty(), "merge: --into (destination store) is "
                            "required");
     fatal_if(from.empty(), "merge: --from (source stores) is required");
@@ -706,71 +380,41 @@ cmdMerge(int argc, char **argv)
                          "store (partial sweep)\n";
         }
     }
-    writeReports(makeStoreReport(*merged, reduction.metrics), out_path,
-                 csv_path);
+    writeReportFiles(makeStoreReport(*merged, reduction.metrics), out_path,
+                     csv_path, std::cout);
     return 0;
 }
 
 // --------------------------------------------------------------- diff
 
 int
-cmdDiff(int argc, char **argv)
+cmdDiff(const Command &cmd)
 {
     DiffOptions options;
-    std::vector<std::string> paths;
     std::string out_path;
     std::string tolerance_file;
     std::string tolerance_out;
     int calibrate = 0;
     double sigmas = 3.0;
     bool quiet = false;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--exact") {
-            options.exact = true;
-        } else if (flagValue(arg, "calibrate", value)) {
-            calibrate = static_cast<int>(parseLong(value, "calibrate"));
-            fatal_if(calibrate < 2,
-                     "diff: --calibrate needs at least 2 replicates");
-        } else if (flagValue(arg, "sigmas", value)) {
-            fatal_if(!parseDouble(value, sigmas) || sigmas <= 0.0,
-                     "bad value '%s' for --sigmas", value.c_str());
-        } else if (flagValue(arg, "tolerance-file", value)) {
-            tolerance_file = value;
-        } else if (flagValue(arg, "tolerance-out", value)) {
-            tolerance_out = value;
-        } else if (flagValue(arg, "tolerance", value)) {
-            fatal_if(!parseDouble(value, options.relTolerance) ||
-                         options.relTolerance < 0.0,
-                     "bad value '%s' for --tolerance", value.c_str());
-        } else if (flagValue(arg, "abs-tolerance", value)) {
-            fatal_if(!parseDouble(value, options.absTolerance) ||
-                         options.absTolerance < 0.0,
-                     "bad value '%s' for --abs-tolerance",
-                     value.c_str());
-        } else if (flagValue(arg, "metric", value)) {
-            for (const std::string &raw : split(value, ',')) {
-                const std::string metric = trim(raw);
-                if (!metric.empty())
-                    options.metrics.push_back(metric);
-            }
-        } else if (flagValue(arg, "out", value)) {
-            out_path = value;
-        } else if (startsWith(arg, "--")) {
-            std::cerr << "diff: unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        } else {
-            paths.push_back(arg);
-        }
-    }
+    const std::vector<std::string> paths = cmd.parse({{
+        switchFlag("exact", options.exact, "gate bit-identical reports"),
+        doubleFlag("tolerance", "REL", options.relTolerance, 0.0,
+                   kUnbounded, "relative band [0.01]"),
+        doubleFlag("abs-tolerance", "ABS", options.absTolerance, 0.0,
+                   kUnbounded, "absolute band floor [1e-9]"),
+        listFlag("metric", "LIST", options.metrics, "compare only these"),
+        stringFlag("tolerance-file", "FILE", tolerance_file,
+                   "per-metric bands (--calibrate output)"),
+        stringFlag("out", "FILE", out_path, "write the diff JSON"),
+        intFlag("calibrate", "N", calibrate, 2, INT_MAX,
+                "derive bands from N replicate runs"),
+        doubleFlag("sigmas", "K", sigmas, kPositive, kUnbounded,
+                   "--calibrate band in standard deviations [3]"),
+        stringFlag("tolerance-out", "FILE", tolerance_out,
+                   "write the --calibrate JSON [stdout]"),
+        switchFlag("quiet", quiet, "print only drift and failures"),
+    }}).operands;
     // Calibration mode: N replicate inputs -> a tolerance JSON that
     // both this verb (--tolerance-file) and `pes_perf gate` consume.
     if (calibrate > 0) {
@@ -787,11 +431,8 @@ cmdDiff(int argc, char **argv)
             problems.insert(problems.end(), input.problems.begin(),
                             input.problems.end());
         }
-        if (!problems.empty()) {
-            for (const IntegrityProblem &p : problems)
-                std::cerr << "FAIL " << p.message << "\n";
-            return integrityExitCode(problems);
-        }
+        if (!problems.empty())
+            return failProblems(problems);
         std::vector<std::string> notes;
         const ToleranceSpec spec =
             calibrateTolerances(replicates, sigmas, &notes);
@@ -833,9 +474,7 @@ cmdDiff(int argc, char **argv)
         std::vector<IntegrityProblem> problems = base.problems;
         problems.insert(problems.end(), test.problems.begin(),
                         test.problems.end());
-        for (const IntegrityProblem &p : problems)
-            std::cerr << "FAIL " << p.message << "\n";
-        return integrityExitCode(problems);
+        return failProblems(problems);
     }
 
     const DiffSummary summary =
@@ -883,50 +522,35 @@ cmdDiff(int argc, char **argv)
  * coordinator's straggler-steal rule. Exits 0 when the queue drains.
  */
 int
-cmdWork(int argc, char **argv)
+cmdWork(const Command &cmd)
 {
     std::string queue_dir;
     std::string worker_id;
-    long threads = 0;
+    int threads = Experiment::defaultSweepThreads();
     long max_ranges = 0;
     long stall_ms = 0;
     long idle_timeout_ms = 120000;
     bool quiet = false;
     ObsOptions obs;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (obs.consume(arg)) {
-            // observability flags (shared across verbs)
-        } else if (flagValue(arg, "coordinator", value)) {
-            queue_dir = value;
-        } else if (flagValue(arg, "worker", value)) {
-            worker_id = value;
-        } else if (flagValue(arg, "threads", value)) {
-            threads = parseLong(value, "threads");
-            fatal_if(threads < 1 || threads > 4096,
-                     "--threads must be in [1, 4096]");
-        } else if (flagValue(arg, "max-ranges", value)) {
-            max_ranges = parseLong(value, "max-ranges");
-        } else if (flagValue(arg, "stall-after-claim-ms", value)) {
-            // Chaos/CI hook: hold the first claimed lease this long
-            // before executing it — a deterministic window to SIGKILL
-            // the worker "mid-lease" and exercise expiry + reissue.
-            stall_ms = parseLong(value, "stall-after-claim-ms");
-        } else if (flagValue(arg, "idle-timeout-ms", value)) {
-            idle_timeout_ms = parseLong(value, "idle-timeout-ms");
-        } else {
-            std::cerr << "work: unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({
+        {
+            stringFlag("coordinator", "DIR", queue_dir,
+                       "pes_coordinator queue (required)"),
+            stringFlag("worker", "ID", worker_id, "worker id [w<pid>]"),
+            intFlag("threads", "N", threads, 1, 4096,
+                    "worker threads [hardware threads]"),
+            intFlag("max-ranges", "N", max_ranges, 0, LONG_MAX,
+                    "stop after N ranges (0 = drain the queue)"),
+            intFlag("idle-timeout-ms", "MS", idle_timeout_ms, 0, LONG_MAX,
+                    "exit 2 after this long idle [120000]"),
+            // Chaos hook: a deterministic window to SIGKILL the worker
+            // "mid-lease" and exercise expiry + reissue.
+            intFlag("stall-after-claim-ms", "MS", stall_ms, 0, LONG_MAX,
+                    "hold the first lease this long (crash tests)"),
+            switchFlag("quiet", quiet, "suppress progress chatter"),
+        },
+        obs.flags(),
+    });
     fatal_if(queue_dir.empty(),
              "work: --coordinator=DIR (the lease queue) is required");
     obs.applyLogging(true);
@@ -941,8 +565,7 @@ cmdWork(int argc, char **argv)
     // create() below re-verifies it against the manifest, so a worker
     // from an incompatible build fails loudly before claiming.
     FleetConfig base = configOf(queue->plan());
-    base.threads = threads > 0 ? static_cast<int>(threads)
-                               : Experiment::defaultSweepThreads();
+    base.threads = threads;
     auto store = ResultStore::create(queue->plan().resultsDir,
                                      SweepSpec::fromConfig(base),
                                      &error);
@@ -1140,70 +763,46 @@ listFamilies()
     return 0;
 }
 
-/** Print classified problems and return their gateable exit code. */
 int
-failProblems(const std::vector<IntegrityProblem> &problems)
-{
-    for (const IntegrityProblem &p : problems)
-        std::cerr << "FAIL " << p.message << "\n";
-    return integrityExitCode(problems);
-}
-
-int
-cmdStress(int argc, char **argv)
+cmdStress(const Command &cmd)
 {
     FleetConfig base;
-    base.schedulers = {SchedulerKind::Pes, SchedulerKind::Ebs};
-    base.apps = parseAppList("cnn,amazon,social_feed");
-    base.users = 100;
-    base.threads = Experiment::defaultSweepThreads();
-
     std::string family_name, spec_path, severities_spec =
         "0,0.25,0.5,0.75,1";
     uint64_t scenario_seed = kDefaultScenarioSeed;
     std::string out_path, csv_path, reports_dir, results_dir, corpus_dir;
     bool resume = false;
+    bool list_families = false;
     bool quiet = false;
     ObsOptions obs;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--list-families") {
-            return listFamilies();
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (obs.consume(arg) || consumeSweepFlag(arg, base)) {
-            // observability and sweep flags (shared across verbs)
-        } else if (arg == "--resume") {
-            resume = true;
-        } else if (flagValue(arg, "family", value)) {
-            family_name = value;
-        } else if (flagValue(arg, "scenario-spec", value)) {
-            spec_path = value;
-        } else if (flagValue(arg, "severities", value)) {
-            severities_spec = value;
-        } else if (flagValue(arg, "scenario-seed", value)) {
-            scenario_seed = parseSeed(value);
-        } else if (flagValue(arg, "corpus", value)) {
-            corpus_dir = value;
-        } else if (flagValue(arg, "results-dir", value)) {
-            results_dir = value;
-        } else if (flagValue(arg, "reports-dir", value)) {
-            reports_dir = value;
-        } else if (flagValue(arg, "out", value)) {
-            out_path = value;
-        } else if (flagValue(arg, "csv", value)) {
-            csv_path = value;
-        } else {
-            std::cerr << "stress: unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({
+        {
+            stringFlag("family", "NAME", family_name, "built-in family"),
+            stringFlag("scenario-spec", "FILE", spec_path,
+                       "user family (JSON pipeline of the same ops)"),
+            stringFlag("severities", "LIST", severities_spec,
+                       "severity grid [" + severities_spec + "]"),
+            seedFlag("scenario-seed", "S", scenario_seed,
+                     "scenario derivation seed [0x5ce9a110]"),
+            switchFlag("list-families", list_families,
+                       "print the built-in families and exit"),
+        },
+        sweepFlags(base),
+        {
+            stringFlag("corpus", "DIR", corpus_dir, "replay a corpus"),
+            stringFlag("results-dir", "DIR", results_dir,
+                       "one result store per severity (sev-<s>)"),
+            switchFlag("resume", resume, "skip sessions already stored"),
+            stringFlag("reports-dir", "DIR", reports_dir,
+                       "one fleet report JSON per severity"),
+            stringFlag("out", "FILE", out_path, "write the curves JSON"),
+            stringFlag("csv", "FILE", csv_path, "write the curves CSV"),
+            switchFlag("quiet", quiet, "suppress progress chatter"),
+        },
+        obs.flags(),
+    });
+    if (list_families)
+        return listFamilies();
     fatal_if(family_name.empty() == spec_path.empty(),
              "stress: exactly one of --family / --scenario-spec is "
              "required (--list-families shows the registry)");
@@ -1394,72 +993,50 @@ cmdStress(int argc, char **argv)
     return run_problems > 0 ? 1 : 0;
 }
 
-} // namespace
+// ---------------------------------------------------------------- run
 
 int
-main(int argc, char **argv)
+cmdRun(const Command &cmd)
 {
-    if (argc > 1 && argv[1] == std::string("merge"))
-        return cmdMerge(argc, argv);
-    if (argc > 1 && argv[1] == std::string("diff"))
-        return cmdDiff(argc, argv);
-    if (argc > 1 && argv[1] == std::string("stress"))
-        return cmdStress(argc, argv);
-    if (argc > 1 && argv[1] == std::string("work"))
-        return cmdWork(argc, argv);
-    // "run" is the default verb; accept it spelled out for symmetry
-    // with merge/diff/stress.
-    const int arg_start =
-        (argc > 1 && argv[1] == std::string("run")) ? 2 : 1;
-
     FleetConfig config;
-    config.schedulers = {SchedulerKind::Pes, SchedulerKind::Ebs};
-    config.apps = parseAppList("cnn,amazon,social_feed");
-    config.users = 100;
-    config.threads = Experiment::defaultSweepThreads();
-
     std::string out_path;
     std::string csv_path;
     std::string corpus_dir;
     std::string results_dir;
     std::string population_ref;
+    bool list_apps = false;
+    bool list_devices = false;
+    bool list_populations = false;
     bool quiet = false;
     ObsOptions obs;
-
-    for (int i = arg_start; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--list-apps") {
-            return listApps();
-        } else if (arg == "--list-devices") {
-            return listDevices();
-        } else if (arg == "--list-populations") {
-            return listPopulations();
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (obs.consume(arg) || consumeSweepFlag(arg, config)) {
-            // observability and sweep flags (shared across verbs)
-        } else if (arg == "--resume") {
-            config.resume = true;
-        } else if (flagValue(arg, "results-dir", value)) {
-            results_dir = value;
-        } else if (flagValue(arg, "population", value)) {
-            population_ref = value;
-        } else if (flagValue(arg, "corpus", value)) {
-            corpus_dir = value;
-        } else if (flagValue(arg, "out", value)) {
-            out_path = value;
-        } else if (flagValue(arg, "csv", value)) {
-            csv_path = value;
-        } else {
-            std::cerr << "unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({
+        sweepFlags(config),
+        {
+            stringFlag("population", "SPEC", population_ref,
+                       "mixture population: built-in name or .json file"),
+            stringFlag("corpus", "DIR", corpus_dir,
+                       "replay traces from a pes_corpus corpus"),
+            stringFlag("results-dir", "DIR", results_dir,
+                       "persist results in a .psum store, reduce from it"),
+            switchFlag("resume", config.resume,
+                       "skip sessions already in --results-dir"),
+            stringFlag("out", "FILE", out_path, "write the JSON report"),
+            stringFlag("csv", "FILE", csv_path, "write the CSV report"),
+            switchFlag("list-apps", list_apps, "print the apps and exit"),
+            switchFlag("list-devices", list_devices,
+                       "print the devices and exit"),
+            switchFlag("list-populations", list_populations,
+                       "print the built-in populations and exit"),
+            switchFlag("quiet", quiet, "suppress progress chatter"),
+        },
+        obs.flags(),
+    });
+    if (list_apps)
+        return listApps();
+    if (list_devices)
+        return listDevices();
+    if (list_populations)
+        return listPopulations();
     obs.applyLogging(true);
 
     fatal_if(config.resume && results_dir.empty(),
@@ -1468,12 +1045,8 @@ main(int argc, char **argv)
     // Mixture population: the spec lives here so the config (and the
     // runner it moves into) can borrow it for the whole run.
     std::optional<PopulationSpec> population;
-    if (!population_ref.empty()) {
-        const int rc =
-            applyPopulationFlag(population_ref, population, config);
-        if (rc != 0)
-            return rc;
-    }
+    if (const int rc = applyPopulation(population_ref, population, config))
+        return rc;
 
     // Corpus replay: same axes and seeds, traces read from disk.
     std::optional<CorpusStore> corpus;
@@ -1533,26 +1106,8 @@ main(int argc, char **argv)
     FleetOutcome outcome = runner.run();
     const FleetReport report = makeFleetReport(cfg, outcome.metrics);
 
-    // Human summary: one row per cell.
-    Table table({"device", "app", "scheduler", "sessions", "viol%",
-                 "energy(mJ)", "waste(mJ)", "lat(ms)", "p95(ms)",
-                 "pred%"});
-    for (const CellSummary &c : report.cells) {
-        table.beginRow()
-            .cell(c.device)
-            .cell(c.app)
-            .cell(c.scheduler)
-            .cell(static_cast<long>(c.sessions))
-            .cell(c.violationRate * 100.0, 2)
-            .cell(c.meanEnergyMj, 1)
-            .cell(c.meanWasteEnergyMj, 1)
-            .cell(c.meanLatencyMs, 2)
-            .cell(c.p95SessionLatencyMs, 2)
-            .cell(c.predictionAccuracy * 100.0, 1);
-    }
-    table.print(std::cout);
-
-    writeReports(report, out_path, csv_path);
+    printCellTable(report, std::cout);
+    writeReportFiles(report, out_path, csv_path, std::cout);
     if (obs.wantsTelemetry() && !obs.telemetryOut.empty())
         writeTelemetryFile(makeRunTelemetry(cfg, outcome),
                            obs.telemetryOut);
@@ -1588,4 +1143,42 @@ main(int argc, char **argv)
         return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    static const Tool tool{
+        "pes_fleet",
+        "batch fleet simulation (schedulers x apps x devices x users)",
+        {
+            {"run", cmdRun, "run one sweep and write its reports",
+             "Report bytes never depend on --threads, shards, resume or "
+             "observability.\nexit: 0 clean, 1 run problems, 3 missing "
+             "population spec, 4 bad spec"},
+            {"merge", cmdMerge, "merge shard stores of one sweep",
+             "The merged reports equal a single whole run's, byte for "
+             "byte.\nexit: 0 clean, 3 missing part files, 4 corrupt "
+             "stores"},
+            {"diff", cmdDiff, "compare two runs cell by cell",
+             "Inputs are result stores or report JSON/CSV files. "
+             "--calibrate=N takes N\nreplicates and emits bands for "
+             "--tolerance-file here and in pes_perf gate.\nexit: 0 within "
+             "tolerance, 2 drift, 3 missing inputs, 4 corrupt or\n"
+             "incomparable inputs",
+             {"BASE TEST | REP1 ... REPN", 0, SIZE_MAX}},
+            {"stress", cmdStress, "sweep a stress family over severities",
+             "Needs exactly one of --family and --scenario-spec; writes "
+             "robustness curves.\n--telemetry-out also writes "
+             "FILE.sev-<tag>.json per severity.\nexit: 0 clean, 1 run "
+             "problems, 3 missing spec, 4 bad spec or severity grid"},
+            {"work", cmdWork, "execute leases of a pes_coordinator queue",
+             "Run any number of workers and kill them freely; expired "
+             "leases are reissued.\nexit: 0 queue drained, 1 run problems, "
+             "2 starved with the sweep incomplete"},
+        },
+        "run"};
+    return runTool(tool, argc, argv);
 }

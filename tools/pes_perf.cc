@@ -36,106 +36,14 @@
 #include "results/tolerance.hh"
 #include "telemetry/perf_history.hh"
 #include "telemetry/run_telemetry.hh"
+#include "util/binary_io.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
-#include "util/strings.hh"
 
 using namespace pes;
 
 namespace {
-
-void
-usage()
-{
-    std::cout <<
-        "pes_perf - perf-history ledger: record, gate and chart "
-        "simulator speed\n\n"
-        "Verbs:\n"
-        "  pes_perf record --history=FILE --telemetry=F1,F2,...\n"
-        "                  [--label=NAME] [--rev=REV] [--machine=FP]\n"
-        "                  [--report=FILE] [--quiet]\n"
-        "      Append one PerfSample: the RunTelemetry JSON summaries "
-        "are replicates,\n"
-        "      grouped by their thread count into per-metric replicate "
-        "vectors\n"
-        "      (parallel efficiency is derived when a t1 point exists); "
-        "--report folds\n"
-        "      the fleet report's per-scheduler headline metrics "
-        "(violation rate,\n"
-        "      energy, p95 latency, accuracy) in as the quality series.\n"
-        "      --rev defaults to $PES_GIT_REV, else \"unknown\"; "
-        "--machine defaults to\n"
-        "      the host fingerprint.\n"
-        "      exit: 0 appended, 3 missing inputs, 4 unparseable "
-        "inputs\n"
-        "  pes_perf compare --history=FILE [--sample=FILE] "
-        "[--label=NAME]\n"
-        "                  [--sigmas=K] [--min-rel=R] [--metric=LIST]\n"
-        "                  [--tolerance-file=FILE] [--quiet]\n"
-        "      Classify candidate vs baseline without enforcing: the "
-        "candidate is the\n"
-        "      latest sample of --sample (or of --history itself), the "
-        "baseline the\n"
-        "      latest earlier --history sample. Always exits 0 unless "
-        "inputs are\n"
-        "      missing (3) or corrupt/incomparable (4).\n"
-        "  pes_perf gate [same flags as compare]\n"
-        "      The enforcing form: exit 0 within noise (improvements "
-        "pass with a\n"
-        "      stale-baseline note), 2 any gated metric regressed, 3 "
-        "missing history,\n"
-        "      4 corrupt history or machine/config mismatch. Gated by "
-        "default:\n"
-        "      *_per_sec, parallel_efficiency and quality.*; "
-        "attribution counters\n"
-        "      (lock waits, stage times, cache traffic) are advisory "
-        "unless named\n"
-        "      via --metric. Band per metric: max(min-rel, sigmas x "
-        "replicate CV),\n"
-        "      or the calibrated --tolerance-file entry.\n"
-        "  pes_perf report --history=FILE [--label=NAME] "
-        "[--metric=LIST]\n"
-        "                  [--csv=FILE] [--quiet]\n"
-        "      Deterministic trajectory series across the ledger: CSV "
-        "(one row per\n"
-        "      sample x metric: mean, stddev, cv) and an ASCII chart "
-        "on stdout.\n"
-        "      exit: 0, 3 missing history, 4 corrupt history\n";
-}
-
-bool
-flagValue(const std::string &arg, const std::string &name,
-          std::string &out)
-{
-    const std::string prefix = "--" + name + "=";
-    if (!startsWith(arg, prefix))
-        return false;
-    out = arg.substr(prefix.size());
-    return true;
-}
-
-std::string
-readFileOr(const std::string &path, bool &ok)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        ok = false;
-        return std::string();
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    ok = true;
-    return buf.str();
-}
-
-/** Report history load problems and return the gateable exit code. */
-int
-failHistory(const PerfHistory &history)
-{
-    for (const IntegrityProblem &p : history.problems)
-        std::cerr << "FAIL " << p.message << "\n";
-    return integrityExitCode(history.problems);
-}
 
 // ------------------------------------------------------------- record
 
@@ -169,7 +77,7 @@ reportQualityMetrics(const FleetReport &report)
 }
 
 int
-cmdRecord(int argc, char **argv)
+cmdRecord(const Command &cmd)
 {
     std::string history_path;
     std::string label = "sweep";
@@ -178,37 +86,17 @@ cmdRecord(int argc, char **argv)
     std::string report_path;
     std::vector<std::string> telemetry_paths;
     bool quiet = false;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (flagValue(arg, "history", value)) {
-            history_path = value;
-        } else if (flagValue(arg, "label", value)) {
-            label = value;
-        } else if (flagValue(arg, "rev", value)) {
-            rev = value;
-        } else if (flagValue(arg, "machine", value)) {
-            machine = value;
-        } else if (flagValue(arg, "report", value)) {
-            report_path = value;
-        } else if (flagValue(arg, "telemetry", value)) {
-            for (const std::string &raw : split(value, ',')) {
-                const std::string path = trim(raw);
-                if (!path.empty())
-                    telemetry_paths.push_back(path);
-            }
-        } else {
-            std::cerr << "record: unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({{
+        stringFlag("history", "FILE", history_path, "ledger (required)"),
+        listFlag("telemetry", "FILES", telemetry_paths,
+                 "RunTelemetry replicates (required)"),
+        stringFlag("label", "NAME", label, "sample label [sweep]"),
+        stringFlag("rev", "REV", rev, "revision [$PES_GIT_REV or unknown]"),
+        stringFlag("machine", "FP", machine, "fingerprint [this host's]"),
+        stringFlag("report", "FILE", report_path,
+                   "fold in a fleet report's quality metrics"),
+        switchFlag("quiet", quiet, "suppress progress chatter"),
+    }});
     fatal_if(history_path.empty(), "record: --history is required");
     fatal_if(telemetry_paths.empty(),
              "record: at least one --telemetry input is required");
@@ -218,9 +106,8 @@ cmdRecord(int argc, char **argv)
     std::map<int, std::vector<RunTelemetry>> by_threads;
     std::string scenario;
     for (const std::string &path : telemetry_paths) {
-        bool ok = false;
-        const std::string text = readFileOr(path, ok);
-        if (!ok) {
+        std::string text;
+        if (!readFileBytes(path, text, nullptr)) {
             IntegrityProblem p;
             p.kind = IntegrityProblem::Kind::MissingFile;
             p.message = "telemetry input not found: " + path;
@@ -239,11 +126,8 @@ cmdRecord(int argc, char **argv)
         scenario = t->scenario;
         by_threads[std::max(1, t->threads)].push_back(std::move(*t));
     }
-    if (!problems.empty()) {
-        for (const IntegrityProblem &p : problems)
-            std::cerr << "FAIL " << p.message << "\n";
-        return integrityExitCode(problems);
-    }
+    if (!problems.empty())
+        return failProblems(problems);
 
     PerfSample sample;
     sample.label = label;
@@ -280,11 +164,8 @@ cmdRecord(int argc, char **argv)
 
     if (!report_path.empty()) {
         const DiffInput input = loadDiffInput(report_path);
-        if (!input.report) {
-            for (const IntegrityProblem &p : input.problems)
-                std::cerr << "FAIL " << p.message << "\n";
-            return integrityExitCode(input.problems);
-        }
+        if (!input.report)
+            return failProblems(input.problems);
         sample.quality = reportQualityMetrics(*input.report);
     }
 
@@ -311,53 +192,31 @@ cmdRecord(int argc, char **argv)
 
 // ----------------------------------------------------- compare / gate
 
+/** The compare and gate verbs: gate enforces, compare only classifies. */
 int
-cmdCompare(int argc, char **argv, bool enforce)
+cmdCompare(const Command &cmd)
 {
+    const bool enforce = std::string(cmd.verb.name) == "gate";
     std::string history_path;
     std::string sample_path;
     std::string label;
     std::string tolerance_file;
     PerfCompareOptions options;
     bool quiet = false;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (flagValue(arg, "history", value)) {
-            history_path = value;
-        } else if (flagValue(arg, "sample", value)) {
-            sample_path = value;
-        } else if (flagValue(arg, "label", value)) {
-            label = value;
-        } else if (flagValue(arg, "sigmas", value)) {
-            fatal_if(!parseDouble(value, options.sigmas) ||
-                         options.sigmas <= 0.0,
-                     "bad value '%s' for --sigmas", value.c_str());
-        } else if (flagValue(arg, "min-rel", value)) {
-            fatal_if(!parseDouble(value, options.minRel) ||
-                         options.minRel < 0.0,
-                     "bad value '%s' for --min-rel", value.c_str());
-        } else if (flagValue(arg, "metric", value)) {
-            for (const std::string &raw : split(value, ',')) {
-                const std::string metric = trim(raw);
-                if (!metric.empty())
-                    options.metrics.push_back(metric);
-            }
-        } else if (flagValue(arg, "tolerance-file", value)) {
-            tolerance_file = value;
-        } else {
-            std::cerr << (enforce ? "gate" : "compare")
-                      << ": unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({{
+        stringFlag("history", "FILE", history_path, "ledger (required)"),
+        stringFlag("sample", "FILE", sample_path,
+                   "candidate ledger [--history]"),
+        stringFlag("label", "NAME", label, "compare only this label"),
+        doubleFlag("sigmas", "K", options.sigmas, kPositive, kUnbounded,
+                   "band: K x replicate CV [3]"),
+        doubleFlag("min-rel", "R", options.minRel, 0.0, kUnbounded,
+                   "relative band floor [0.02]"),
+        listFlag("metric", "LIST", options.metrics, "gate these metrics"),
+        stringFlag("tolerance-file", "FILE", tolerance_file,
+                   "calibrated bands (pes_fleet diff --calibrate)"),
+        switchFlag("quiet", quiet, "suppress the comparison table"),
+    }});
     fatal_if(history_path.empty(), "%s: --history is required",
              enforce ? "gate" : "compare");
 
@@ -372,7 +231,7 @@ cmdCompare(int argc, char **argv, bool enforce)
 
     const PerfHistory history = loadPerfHistory(history_path);
     if (!history.problems.empty())
-        return failHistory(history);
+        return failProblems(history.problems);
 
     const PerfSample *base = nullptr;
     const PerfSample *test = nullptr;
@@ -380,7 +239,7 @@ cmdCompare(int argc, char **argv, bool enforce)
     if (!sample_path.empty()) {
         candidate = loadPerfHistory(sample_path);
         if (!candidate.problems.empty())
-            return failHistory(candidate);
+            return failProblems(candidate.problems);
         test = candidate.latest(label);
         base = history.latest(label);
     } else {
@@ -440,45 +299,25 @@ cmdCompare(int argc, char **argv, bool enforce)
 // ------------------------------------------------------------- report
 
 int
-cmdReport(int argc, char **argv)
+cmdReport(const Command &cmd)
 {
     std::string history_path;
     std::string label;
     std::string csv_path;
     std::vector<std::string> selected;
     bool quiet = false;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (flagValue(arg, "history", value)) {
-            history_path = value;
-        } else if (flagValue(arg, "label", value)) {
-            label = value;
-        } else if (flagValue(arg, "csv", value)) {
-            csv_path = value;
-        } else if (flagValue(arg, "metric", value)) {
-            for (const std::string &raw : split(value, ',')) {
-                const std::string metric = trim(raw);
-                if (!metric.empty())
-                    selected.push_back(metric);
-            }
-        } else {
-            std::cerr << "report: unknown option '" << arg << "'\n\n";
-            usage();
-            return 1;
-        }
-    }
+    cmd.parse({{
+        stringFlag("history", "FILE", history_path, "ledger (required)"),
+        stringFlag("label", "NAME", label, "chart only this label"),
+        listFlag("metric", "LIST", selected, "series [default-gated]"),
+        stringFlag("csv", "FILE", csv_path, "write the trajectory CSV"),
+        switchFlag("quiet", quiet, "suppress the ASCII chart"),
+    }});
     fatal_if(history_path.empty(), "report: --history is required");
 
     const PerfHistory history = loadPerfHistory(history_path);
     if (!history.problems.empty())
-        return failHistory(history);
+        return failProblems(history.problems);
 
     std::vector<const PerfSample *> samples;
     for (const PerfSample &sample : history.samples)
@@ -577,24 +416,24 @@ cmdReport(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage();
-        return 1;
-    }
-    const std::string verb = argv[1];
-    if (verb == "--help" || verb == "-h" || verb == "help") {
-        usage();
-        return 0;
-    }
-    if (verb == "record")
-        return cmdRecord(argc, argv);
-    if (verb == "compare")
-        return cmdCompare(argc, argv, /*enforce=*/false);
-    if (verb == "gate")
-        return cmdCompare(argc, argv, /*enforce=*/true);
-    if (verb == "report")
-        return cmdReport(argc, argv);
-    std::cerr << "pes_perf: unknown verb '" << verb << "'\n\n";
-    usage();
-    return 1;
+    static const Tool tool{
+        "pes_perf",
+        "perf-history ledger: record, gate and chart simulator speed",
+        {
+            {"record", cmdRecord, "append one replicated sample",
+             "exit: 0 appended, 3 missing inputs, 4 unparseable inputs"},
+            {"compare", cmdCompare, "classify a sample against its baseline",
+             "The candidate is the latest --sample (else --history) sample, "
+             "the baseline\nthe latest earlier --history sample. Never "
+             "enforces.\nexit: 0, 3 missing inputs, 4 corrupt or "
+             "incomparable inputs"},
+            {"gate", cmdCompare, "enforce the noise-calibrated gate",
+             "Gates *_per_sec, parallel_efficiency and quality.* by default, "
+             "other metrics\nonly when named by --metric.\n"
+             "exit: 0 within noise, 2 a gated metric regressed, 3 missing "
+             "history,\n4 corrupt history or machine/config mismatch"},
+            {"report", cmdReport, "chart the ledger's trajectories",
+             "exit: 0, 3 missing history, 4 corrupt history"},
+        }};
+    return runTool(tool, argc, argv);
 }

@@ -1,21 +1,13 @@
 /**
  * @file
- * pes_trace_tool — command-line record/replay utility.
- *
- * Subcommands:
- *   apps                       list the 18 benchmark applications
- *   gen  <app> <seed> <file>   generate a session and save it
- *   info <file>                summarize a saved trace
- *   replay <file> <scheduler>  replay a trace under one scheduler
- *   compare <file>             replay under all five schedulers
- *
- * Schedulers: interactive | ondemand | ebs | pes | oracle.
+ * pes_trace_tool — command-line record/replay utility for single
+ * traces; the verb table in main() is its help (`pes_trace_tool --help`).
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "core/experiment.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -23,36 +15,6 @@
 using namespace pes;
 
 namespace {
-
-int
-usage()
-{
-    std::cerr <<
-        "usage:\n"
-        "  pes_trace_tool apps\n"
-        "  pes_trace_tool gen <app> <seed> <file>\n"
-        "  pes_trace_tool info <file>\n"
-        "  pes_trace_tool replay <file> <scheduler>\n"
-        "  pes_trace_tool compare <file>\n"
-        "schedulers: interactive | ondemand | ebs | pes | oracle\n";
-    return 2;
-}
-
-std::optional<SchedulerKind>
-parseScheduler(const std::string &name)
-{
-    if (name == "interactive")
-        return SchedulerKind::Interactive;
-    if (name == "ondemand")
-        return SchedulerKind::Ondemand;
-    if (name == "ebs")
-        return SchedulerKind::Ebs;
-    if (name == "pes")
-        return SchedulerKind::Pes;
-    if (name == "oracle")
-        return SchedulerKind::Oracle;
-    return std::nullopt;
-}
 
 InteractionTrace
 loadOrDie(const std::string &path)
@@ -63,8 +25,9 @@ loadOrDie(const std::string &path)
 }
 
 int
-cmdApps()
+cmdApps(const Command &cmd)
 {
+    cmd.parse({});
     Table table({"app", "set", "pages", "temp", "load_scale"});
     for (const AppProfile &p : appRegistry()) {
         table.beginRow()
@@ -79,8 +42,15 @@ cmdApps()
 }
 
 int
-cmdGen(const std::string &app, uint64_t seed, const std::string &path)
+cmdGen(const Command &cmd)
 {
+    const FlagParse args = cmd.parse({});
+    const std::string &app = args.operands[0];
+    const std::string &path = args.operands[2];
+    uint64_t seed = 0;
+    fatal_if(!parseUint64(args.operands[1], seed),
+             "bad seed '%s' (expected an unsigned integer)",
+             args.operands[1].c_str());
     Experiment exp;
     const InteractionTrace trace =
         exp.generator().generate(appByName(app), seed);
@@ -92,9 +62,9 @@ cmdGen(const std::string &app, uint64_t seed, const std::string &path)
 }
 
 int
-cmdInfo(const std::string &path)
+cmdInfo(const Command &cmd)
 {
-    const InteractionTrace trace = loadOrDie(path);
+    const InteractionTrace trace = loadOrDie(cmd.parse({}).operands[0]);
     std::cout << "app:      " << trace.appName << "\n"
               << "user:     " << trace.userSeed << "\n"
               << "events:   " << trace.size() << "\n"
@@ -131,12 +101,13 @@ printResult(const SimResult &r)
 }
 
 int
-cmdReplay(const std::string &path, const std::string &sched)
+cmdReplay(const Command &cmd)
 {
-    const auto kind = parseScheduler(sched);
-    if (!kind)
-        return usage();
-    const InteractionTrace trace = loadOrDie(path);
+    const FlagParse args = cmd.parse({});
+    const auto kind = schedulerKindFromName(args.operands[1]);
+    fatal_if(!kind, "unknown scheduler '%s' (interactive, ondemand, ebs, "
+             "pes, oracle)", args.operands[1].c_str());
+    const InteractionTrace trace = loadOrDie(args.operands[0]);
     Experiment exp;
     if (*kind == SchedulerKind::Pes)
         exp.trainedModel();
@@ -147,9 +118,9 @@ cmdReplay(const std::string &path, const std::string &sched)
 }
 
 int
-cmdCompare(const std::string &path)
+cmdCompare(const Command &cmd)
 {
-    const InteractionTrace trace = loadOrDie(path);
+    const InteractionTrace trace = loadOrDie(cmd.parse({}).operands[0]);
     Experiment exp;
     exp.trainedModel();
     const AppProfile &profile = appByName(trace.appName);
@@ -169,22 +140,19 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    if (argc < 2)
-        return usage();
-    const std::string cmd = argv[1];
-    if (cmd == "apps")
-        return cmdApps();
-    if (cmd == "gen" && argc == 5) {
-        uint64_t seed;
-        fatal_if(!parseUint64(argv[3], seed),
-                 "bad seed '%s' (expected an unsigned integer)", argv[3]);
-        return cmdGen(argv[2], seed, argv[4]);
-    }
-    if (cmd == "info" && argc == 3)
-        return cmdInfo(argv[2]);
-    if (cmd == "replay" && argc == 4)
-        return cmdReplay(argv[2], argv[3]);
-    if (cmd == "compare" && argc == 3)
-        return cmdCompare(argv[2]);
-    return usage();
+    static const Tool tool{
+        "pes_trace_tool",
+        "record and replay single interaction traces",
+        {
+            {"apps", cmdApps, "list the 18 benchmark applications"},
+            {"gen", cmdGen, "generate one session and save it", "",
+             {"APP SEED FILE", 3, 3}},
+            {"info", cmdInfo, "summarize a saved trace", "", {"FILE", 1, 1}},
+            {"replay", cmdReplay, "replay a trace under one scheduler",
+             "SCHEDULER: interactive, ondemand, ebs, pes or oracle",
+             {"FILE SCHEDULER", 2, 2}},
+            {"compare", cmdCompare, "replay a trace under all five schedulers",
+             "", {"FILE", 1, 1}},
+        }};
+    return runTool(tool, argc, argv);
 }
