@@ -12,6 +12,16 @@ GlobalOptimizer::GlobalOptimizer(const DvfsLatencyModel &model,
     : model_(&model), power_(&power), vsync_(&vsync),
       margin_(latency_margin)
 {
+    const AcmpPlatform &platform = model_->platform();
+    const size_t c = static_cast<size_t>(platform.numConfigs());
+    switchCost_.assign(c, std::vector<TimeMs>(c, 0.0));
+    for (size_t a = 0; a < c; ++a) {
+        for (size_t b = 0; b < c; ++b) {
+            switchCost_[a][b] = platform.switchCost(
+                platform.configAt(static_cast<int>(a)),
+                platform.configAt(static_cast<int>(b)));
+        }
+    }
 }
 
 ScheduleProblem
@@ -24,19 +34,7 @@ GlobalOptimizer::buildProblem(TimeMs now, const AcmpConfig &current_config,
 
     ScheduleProblem problem;
     problem.initialConfig = platform.configIndex(current_config);
-
-    // Switch-cost matrix.
-    problem.switchCost.assign(static_cast<size_t>(c),
-                              std::vector<TimeMs>(static_cast<size_t>(c),
-                                                  0.0));
-    for (int a = 0; a < c; ++a) {
-        for (int b = 0; b < c; ++b) {
-            problem.switchCost[static_cast<size_t>(a)]
-                              [static_cast<size_t>(b)] =
-                platform.switchCost(platform.configAt(a),
-                                    platform.configAt(b));
-        }
-    }
+    problem.switchCost = switchCost_;
 
     const TimeMs period = vsync_->periodMs();
     TimeMs prev_deadline = 0.0;

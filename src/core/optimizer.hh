@@ -54,6 +54,7 @@ class GlobalOptimizer
     /**
      * @param latency_margin Multiplier on estimated latencies inside the
      * chain constraints (1.0 = trust estimates; > 1 adds noise headroom).
+     * The platform's switch-cost matrix is built here, once.
      */
     GlobalOptimizer(const DvfsLatencyModel &model, const PowerModel &power,
                     const VsyncClock &vsync, double latency_margin = 1.0);
@@ -67,7 +68,7 @@ class GlobalOptimizer
                                  const std::vector<PlanEventSpec> &events)
         const;
 
-    /** Solve (exact DP); see ParetoDpSolver for the objective. */
+    /** Solve with the Pareto DP; see ParetoDpSolver for the objective. */
     ScheduleSolution solve(const ScheduleProblem &problem) const;
 
     /** Convenience: buildProblem + solve. */
@@ -80,6 +81,8 @@ class GlobalOptimizer
     const PowerModel *power_;
     const VsyncClock *vsync_;
     double margin_ = 1.0;
+    /** The platform's C x C switch costs, built once. */
+    std::vector<std::vector<TimeMs>> switchCost_;
     ParetoDpSolver solver_;
 };
 

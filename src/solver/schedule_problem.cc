@@ -69,18 +69,40 @@ namespace {
  */
 constexpr double kTardinessWeight = 1e12;
 
-/** One Pareto state after scheduling a prefix of events. */
+/** A candidate survives its bucket's pass only when its cost beats the
+ *  last survivor's by more than this. */
+constexpr double kDominanceMargin = 1e-12;
+
+/** Total tardiness at or below this meets every deadline. */
+constexpr TimeMs kFeasibleTardiness = 1e-9;
+
+/** Slack of the bounds (ms, mJ), far above the rounding of a chain's
+ *  sums: rounding never drops an optimal prefix. */
+constexpr double kBoundSlack = 1e-6;
+
+/**
+ * Frontier states kept per bucket. A bucket whose survivors exceed it is
+ * thinned to this many, keeping the fastest and cheapest extremes, and
+ * counted in ScheduleSolution::thinnedPrunes.
+ */
+constexpr size_t kMaxBucketStates = 256;
+
+/** Points kept per stage of the energy-to-go frontier (see
+ *  prepareSecondPass). */
+constexpr size_t kMaxToGoPoints = 256;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** One Pareto state: a schedule of the events up to some stage. */
 struct DpState
 {
     TimeMs finish = 0.0;
     TimeMs tardiness = 0.0;
     EnergyMj energy = 0.0;
-    /** Configuration of the last scheduled event. */
-    int lastConfig = 0;
-    /** Index into the previous stage's state vector (for reconstruction) */
+    /** Arena index of the state this one extends; -1 for the start. */
     int parent = -1;
-    /** Config chosen at this stage. */
-    int chosen = -1;
+    /** Configuration of the last scheduled event. */
+    int config = 0;
 
     double cost() const
     {
@@ -88,47 +110,529 @@ struct DpState
     }
 };
 
-/** Hard cap on frontier states kept per lastConfig bucket. */
-constexpr size_t kMaxBucketStates = 256;
+/**
+ * A finish-sorted list of candidates: the states [begin, end) of one
+ * bucket, each extended by one configuration. Adding the same latency
+ * to every state keeps the list sorted.
+ */
+struct Source
+{
+    int begin = 0;
+    int end = 0;
+    /** Latency of the extension, switch cost included. */
+    TimeMs shift = 0.0;
+    EnergyMj energy = 0.0;
+    int config = 0;
+};
+
+/** A source's next candidate in the merge heap. */
+struct HeapEntry
+{
+    TimeMs finish = 0.0;
+    int source = 0;
+    int pos = 0;
+};
+
+bool
+heapBefore(const HeapEntry &a, const HeapEntry &b)
+{
+    return a.finish < b.finish ||
+        (a.finish == b.finish && a.source < b.source);
+}
+
+void
+siftDown(std::vector<HeapEntry> &heap, size_t i)
+{
+    const HeapEntry entry = heap[i];
+    for (;;) {
+        size_t child = 2 * i + 1;
+        if (child >= heap.size())
+            break;
+        if (child + 1 < heap.size() && heapBefore(heap[child + 1],
+                                                  heap[child]))
+            ++child;
+        if (!heapBefore(heap[child], entry))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = entry;
+}
+
+/** A complete assignment the answer must match or beat. */
+struct Incumbent
+{
+    TimeMs tardiness = kInf;
+    EnergyMj energy = kInf;
+};
 
 /**
- * Keep the (finish, cost) Pareto frontier of one bucket: after sorting by
- * finish, a state survives only when its cost strictly beats every
- * earlier-finishing survivor. O(n log n).
+ * A point of a stage's energy-to-go frontier: when the stage's event
+ * finishes by @c latest, the later events can meet every deadline (as
+ * prepareSecondPass relaxes them) for @c energy. Switch costs are left
+ * out, so it is a lower bound.
+ */
+struct ToGo
+{
+    TimeMs latest = 0.0;
+    EnergyMj energy = 0.0;
+};
+
+/** Buffers reused across solves, one set per thread. */
+struct Workspace
+{
+    /** Every kept state of the solve; parent links index into it. */
+    std::vector<DpState> arena;
+    /** Bucket b of the last finished stage is [prev[b], prev[b + 1]). */
+    std::vector<int> prev;
+    std::vector<int> cur;
+    std::vector<Source> sources;
+    std::vector<HeapEntry> heap;
+    /** Latest finish of event i that can still meet every deadline. */
+    std::vector<TimeMs> finishCut;
+    /** Minimum energy of the events after event i. */
+    std::vector<EnergyMj> energyTail;
+    /** Latest finish of event i from which the greedy pass can finish. */
+    std::vector<TimeMs> greedyCut;
+    /**
+     * Per stage i, ascending: for each later event k, the finish of
+     * event i after which k is late even at the fastest configurations
+     * with free switches.
+     */
+    std::vector<std::vector<TimeMs>> lateAfter;
+    /** Per stage, the energy-to-go frontier by ascending latest finish. */
+    std::vector<std::vector<ToGo>> toGo;
+    std::vector<ToGo> toGoCand;
+};
+
+Workspace &
+workspace()
+{
+    thread_local Workspace s;
+    return s;
+}
+
+/**
+ * Fill the first pass's bound tables and return a greedy incumbent:
+ * event by event, the cheapest configuration after which every later
+ * event still meets its deadline at its fastest configuration, paying
+ * the costliest switch. Returns no incumbent when that pass fails.
+ */
+Incumbent
+prepareBounds(const ScheduleProblem &problem, Workspace &s)
+{
+    const size_t n = problem.events.size();
+    TimeMs max_switch = 0.0;
+    for (const std::vector<TimeMs> &row : problem.switchCost)
+        max_switch = std::max(max_switch,
+                              *std::max_element(row.begin(), row.end()));
+
+    s.finishCut.resize(n);
+    s.energyTail.resize(n);
+    s.greedyCut.resize(n);
+    TimeMs reach = kInf;
+    TimeMs greedy_reach = kInf;
+    EnergyMj tail = 0.0;
+    for (size_t i = n; i-- > 0;) {
+        const ScheduleEvent &ev = problem.events[i];
+        const TimeMs limit = std::min(ev.deadline, reach);
+        const TimeMs greedy_limit = std::min(ev.deadline, greedy_reach);
+        s.finishCut[i] = limit + kBoundSlack;
+        s.greedyCut[i] = greedy_limit;
+        s.energyTail[i] = tail;
+        const TimeMs min_latency =
+            *std::min_element(ev.latency.begin(), ev.latency.end());
+        reach = limit - min_latency;
+        greedy_reach = greedy_limit - min_latency - max_switch;
+        tail += *std::min_element(ev.energy.begin(), ev.energy.end());
+    }
+
+    Incumbent inc{0.0, 0.0};
+    TimeMs finish = 0.0;
+    int last = problem.initialConfig;
+    for (size_t i = 0; i < n; ++i) {
+        const ScheduleEvent &ev = problem.events[i];
+        int pick = -1;
+        TimeMs pick_finish = 0.0;
+        for (size_t j = 0; j < ev.latency.size(); ++j) {
+            const TimeMs sw = problem.switchCost.empty()
+                ? 0.0 : problem.switchCost[static_cast<size_t>(last)][j];
+            const TimeMs f = finish + (ev.latency[j] + sw);
+            if (f <= s.greedyCut[i] &&
+                (pick < 0 ||
+                 ev.energy[j] < ev.energy[static_cast<size_t>(pick)])) {
+                pick = static_cast<int>(j);
+                pick_finish = f;
+            }
+        }
+        if (pick < 0)
+            return Incumbent{};
+        finish = pick_finish;
+        inc.energy += ev.energy[static_cast<size_t>(pick)];
+        last = pick;
+    }
+    return inc;
+}
+
+/**
+ * Fill the second pass's completion bounds for incumbent @p inc.
+ *
+ * s.toGo: per stage, the energy-to-go frontier of the switch-free
+ * relaxation, by a backward pass. With a tardy incumbent every deadline
+ * is relaxed by its tardiness: a schedule as good is late by no more at
+ * any one event. Points that cannot beat an on-time incumbent with the
+ * least possible energy before them, or that no schedule finishes early
+ * enough to use, are dropped. A frontier above kMaxToGoPoints is
+ * coarsened: each run of neighbours becomes one point with the run's
+ * latest finish and least energy, which keeps it a lower bound.
+ *
+ * s.lateAfter: per stage, the finishes after which each later event is
+ * late even at its fastest configuration with free switches.
  */
 void
-pruneBucket(std::vector<DpState> &states)
+prepareSecondPass(const ScheduleProblem &problem, Workspace &s,
+                  const Incumbent &inc)
 {
-    std::sort(states.begin(), states.end(),
-              [](const DpState &a, const DpState &b) {
-                  if (a.finish != b.finish)
-                      return a.finish < b.finish;
-                  return a.cost() < b.cost();
-              });
-    std::vector<DpState> kept;
-    double min_cost = std::numeric_limits<double>::infinity();
-    for (const DpState &s : states) {
-        const double c = s.cost();
-        if (c < min_cost - 1e-12) {
-            kept.push_back(s);
-            min_cost = c;
+    const size_t n = problem.events.size();
+    const bool on_time = inc.tardiness == 0.0;
+    const TimeMs relax = on_time ? 0.0 : inc.tardiness + kBoundSlack;
+    const EnergyMj energy_limit = on_time ? inc.energy + kBoundSlack : kInf;
+
+    // Least energy and earliest finish of events 0..i.
+    std::vector<EnergyMj> head_energy(n, 0.0);
+    std::vector<TimeMs> head_finish(n, 0.0);
+    EnergyMj e = 0.0;
+    TimeMs t = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+        const ScheduleEvent &ev = problem.events[i];
+        e += *std::min_element(ev.energy.begin(), ev.energy.end());
+        t += *std::min_element(ev.latency.begin(), ev.latency.end());
+        head_energy[i] = e;
+        head_finish[i] = t;
+    }
+
+    s.lateAfter.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+        std::vector<TimeMs> &late = s.lateAfter[i];
+        late.clear();
+        for (size_t k = i + 1; k < n; ++k) {
+            late.push_back(problem.events[k].deadline -
+                           (head_finish[k] - head_finish[i]));
+        }
+        std::sort(late.begin(), late.end());
+    }
+
+    s.toGo.resize(n);
+    s.toGo[n - 1].assign(1, ToGo{kInf, 0.0});
+    for (size_t i = n - 1; i > 0; --i) {
+        const ScheduleEvent &ev = problem.events[i];
+        std::vector<ToGo> &cand = s.toGoCand;
+        cand.clear();
+        for (const ToGo &p : s.toGo[i]) {
+            const TimeMs latest = std::min(ev.deadline + relax, p.latest);
+            for (size_t j = 0; j < ev.latency.size(); ++j)
+                cand.push_back({latest - ev.latency[j],
+                                p.energy + ev.energy[j]});
+        }
+        std::sort(cand.begin(), cand.end(),
+                  [](const ToGo &a, const ToGo &b) {
+                      return a.latest > b.latest ||
+                          (a.latest == b.latest && a.energy < b.energy);
+                  });
+        std::vector<ToGo> &front = s.toGo[i - 1];
+        front.clear();
+        EnergyMj min_energy = kInf;
+        for (const ToGo &p : cand) {
+            if (p.latest < head_finish[i - 1] - kBoundSlack)
+                break;
+            if (p.energy < min_energy &&
+                p.energy + head_energy[i - 1] <= energy_limit) {
+                front.push_back(p);
+                min_energy = p.energy;
+            }
+        }
+        std::reverse(front.begin(), front.end());
+        if (front.size() > kMaxToGoPoints) {
+            const size_t m = front.size();
+            for (size_t g = 0; g < kMaxToGoPoints; ++g) {
+                const size_t lo = g * m / kMaxToGoPoints;
+                const size_t hi = (g + 1) * m / kMaxToGoPoints;
+                front[g] = {front[hi - 1].latest, front[lo].energy};
+            }
+            front.resize(kMaxToGoPoints);
         }
     }
-    // Bound the frontier (defensive; real instances stay far below the
-    // cap). Thinning keeps the cheapest and fastest extremes.
-    if (kept.size() > kMaxBucketStates) {
-        std::vector<DpState> thinned;
-        thinned.reserve(kMaxBucketStates);
-        const double step = static_cast<double>(kept.size() - 1) /
-            static_cast<double>(kMaxBucketStates - 1);
-        for (size_t i = 0; i < kMaxBucketStates; ++i) {
-            thinned.push_back(
-                kept[static_cast<size_t>(std::round(step *
-                                                    static_cast<double>(i)))]);
-        }
-        kept = std::move(thinned);
+}
+
+/**
+ * What one stage's pass may keep; everything when no bound applies. A
+ * state is dropped when its least tardiness (so far, plus the later
+ * events' least when lateAfter is set) is above tardinessLimit, or when
+ * that is not below tieLimit and its least energy (so far, plus the
+ * later events' least) is above energyLimit.
+ */
+struct StageBounds
+{
+    TimeMs deadline = 0.0;
+    /** Candidates finishing later are never merged. */
+    TimeMs cut = kInf;
+    TimeMs tardinessLimit = kInf;
+    TimeMs tieLimit = kInf;
+    EnergyMj energyLimit = kInf;
+    /** Least energy of the later events at any finish. */
+    EnergyMj energyTail = 0.0;
+    /** When set, the least energy of the later events by finish. */
+    const std::vector<ToGo> *toGo = nullptr;
+    /** When set, Workspace::lateAfter of the stage. */
+    const std::vector<TimeMs> *lateAfter = nullptr;
+};
+
+/**
+ * One bucket's pass over s.sources. Candidates are merged in (finish,
+ * cost, parent, config) order; one survives when its cost beats the last
+ * survivor's by more than kDominanceMargin, so of equal finishes only
+ * the first in that order can. Survivors within the bounds are appended
+ * to the arena; the others still count for dominance. A candidate
+ * finishing after the cut is never merged: every candidate after it in
+ * the order finishes after the cut too, and none of them could be kept.
+ */
+void
+mergeBucket(Workspace &s, const StageBounds &bounds)
+{
+    std::vector<DpState> &arena = s.arena;
+    std::vector<HeapEntry> &heap = s.heap;
+    heap.clear();
+    for (size_t k = 0; k < s.sources.size(); ++k) {
+        const Source &src = s.sources[k];
+        if (src.begin == src.end)
+            continue;
+        const TimeMs finish =
+            arena[static_cast<size_t>(src.begin)].finish + src.shift;
+        if (finish <= bounds.cut)
+            heap.push_back({finish, static_cast<int>(k), src.begin});
     }
-    states = std::move(kept);
+    for (size_t i = heap.size() / 2; i-- > 0;)
+        siftDown(heap, i);
+
+    // Survivors come in finish order, so the energy-to-go lookup only
+    // moves forward.
+    size_t to_go = 0;
+    auto energyToGo = [&](TimeMs finish) {
+        if (!bounds.toGo)
+            return bounds.energyTail;
+        const std::vector<ToGo> &front = *bounds.toGo;
+        while (to_go < front.size() &&
+               front[to_go].latest < finish - kBoundSlack)
+            ++to_go;
+        return to_go < front.size() ? front[to_go].energy : kInf;
+    };
+
+    // Least tardiness of the later events: the sum over thresholds t
+    // below finish of (finish - t).
+    size_t late_count = 0;
+    TimeMs late_sum = 0.0;
+    auto tardinessToGo = [&](TimeMs finish) {
+        if (!bounds.lateAfter)
+            return 0.0;
+        const std::vector<TimeMs> &late = *bounds.lateAfter;
+        while (late_count < late.size() && late[late_count] < finish)
+            late_sum += late[late_count++];
+        return static_cast<double>(late_count) * finish - late_sum;
+    };
+
+    double min_cost = kInf;
+    // The first candidate in order among those finishing at best.finish.
+    DpState best;
+    double best_cost = kInf;
+    bool open = false;
+    auto close = [&]() {
+        if (best_cost < min_cost - kDominanceMargin) {
+            min_cost = best_cost;
+            const TimeMs tardiness =
+                best.tardiness + tardinessToGo(best.finish);
+            if (tardiness <= bounds.tardinessLimit &&
+                (tardiness < bounds.tieLimit ||
+                 best.energy + energyToGo(best.finish) <=
+                     bounds.energyLimit))
+                arena.push_back(best);
+        }
+    };
+    while (!heap.empty()) {
+        const HeapEntry top = heap.front();
+        const Source &src = s.sources[static_cast<size_t>(top.source)];
+        const DpState &from = arena[static_cast<size_t>(top.pos)];
+        DpState cand;
+        cand.finish = top.finish;
+        cand.tardiness =
+            from.tardiness + std::max(0.0, top.finish - bounds.deadline);
+        cand.energy = from.energy + src.energy;
+        cand.parent = top.pos;
+        cand.config = src.config;
+
+        const int next = top.pos + 1;
+        const TimeMs next_finish = next < src.end
+            ? arena[static_cast<size_t>(next)].finish + src.shift : 0.0;
+        if (next < src.end && next_finish <= bounds.cut) {
+            heap.front() = {next_finish, top.source, next};
+        } else {
+            heap.front() = heap.back();
+            heap.pop_back();
+        }
+        if (!heap.empty())
+            siftDown(heap, 0);
+
+        const double cost = cand.cost();
+        if (open && cand.finish != best.finish) {
+            close();
+            open = false;
+        }
+        if (!open || cost < best_cost ||
+            (cost == best_cost &&
+             (cand.parent < best.parent ||
+              (cand.parent == best.parent && cand.config < best.config)))) {
+            best = cand;
+            best_cost = cost;
+            open = true;
+        }
+    }
+    if (open)
+        close();
+}
+
+/**
+ * Thin the bucket arena[begin, end()) to kMaxBucketStates evenly spaced
+ * states, both extremes included. Returns whether it thinned.
+ */
+bool
+thinBucket(std::vector<DpState> &arena, size_t begin)
+{
+    const size_t size = arena.size() - begin;
+    if (size <= kMaxBucketStates)
+        return false;
+    const double step = static_cast<double>(size - 1) /
+        static_cast<double>(kMaxBucketStates - 1);
+    // Picks never fall behind their slot, so thinning in place is safe.
+    for (size_t i = 0; i < kMaxBucketStates; ++i) {
+        arena[begin + i] = arena[begin + static_cast<size_t>(
+            std::round(step * static_cast<double>(i)))];
+    }
+    arena.resize(begin + kMaxBucketStates);
+    return true;
+}
+
+struct PassResult
+{
+    /** Arena index of the picked final state; -1 when none. */
+    int best = -1;
+    /** Bucket prunes the cap thinned. */
+    int thinned = 0;
+};
+
+/**
+ * The forward DP, pruned against @p inc, and on the @p second_pass also
+ * with the completion bounds of prepareSecondPass.
+ */
+PassResult
+runDp(const ScheduleProblem &problem, Workspace &s, const Incumbent &inc,
+      bool second_pass)
+{
+    const int n = static_cast<int>(problem.events.size());
+    const int c = problem.numConfigs();
+    const bool use_switch = !problem.switchCost.empty();
+    // With switch costs the last configuration is part of the state (it
+    // sets the next switch cost), so states are pruned per lastConfig
+    // bucket; without, one bucket holds them all.
+    const int buckets = use_switch ? c : 1;
+
+    std::vector<DpState> &arena = s.arena;
+    arena.clear();
+    DpState start;
+    start.config = problem.initialConfig;
+    arena.push_back(start);
+    const int start_bucket = use_switch ? problem.initialConfig : 0;
+    s.prev.assign(static_cast<size_t>(buckets + 1), 0);
+    for (int b = start_bucket + 1; b <= buckets; ++b)
+        s.prev[static_cast<size_t>(b)] = 1;
+    s.cur.assign(static_cast<size_t>(buckets + 1), 0);
+    PassResult result;
+
+    for (int i = 0; i < n; ++i) {
+        const size_t si = static_cast<size_t>(i);
+        const ScheduleEvent &ev = problem.events[si];
+        // Bounds (exact). With an on-time incumbent a state is dropped
+        // when it is already late, when even the fastest configurations
+        // with free switches would miss a later deadline, or when its
+        // cheapest completion uses more energy than the incumbent. A
+        // tardy incumbent bounds only the second pass: a state is
+        // dropped when its least tardiness is above the incumbent's, or
+        // equal and its least energy above.
+        StageBounds bounds;
+        bounds.deadline = ev.deadline;
+        if (inc.tardiness == 0.0) {
+            bounds.cut = s.finishCut[si];
+            bounds.tardinessLimit = kFeasibleTardiness;
+            bounds.tieLimit = -kInf;
+            bounds.energyLimit = inc.energy + kBoundSlack;
+            bounds.energyTail = s.energyTail[si];
+            if (second_pass)
+                bounds.toGo = &s.toGo[si];
+        } else if (second_pass) {
+            // The folded cost resolves energy only to a few of its ulps;
+            // a tie within them is not dropped.
+            const double cost = inc.tardiness * kTardinessWeight +
+                inc.energy;
+            bounds.tardinessLimit = inc.tardiness + kBoundSlack;
+            bounds.tieLimit = inc.tardiness - kBoundSlack;
+            bounds.energyLimit = inc.energy + kBoundSlack +
+                16.0 * std::numeric_limits<double>::epsilon() * cost;
+            bounds.lateAfter = &s.lateAfter[si];
+            bounds.toGo = &s.toGo[si];
+        }
+
+        s.cur[0] = static_cast<int>(arena.size());
+        for (int b = 0; b < buckets; ++b) {
+            const size_t sb = static_cast<size_t>(b);
+            s.sources.clear();
+            for (int k = 0; k < c; ++k) {
+                const size_t sk = static_cast<size_t>(k);
+                if (use_switch) {
+                    // Bucket b's candidates from bucket k's states.
+                    s.sources.push_back(
+                        {s.prev[sk], s.prev[sk + 1],
+                         ev.latency[sb] + problem.switchCost[sk][sb],
+                         ev.energy[sb], b});
+                } else {
+                    s.sources.push_back({s.prev[0], s.prev[1],
+                                         ev.latency[sk], ev.energy[sk],
+                                         k});
+                }
+            }
+            const size_t begin = arena.size();
+            mergeBucket(s, bounds);
+            if (thinBucket(arena, begin))
+                ++result.thinned;
+            s.cur[sb + 1] = static_cast<int>(arena.size());
+        }
+        std::swap(s.prev, s.cur);
+    }
+
+    // Pick the lexicographic (tardiness, energy) best final state: the
+    // first strict improvement in bucket order.
+    const int first = s.prev[0];
+    const int end = s.prev[static_cast<size_t>(buckets)];
+    if (first == end)
+        return result;
+    result.best = first;
+    for (int k = first + 1; k < end; ++k) {
+        const DpState &a = arena[static_cast<size_t>(k)];
+        const DpState &b = arena[static_cast<size_t>(result.best)];
+        if (a.tardiness < b.tardiness - 1e-12 ||
+            (std::abs(a.tardiness - b.tardiness) <= 1e-12 &&
+             a.energy < b.energy - 1e-12)) {
+            result.best = k;
+        }
+    }
+    return result;
 }
 
 } // namespace
@@ -144,96 +648,60 @@ ParetoDpSolver::solve(const ScheduleProblem &problem) const
     }
     const int c = problem.numConfigs();
     panic_if(c == 0, "ParetoDpSolver: no configurations");
-    const bool use_switch = !problem.switchCost.empty();
-
-    // stages[i] holds the surviving states after scheduling event i.
-    std::vector<std::vector<DpState>> stages(static_cast<size_t>(n));
-
-    DpState init;
-    init.lastConfig = problem.initialConfig;
-    std::vector<DpState> frontier{init};
-
     for (int i = 0; i < n; ++i) {
         const ScheduleEvent &ev = problem.events[static_cast<size_t>(i)];
         panic_if(static_cast<int>(ev.latency.size()) != c ||
                  static_cast<int>(ev.energy.size()) != c,
                  "ParetoDpSolver: ragged event table at %d", i);
-
-        std::vector<DpState> next;
-        next.reserve(frontier.size() * static_cast<size_t>(c));
-        for (size_t s = 0; s < frontier.size(); ++s) {
-            const DpState &prev = frontier[s];
-            for (int j = 0; j < c; ++j) {
-                TimeMs lat = ev.latency[static_cast<size_t>(j)];
-                if (use_switch) {
-                    lat += problem.switchCost
-                        [static_cast<size_t>(prev.lastConfig)]
-                        [static_cast<size_t>(j)];
-                }
-                DpState st;
-                st.finish = prev.finish + lat;
-                st.energy = prev.energy +
-                    ev.energy[static_cast<size_t>(j)];
-                st.tardiness = prev.tardiness +
-                    std::max(0.0, st.finish - ev.deadline);
-                st.lastConfig = j;
-                st.parent = static_cast<int>(s);
-                st.chosen = j;
-                next.push_back(st);
-            }
-        }
-
-        if (use_switch) {
-            // Prune per lastConfig bucket (the config is part of the
-            // state and affects future switch costs).
-            std::vector<DpState> pruned;
-            for (int j = 0; j < c; ++j) {
-                std::vector<DpState> bucket;
-                for (const DpState &st : next) {
-                    if (st.lastConfig == j)
-                        bucket.push_back(st);
-                }
-                pruneBucket(bucket);
-                pruned.insert(pruned.end(), bucket.begin(), bucket.end());
-            }
-            next = std::move(pruned);
-        } else {
-            pruneBucket(next);
-        }
-
-        stages[static_cast<size_t>(i)] = next;
-        frontier = std::move(next);
     }
-
-    // Pick the lexicographic (tardiness, energy) best final state.
-    const std::vector<DpState> &finals = stages[static_cast<size_t>(n - 1)];
-    panic_if(finals.empty(), "ParetoDpSolver: lost all states");
-    size_t best = 0;
-    for (size_t s = 1; s < finals.size(); ++s) {
-        const DpState &a = finals[s];
-        const DpState &b = finals[best];
-        if (a.tardiness < b.tardiness - 1e-12 ||
-            (std::abs(a.tardiness - b.tardiness) <= 1e-12 &&
-             a.energy < b.energy - 1e-12)) {
-            best = s;
+    if (!problem.switchCost.empty()) {
+        panic_if(static_cast<int>(problem.switchCost.size()) != c ||
+                 problem.initialConfig < 0 || problem.initialConfig >= c,
+                 "ParetoDpSolver: bad switch-cost matrix or initial "
+                 "config");
+        for (const std::vector<TimeMs> &row : problem.switchCost) {
+            panic_if(static_cast<int>(row.size()) != c,
+                     "ParetoDpSolver: ragged switch-cost matrix");
         }
     }
 
-    // Reconstruct the assignment.
+    Workspace &s = workspace();
+    Incumbent inc = prepareBounds(problem, s);
+    PassResult result = runDp(problem, s, inc, false);
+    if (result.thinned > 0) {
+        // The cap fired. Solve again, against the capped answer when it
+        // beats the greedy one, and with completion bounds.
+        if (result.best >= 0) {
+            const DpState &st = s.arena[static_cast<size_t>(result.best)];
+            if (st.tardiness < inc.tardiness ||
+                (st.tardiness == inc.tardiness && st.energy < inc.energy))
+                inc = {st.tardiness, st.energy};
+        }
+        prepareSecondPass(problem, s, inc);
+        result = runDp(problem, s, inc, true);
+    }
+    // Thinning can drop every state the bounds would keep; then solve
+    // without them.
+    if (result.best < 0)
+        result = runDp(problem, s, Incumbent{}, false);
+    panic_if(result.best < 0, "ParetoDpSolver: lost all states");
+    solution.thinnedPrunes = result.thinned;
+    const int best = result.best;
+
+    // Reconstruct the assignment along the parent links.
     solution.configOf.assign(static_cast<size_t>(n), 0);
     solution.finishTime.assign(static_cast<size_t>(n), 0.0);
-    int idx = static_cast<int>(best);
+    int idx = best;
     for (int i = n - 1; i >= 0; --i) {
-        const DpState &st = stages[static_cast<size_t>(i)]
-                                  [static_cast<size_t>(idx)];
-        solution.configOf[static_cast<size_t>(i)] = st.chosen;
+        const DpState &st = s.arena[static_cast<size_t>(idx)];
+        solution.configOf[static_cast<size_t>(i)] = st.config;
         solution.finishTime[static_cast<size_t>(i)] = st.finish;
         idx = st.parent;
     }
-    const DpState &chosen = finals[best];
+    const DpState &chosen = s.arena[static_cast<size_t>(best)];
     solution.totalEnergy = chosen.energy;
     solution.totalTardiness = chosen.tardiness;
-    solution.feasible = chosen.tardiness <= 1e-9;
+    solution.feasible = chosen.tardiness <= kFeasibleTardiness;
     return solution;
 }
 

@@ -1,15 +1,25 @@
 /**
  * @file
- * The PES scheduling formulation and its custom exact solver.
+ * The PES scheduling formulation and its custom solver.
  *
  * Paper Sec. 5.3 (Eqns. 2-5): pick exactly one ACMP configuration per
  * event so that the chain of event executions meets every event's deadline
  * while the total energy  sum_i p(i) * dt(i)  is minimized. The paper
  * implements "our own solver customized to this particular formulation" —
  * this file is that solver: a dynamic program over Pareto-optimal
- * (finish time, tardiness, energy) states per event, exact for the chain
- * structure, with an optional last-configuration state dimension that
- * accounts for DVFS-switch and migration costs.
+ * (finish time, cost) states per event, with a last-configuration state
+ * dimension that accounts for DVFS-switch and migration costs.
+ *
+ * Each stage merges finish-sorted candidate lists instead of sorting,
+ * and, when a greedy incumbent meets every deadline, drops states that
+ * provably cannot beat it (late, unable to meet a later deadline even at
+ * the fastest configurations, or needing more energy than the
+ * incumbent). Ties are broken by a total order, so answers never depend
+ * on sort order. A bucket's frontier above a fixed cap is thinned, and
+ * the solver then runs once more against the capped answer with sharper
+ * completion bounds. The answer is exact unless that run thins too;
+ * ScheduleSolution::thinnedPrunes counts its thinned prunes. PES windows
+ * stay under the cap; long whole-trace Oracle chains can exceed it.
  *
  * When no assignment can meet all deadlines (e.g. an inherently heavy
  * Type I event with an immediate conservative deadline), the solver
@@ -87,18 +97,29 @@ struct ScheduleSolution
     TimeMs totalTardiness = 0.0;
     /** Finish time of each event, relative to chain start. */
     std::vector<TimeMs> finishTime;
+    /**
+     * Bucket prunes whose frontier exceeded the state cap and was
+     * thinned. The answer is exact when this is 0; otherwise it may be
+     * approximate.
+     */
+    int thinnedPrunes = 0;
 };
 
 /**
- * Exact Pareto-frontier dynamic program for ScheduleProblem.
+ * Pareto-frontier dynamic program for ScheduleProblem. Working buffers
+ * are per thread, so one solver may be shared across threads.
  */
 class ParetoDpSolver
 {
   public:
     /**
-     * Solve the chain problem exactly. Objective is lexicographic
-     * (total tardiness, total energy); feasible instances therefore get
-     * the minimum-energy deadline-meeting assignment (the Eqn. 5 optimum).
+     * Solve the chain problem. Objective is lexicographic (total
+     * tardiness, total energy); feasible instances therefore get the
+     * minimum-energy deadline-meeting assignment (the Eqn. 5 optimum),
+     * exactly when the solution's thinnedPrunes is 0. Among equal-cost
+     * assignments the answer is fixed by the candidate order (finish,
+     * cost, source state, config) and, at the end, by the first strict
+     * improvement in bucket order.
      */
     ScheduleSolution solve(const ScheduleProblem &problem) const;
 };

@@ -705,13 +705,14 @@ TEST(ReportDiff, DiffJsonIsParseableAndNamesTheDrift)
 
 // --------------------------------------------------- golden baseline
 
-/** The committed mini-sweep, exactly as tools/regen_golden.sh runs it
- *  (keep the two in sync). */
+/** The committed mini-sweeps, exactly as tools/regen_golden.sh runs
+ *  them (keep the two in sync): @p schedulers on two apps. */
 FleetConfig
-goldenConfig()
+goldenConfig(std::vector<SchedulerKind> schedulers = {
+                 SchedulerKind::Ebs, SchedulerKind::Interactive})
 {
     FleetConfig config;
-    config.schedulers = {SchedulerKind::Ebs, SchedulerKind::Interactive};
+    config.schedulers = std::move(schedulers);
     config.apps = {appByName("cnn"), appByName("social_feed")};
     config.users = 3;
     config.threads = 4;
@@ -719,24 +720,37 @@ goldenConfig()
     return config;
 }
 
-TEST(GoldenBaseline, RegenerationIsByteIdentical)
+/** Run @p config in-process and compare with the golden @p name. */
+void
+expectMatchesGolden(const FleetConfig &config, const std::string &name)
 {
-    FleetRunner runner(goldenConfig());
+    FleetRunner runner(config);
     const FleetOutcome outcome = runner.run();
     const FleetReport report =
         makeFleetReport(runner.config(), outcome.metrics);
 
-    const std::string golden_json =
-        readFile(PES_SOURCE_DIR "/tests/data/golden/mini_sweep.json");
-    const std::string golden_csv =
-        readFile(PES_SOURCE_DIR "/tests/data/golden/mini_sweep.csv");
+    const std::string dir = PES_SOURCE_DIR "/tests/data/golden/";
+    const std::string golden_json = readFile(dir + name + ".json");
+    const std::string golden_csv = readFile(dir + name + ".csv");
     ASSERT_FALSE(golden_json.empty())
-        << "missing committed golden baseline; run "
-           "tools/regen_golden.sh";
+        << "missing committed golden baseline " << name
+        << "; run tools/regen_golden.sh";
     EXPECT_EQ(JsonReporter::toString(report), golden_json)
-        << "mini-sweep output changed; if intentional, regenerate via "
+        << name << " output changed; if intentional, regenerate via "
            "`cmake --build build --target regen-golden` and commit";
     EXPECT_EQ(CsvReporter::toString(report), golden_csv);
+}
+
+TEST(GoldenBaseline, RegenerationIsByteIdentical)
+{
+    expectMatchesGolden(goldenConfig(), "mini_sweep");
+}
+
+TEST(GoldenBaseline, PesOracleRegenerationIsByteIdentical)
+{
+    expectMatchesGolden(
+        goldenConfig({SchedulerKind::Pes, SchedulerKind::Oracle}),
+        "mini_sweep_pes");
 }
 
 TEST(GoldenBaseline, FreshRunDiffsCleanAgainstCommittedBaseline)

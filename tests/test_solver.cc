@@ -2,18 +2,31 @@
  * @file
  * Tests for the solver substrate: simplex LP, branch-and-bound ILP, and
  * the specialized Pareto-DP schedule solver — including the property
- * suite asserting DP/ILP agreement on randomized Eqn.-5 instances.
+ * suite asserting DP/ILP agreement on randomized Eqn.-5 instances and the
+ * real-size exactness gate (C = 17 with switch costs) against brute
+ * force and an unbounded, uncapped reference DP.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "core/optimizer.hh"
+#include "hw/acmp.hh"
+#include "hw/dvfs_model.hh"
+#include "hw/power_model.hh"
 #include "solver/ilp.hh"
 #include "solver/lp.hh"
 #include "solver/schedule_problem.hh"
+#include "trace/app_profile.hh"
+#include "trace/generator.hh"
 #include "util/rng.hh"
+#include "web/event_types.hh"
+#include "web/vsync.hh"
 
 namespace pes {
 namespace {
@@ -260,6 +273,345 @@ TEST(ParetoDp, LongChainStaysFast)
     }
     const ScheduleSolution sol = ParetoDpSolver().solve(problem);
     EXPECT_EQ(sol.configOf.size(), 80u);
+    // The bounds keep every bucket under the cap: the answer is exact.
+    EXPECT_EQ(sol.thinnedPrunes, 0);
+}
+
+TEST(ParetoDp, ExactTieFollowsDocumentedOrder)
+{
+    // Two identical events, each fast (1 ms, 2 mJ) or slow (2 ms, 1 mJ);
+    // event 1 must finish by 3 ms. Fast-then-slow and slow-then-fast
+    // tie exactly: finish 3 ms, 3 mJ.
+    ScheduleProblem problem;
+    for (int i = 0; i < 2; ++i) {
+        ScheduleEvent ev;
+        ev.latency = {1.0, 2.0};
+        ev.energy = {2.0, 1.0};
+        ev.deadline = i == 0 ? 10.0 : 3.0;
+        problem.events.push_back(ev);
+    }
+    // One bucket: of the two candidates finishing at 3 ms with equal
+    // cost, the one extending the earlier source state (fast event 0)
+    // comes first and survives.
+    ScheduleSolution sol = ParetoDpSolver().solve(problem);
+    ASSERT_TRUE(sol.feasible);
+    EXPECT_EQ(sol.configOf, (std::vector<int>{0, 1}));
+    EXPECT_EQ(sol.finishTime, (std::vector<TimeMs>{1.0, 3.0}));
+    EXPECT_EQ(sol.totalEnergy, 3.0);
+
+    // Free switches still bucket states by last config: the two tied
+    // assignments end in different buckets, and the final pick keeps
+    // the first in bucket order (slow-then-fast ends in bucket 0).
+    problem.switchCost = {{0.0, 0.0}, {0.0, 0.0}};
+    sol = ParetoDpSolver().solve(problem);
+    ASSERT_TRUE(sol.feasible);
+    EXPECT_EQ(sol.configOf, (std::vector<int>{1, 0}));
+    EXPECT_EQ(sol.finishTime, (std::vector<TimeMs>{2.0, 3.0}));
+    EXPECT_EQ(sol.totalEnergy, 3.0);
+}
+
+// ------------------- real-size exactness gate (C = 17) ------------------
+
+/**
+ * Test-only reference: the same DP without bounds, merge or cap. Each
+ * bucket's candidates are sorted by the total order (finish, cost,
+ * source state, config) and a candidate survives when its cost beats
+ * the last survivor's by more than 1e-12; the final pick is the first
+ * strict (tardiness, energy) improvement in bucket order.
+ */
+ScheduleSolution
+referenceSolve(const ScheduleProblem &problem)
+{
+    struct State
+    {
+        double finish;
+        double tardiness;
+        double energy;
+        int parent;
+        int config;
+        double cost() const { return tardiness * 1e12 + energy; }
+    };
+    const int n = static_cast<int>(problem.events.size());
+    const int c = problem.numConfigs();
+    const bool use_switch = !problem.switchCost.empty();
+    const int buckets = use_switch ? c : 1;
+
+    std::vector<std::vector<State>> stages;
+    std::vector<State> frontier{
+        {0.0, 0.0, 0.0, -1, problem.initialConfig}};
+    for (int i = 0; i < n; ++i) {
+        const ScheduleEvent &ev = problem.events[static_cast<size_t>(i)];
+        std::vector<State> next;
+        for (int b = 0; b < buckets; ++b) {
+            std::vector<State> cand;
+            for (size_t p = 0; p < frontier.size(); ++p) {
+                const State &from = frontier[p];
+                for (int j = 0; j < c; ++j) {
+                    if (use_switch && j != b)
+                        continue;
+                    const size_t sj = static_cast<size_t>(j);
+                    const double finish = from.finish +
+                        (ev.latency[sj] + (use_switch
+                            ? problem.switchCost
+                                  [static_cast<size_t>(from.config)][sj]
+                            : 0.0));
+                    cand.push_back(
+                        {finish,
+                         from.tardiness +
+                             std::max(0.0, finish - ev.deadline),
+                         from.energy + ev.energy[sj],
+                         static_cast<int>(p), j});
+                }
+            }
+            std::sort(cand.begin(), cand.end(),
+                      [](const State &x, const State &y) {
+                          if (x.finish != y.finish)
+                              return x.finish < y.finish;
+                          if (x.cost() != y.cost())
+                              return x.cost() < y.cost();
+                          if (x.parent != y.parent)
+                              return x.parent < y.parent;
+                          return x.config < y.config;
+                      });
+            double min_cost = std::numeric_limits<double>::infinity();
+            for (const State &st : cand) {
+                if (st.cost() < min_cost - 1e-12) {
+                    next.push_back(st);
+                    min_cost = st.cost();
+                }
+            }
+        }
+        stages.push_back(next);
+        frontier = std::move(next);
+    }
+
+    const std::vector<State> &finals = stages.back();
+    size_t best = 0;
+    for (size_t k = 1; k < finals.size(); ++k) {
+        const State &a = finals[k];
+        const State &b = finals[best];
+        if (a.tardiness < b.tardiness - 1e-12 ||
+            (std::abs(a.tardiness - b.tardiness) <= 1e-12 &&
+             a.energy < b.energy - 1e-12)) {
+            best = k;
+        }
+    }
+    ScheduleSolution solution;
+    solution.configOf.assign(static_cast<size_t>(n), 0);
+    solution.finishTime.assign(static_cast<size_t>(n), 0.0);
+    int idx = static_cast<int>(best);
+    for (int i = n - 1; i >= 0; --i) {
+        const State &st =
+            stages[static_cast<size_t>(i)][static_cast<size_t>(idx)];
+        solution.configOf[static_cast<size_t>(i)] = st.config;
+        solution.finishTime[static_cast<size_t>(i)] = st.finish;
+        idx = st.parent;
+    }
+    solution.totalEnergy = finals[best].energy;
+    solution.totalTardiness = finals[best].tardiness;
+    solution.feasible = finals[best].tardiness <= 1e-9;
+    return solution;
+}
+
+/** Exynos 5410 models: 17 configurations with their switch costs. */
+class ExynosSolverFixture : public ::testing::Test
+{
+  protected:
+    ExynosSolverFixture()
+    {
+        const int c = soc.numConfigs();
+        switchCost.assign(static_cast<size_t>(c),
+                          std::vector<TimeMs>(static_cast<size_t>(c)));
+        for (int a = 0; a < c; ++a) {
+            for (int b = 0; b < c; ++b) {
+                switchCost[static_cast<size_t>(a)][static_cast<size_t>(b)] =
+                    soc.switchCost(soc.configAt(a), soc.configAt(b));
+            }
+        }
+    }
+
+    /**
+     * @p n events with random workloads through the platform's latency
+     * and power models, and deadlines from tight (often infeasible) to
+     * loose; with switch costs unless @p eqn5.
+     */
+    ScheduleProblem randomProblem(Rng &rng, int n, bool eqn5) const
+    {
+        ScheduleProblem problem;
+        if (!eqn5) {
+            problem.switchCost = switchCost;
+            problem.initialConfig = rng.uniformInt(0, soc.numConfigs() - 1);
+        }
+        TimeMs chain_min = 0.0;
+        for (int i = 0; i < n; ++i) {
+            const Workload work{rng.uniform(0.0, 20.0),
+                                rng.uniform(5.0, 400.0)};
+            ScheduleEvent ev;
+            TimeMs fastest = std::numeric_limits<TimeMs>::infinity();
+            for (int j = 0; j < soc.numConfigs(); ++j) {
+                const TimeMs latency = model.latencyAt(work, j);
+                ev.latency.push_back(latency);
+                ev.energy.push_back(
+                    energyOf(power.busyPowerAt(j), latency));
+                fastest = std::min(fastest, latency);
+            }
+            chain_min += fastest;
+            ev.deadline = chain_min * rng.uniform(0.9, 4.0);
+            problem.events.push_back(ev);
+        }
+        return problem;
+    }
+
+    AcmpPlatform soc = AcmpPlatform::exynos5410();
+    PowerModel power{soc};
+    DvfsLatencyModel model{soc};
+    std::vector<std::vector<TimeMs>> switchCost;
+};
+
+/** The solver and the reference agree to the bit; no thinning. */
+void
+expectSameAsReference(const ScheduleProblem &problem,
+                      const std::string &what)
+{
+    const ScheduleSolution sol = ParetoDpSolver().solve(problem);
+    const ScheduleSolution ref = referenceSolve(problem);
+    EXPECT_EQ(sol.thinnedPrunes, 0) << what;
+    EXPECT_EQ(sol.configOf, ref.configOf) << what;
+    EXPECT_EQ(sol.finishTime, ref.finishTime) << what;
+    EXPECT_EQ(sol.totalEnergy, ref.totalEnergy) << what;
+    EXPECT_EQ(sol.totalTardiness, ref.totalTardiness) << what;
+    EXPECT_EQ(sol.feasible, ref.feasible) << what;
+}
+
+TEST_F(ExynosSolverFixture, MatchesBruteForceOnSmallChains)
+{
+    Rng rng(2019);
+    for (int trial = 0; trial < 40; ++trial) {
+        const int n = 1 + trial % 4;
+        const ScheduleProblem problem =
+            randomProblem(rng, n, /*eqn5=*/trial % 5 == 4);
+        const int c = problem.numConfigs();
+
+        // Lexicographic (tardiness, energy) optimum over all c^n
+        // assignments.
+        double best_tardiness = std::numeric_limits<double>::infinity();
+        double best_energy = std::numeric_limits<double>::infinity();
+        std::vector<int> assign(static_cast<size_t>(n), 0);
+        for (;;) {
+            double t = 0.0;
+            double tardiness = 0.0;
+            double energy = 0.0;
+            int last = problem.initialConfig;
+            for (int i = 0; i < n; ++i) {
+                const ScheduleEvent &ev =
+                    problem.events[static_cast<size_t>(i)];
+                const int j = assign[static_cast<size_t>(i)];
+                t += ev.latency[static_cast<size_t>(j)];
+                if (!problem.switchCost.empty()) {
+                    t += problem.switchCost[static_cast<size_t>(last)]
+                                           [static_cast<size_t>(j)];
+                }
+                tardiness += std::max(0.0, t - ev.deadline);
+                energy += ev.energy[static_cast<size_t>(j)];
+                last = j;
+            }
+            if (tardiness < best_tardiness - 1e-9 ||
+                (tardiness <= best_tardiness + 1e-9 &&
+                 energy < best_energy)) {
+                best_tardiness = tardiness;
+                best_energy = energy;
+            }
+            int k = 0;
+            while (k < n && ++assign[static_cast<size_t>(k)] == c)
+                assign[static_cast<size_t>(k++)] = 0;
+            if (k == n)
+                break;
+        }
+
+        const ScheduleSolution sol = ParetoDpSolver().solve(problem);
+        EXPECT_EQ(sol.thinnedPrunes, 0) << "trial " << trial;
+        EXPECT_NEAR(sol.totalTardiness, best_tardiness, 1e-9)
+            << "trial " << trial;
+        EXPECT_NEAR(sol.totalEnergy, best_energy, 1e-9)
+            << "trial " << trial;
+    }
+}
+
+TEST_F(ExynosSolverFixture, MatchesReferenceDpOnRandomChains)
+{
+    Rng rng(1911);
+    for (int trial = 0; trial < 60; ++trial) {
+        const int n = 1 + trial % 8;
+        expectSameAsReference(
+            randomProblem(rng, n, /*eqn5=*/trial % 5 == 4),
+            "trial " + std::to_string(trial));
+    }
+}
+
+TEST_F(ExynosSolverFixture, MatchesReferenceDpOnPesWindows)
+{
+    // Sliding PES plan windows over fixed-seed traces of three apps: the
+    // head has arrived, the rest are predicted, loads with an expected
+    // arrival and others chained (the default deadline model).
+    const VsyncClock vsync;
+    const GlobalOptimizer optimizer(model, power, vsync);
+    TraceGenerator generator(soc);
+    int windows = 0;
+    for (const char *app : {"cnn", "social_feed", "youtube"}) {
+        const InteractionTrace trace = generator.generate(
+            appByName(app), TraceGenerator::kEvaluationSeedBase);
+        const std::vector<TraceEvent> &events = trace.events;
+        const int n = static_cast<int>(events.size());
+        for (int first = 0; first + 2 <= n; ++first) {
+            const int last = std::min(n, first + 2 + first % 9);
+            std::vector<PlanEventSpec> specs;
+            for (int j = first; j < last; ++j) {
+                const TraceEvent &ev = events[static_cast<size_t>(j)];
+                PlanEventSpec spec;
+                spec.work = ev.totalWork();
+                spec.qosTarget = ev.qosTarget();
+                if (j == first)
+                    spec.arrival = ev.arrival;
+                else if (interactionOf(ev.type) == Interaction::Load)
+                    spec.expectedArrival = ev.arrival;
+                specs.push_back(spec);
+            }
+            const AcmpConfig start =
+                soc.configAt(first % soc.numConfigs());
+            expectSameAsReference(
+                optimizer.buildProblem(
+                    events[static_cast<size_t>(first)].arrival, start,
+                    specs),
+                std::string(app) + " window at " + std::to_string(first));
+            ++windows;
+        }
+    }
+    EXPECT_GT(windows, 50);
+}
+
+TEST_F(ExynosSolverFixture, WholeTraceChainCountsItsThinning)
+{
+    // The chain OracleScheduler solves for one long session outgrows the
+    // frontier cap even with the bounds: the plan is complete, and the
+    // thinning that makes it approximate is counted.
+    const VsyncClock vsync;
+    const GlobalOptimizer optimizer(model, power, vsync);
+    TraceGenerator generator(soc);
+    const InteractionTrace trace = generator.generate(
+        appByName("youtube"), TraceGenerator::kEvaluationSeedBase + 1);
+    std::vector<PlanEventSpec> specs;
+    for (const TraceEvent &ev : trace.events) {
+        PlanEventSpec spec;
+        spec.work = ev.totalWork();
+        spec.qosTarget = ev.qosTarget();
+        spec.arrival = ev.arrival;
+        specs.push_back(spec);
+    }
+    const ScheduleSolution sol = optimizer.planSchedule(
+        2.0, soc.minConfig(), specs);
+    EXPECT_EQ(sol.configOf.size(), specs.size());
+    EXPECT_TRUE(sol.feasible);
+    EXPECT_GT(sol.thinnedPrunes, 0);
 }
 
 // ---------------------- DP == ILP equivalence (property) ----------------
