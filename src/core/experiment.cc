@@ -106,16 +106,6 @@ Experiment::runFleetSweep(const std::vector<AppProfile> &profiles,
 }
 
 void
-Experiment::runSweep(const std::vector<AppProfile> &profiles,
-                     const std::vector<SchedulerKind> &kinds,
-                     ResultSet &out)
-{
-    FleetOutcome outcome = runFleetSweep(profiles, kinds);
-    for (SimResult &result : outcome.results.takeAll())
-        out.add(std::move(result));
-}
-
-void
 Experiment::runAppUnder(const AppProfile &profile, SchedulerDriver &driver,
                         ResultSet &out)
 {

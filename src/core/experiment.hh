@@ -69,26 +69,17 @@ class Experiment
     /**
      * The full evaluation sweep: for every profile, kEvalTracesPerApp
      * fresh-user traces, each replayed under every scheduler in
-     * @p kinds. Results accumulate into @p out.
-     *
-     * Executes on the fleet runner (warm per-cell drivers, evaluation
-     * user population) with sweepThreads() workers; results are
-     * identical to the historical serial implementation for any thread
-     * count.
-     */
-    void runSweep(const std::vector<AppProfile> &profiles,
-                  const std::vector<SchedulerKind> &kinds, ResultSet &out);
-
-    /**
-     * The evaluation sweep as a fleet run, returning the aggregated
-     * per-cell metrics next to the raw results. Metrics-only callers
-     * pass collect_results = false to skip retaining per-event records.
+     * @p kinds, as a fleet run (warm per-cell drivers, evaluation user
+     * population, sweepThreads() workers; identical results for any
+     * thread count). Returns the aggregated per-cell metrics next to
+     * the raw results; metrics-only callers pass collect_results =
+     * false to skip retaining per-event records.
      */
     FleetOutcome runFleetSweep(const std::vector<AppProfile> &profiles,
                                const std::vector<SchedulerKind> &kinds,
                                bool collect_results = true);
 
-    /** Worker threads used by runSweep/runFleetSweep. */
+    /** Worker threads used by runFleetSweep. */
     int sweepThreads() const { return sweepThreads_; }
 
     /** Override the sweep worker count (>= 1). */

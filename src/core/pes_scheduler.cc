@@ -124,7 +124,7 @@ void
 PesScheduler::onArrival(SimulatorApi &api, int trace_index)
 {
     const TraceEvent &ev = api.arrivedEvent(trace_index);
-    window_.observe(ev.type, ev.x, ev.y, ev.node);
+    window_.observe(ev.type, ev.x, ev.y);
 
     // Update the inter-arrival model (gap keyed by the interaction that
     // preceded it, mirroring think-time structure).

@@ -16,46 +16,6 @@ EventPredictor::EventPredictor(const LogisticModel &model, Config config)
 }
 
 std::optional<CandidateEvent>
-EventPredictor::pickTarget(const DomAnalyzer &analyzer,
-                           const DomOverlay &state,
-                           const FeatureWindow &window,
-                           const std::vector<CandidateEvent> &candidates,
-                           DomEventType type) const
-{
-    const Viewport viewport = analyzer.viewportFor(state);
-    const Rect view = viewport.rect();
-
-    double last_x = view.cx();
-    double last_y = view.cy();
-    window.lastTapPosition(last_x, last_y);
-
-    // Deterministic mirror of the user model's attention heuristic:
-    // visible area, proximity to the previous tap, open menus first.
-    std::optional<CandidateEvent> best;
-    double best_score = -1.0;
-    for (const CandidateEvent &cand : candidates) {
-        if (cand.type != type)
-            continue;
-        const Rect rect = analyzer.nodeRect(state, cand.node);
-        double score = std::sqrt(
-            std::max(1.0, rect.intersectionArea(view)));
-        const double dx = rect.cx() - last_x;
-        const double dy = rect.cy() - last_y;
-        const double dist = std::sqrt(dx * dx + dy * dy);
-        score *= 1.0 + 2.0 / (1.0 + dist / 200.0);
-        if (analyzer.nodeRole(state, cand.node) == NodeRole::MenuItem)
-            score *= 6.0;
-        if (cand.node == 0 && interactionOf(type) == Interaction::Load)
-            score *= 0.08;  // direct reloads are rare
-        if (best_score < score) {
-            best_score = score;
-            best = cand;
-        }
-    }
-    return best;
-}
-
-std::optional<CandidateEvent>
 EventPredictor::pickTarget(const DomAnalysis &analysis,
                            const FeatureWindow &window,
                            DomEventType type) const
@@ -66,6 +26,8 @@ EventPredictor::pickTarget(const DomAnalysis &analysis,
     double last_y = view.cy();
     window.lastTapPosition(last_x, last_y);
 
+    // Deterministic mirror of the user model's attention heuristic:
+    // visible area, proximity to the previous tap, open menus first.
     std::optional<CandidateEvent> best;
     double best_score = -1.0;
     for (const AnalyzedCandidate &cand : analysis.candidates) {
@@ -96,107 +58,21 @@ EventPredictor::predictFromAnalysis(const DomAnalysis &analysis,
                                     const DomOverlay &state,
                                     const FeatureWindow &window) const
 {
-    if (analysis.candidates.empty())
+    if (config_.useDomAnalysis && analysis.candidates.empty())
         return std::nullopt;
 
     const FeatureVector f = window.extract(analysis.stats);
     const auto probs = model_->probabilities(f);
 
-    std::array<bool, kNumDomEventTypes> possible{};
-    for (const AnalyzedCandidate &cand : analysis.candidates)
-        possible[static_cast<size_t>(cand.event.type)] = true;
-
-    int best_cls = -1;
-    double mass = 0.0;
-    for (int c = 0; c < kNumDomEventTypes; ++c) {
-        if (!possible[static_cast<size_t>(c)])
-            continue;
-        mass += probs[static_cast<size_t>(c)];
-        if (best_cls == -1 ||
-            probs[static_cast<size_t>(c)] >
-                probs[static_cast<size_t>(best_cls)]) {
-            best_cls = c;
-        }
-    }
-    if (best_cls == -1)
-        return std::nullopt;
-    const auto type = static_cast<DomEventType>(best_cls);
-
-    const auto target = pickTarget(analysis, window, type);
-    if (!target)
-        return std::nullopt;
-
-    PredictedEvent prediction;
-    prediction.type = type;
-    prediction.node = target->node;
-    prediction.pageId = state.pageId;
-    prediction.confidence = mass > 0.0
-        ? probs[static_cast<size_t>(best_cls)] / mass
-        : probs[static_cast<size_t>(best_cls)];
-    return prediction;
-}
-
-std::optional<PredictedEvent>
-EventPredictor::predictNext(const DomAnalyzer &analyzer,
-                            const DomOverlay &state,
-                            const FeatureWindow &window) const
-{
-    // Batched hot path: DOM analysis on and no hint table means one
-    // analyze() traversal supplies the LNES, the viewport features and
-    // every candidate's geometry. The hint path below keeps the lazy
-    // per-method calls — a hint hit returns before features are needed.
-    if (config_.useDomAnalysis && !config_.hints)
-        return predictFromAnalysis(analyzer.analyze(state), state,
-                                   window);
-
-    // Without DOM analysis (Sec. 6.5 ablation) the learner predicts over
-    // the full class space: nothing narrows the prediction to the events
-    // the application logic can actually trigger.
-    const auto candidates = config_.useDomAnalysis
-        ? analyzer.likelyNextEvents(state)
-        : analyzer.allPageEvents(state);
-    if (config_.useDomAnalysis && candidates.empty())
-        return std::nullopt;
-
-    // Developer hints take precedence over the statistical learner
-    // (Sec. 7 future work: language extensions guiding PES).
-    if (config_.hints) {
-        DomEventType last_type;
-        NodeId last_node;
-        if (window.lastEvent(last_type, last_node)) {
-            const auto hint = config_.hints->lookup(state.pageId,
-                                                    last_type, last_node);
-            if (hint) {
-                PredictedEvent prediction;
-                prediction.type = hint->next;
-                prediction.pageId = state.pageId;
-                prediction.confidence = hint->confidence;
-                if (hint->nextNode != kInvalidNode) {
-                    prediction.node = hint->nextNode;
-                    return prediction;
-                }
-                const auto target = pickTarget(analyzer, state, window,
-                                               candidates, hint->next);
-                if (target) {
-                    prediction.node = target->node;
-                    return prediction;
-                }
-                // No visible target for the hinted type: fall through to
-                // the learner.
-            }
-        }
-    }
-
-    const ViewportStats stats = analyzer.viewportStats(state);
-    const FeatureVector f = window.extract(stats);
-    const auto probs = model_->probabilities(f);
-
     // Mask the learner's classes with the candidate set (DOM analysis
-    // narrows the prediction space, Sec. 5.2).
+    // narrows the prediction space, Sec. 5.2). Without DOM analysis
+    // (Sec. 6.5 ablation) the learner predicts over the full class
+    // space: nothing narrows the prediction to the events the
+    // application logic can actually trigger.
     std::array<bool, kNumDomEventTypes> possible{};
     if (config_.useDomAnalysis) {
-        for (const CandidateEvent &cand : candidates)
-            possible[static_cast<size_t>(cand.type)] = true;
+        for (const AnalyzedCandidate &cand : analysis.candidates)
+            possible[static_cast<size_t>(cand.event.type)] = true;
     } else {
         possible.fill(true);
     }
@@ -217,8 +93,7 @@ EventPredictor::predictNext(const DomAnalyzer &analyzer,
         return std::nullopt;
     const auto type = static_cast<DomEventType>(best_cls);
 
-    const auto target = pickTarget(analyzer, state, window, candidates,
-                                   type);
+    const auto target = pickTarget(analysis, window, type);
     if (config_.useDomAnalysis && !target)
         return std::nullopt;
 
@@ -236,6 +111,29 @@ EventPredictor::predictNext(const DomAnalyzer &analyzer,
         ? probs[static_cast<size_t>(best_cls)] / mass
         : probs[static_cast<size_t>(best_cls)];
     return prediction;
+}
+
+std::optional<PredictedEvent>
+EventPredictor::predictNext(const DomAnalyzer &analyzer,
+                            const DomOverlay &state,
+                            const FeatureWindow &window) const
+{
+    // One analyze() traversal supplies the LNES, the viewport features
+    // and every candidate's geometry.
+    if (config_.useDomAnalysis)
+        return predictFromAnalysis(analyzer.analyze(state), state, window);
+
+    // The Sec. 6.5 ablation's learner chooses among every event
+    // registered anywhere on the page, visible or not.
+    DomAnalysis analysis;
+    analysis.viewport = analyzer.viewportFor(state);
+    analysis.stats = analyzer.viewportStats(state);
+    for (const CandidateEvent &event : analyzer.allPageEvents(state)) {
+        analysis.candidates.push_back(
+            {event, analyzer.nodeRect(state, event.node),
+             analyzer.nodeRole(state, event.node)});
+    }
+    return predictFromAnalysis(analysis, state, window);
 }
 
 std::vector<PredictedEvent>
@@ -261,7 +159,7 @@ EventPredictor::predictSequence(const DomAnalyzer &analyzer,
         // keeps predicting against the stale state, which is what costs
         // it accuracy at higher prediction degrees.
         const Rect rect = analyzer.nodeRect(state, next->node);
-        window.observe(next->type, rect.cx(), rect.cy(), next->node);
+        window.observe(next->type, rect.cx(), rect.cy());
         if (config_.useDomAnalysis)
             analyzer.applyHypothetical({next->type, next->node}, state);
     }

@@ -19,7 +19,6 @@
 
 #include <vector>
 
-#include "core/hints.hh"
 #include "ml/logistic.hh"
 #include "sim/sim_types.hh"
 #include "web/dom_analyzer.hh"
@@ -46,12 +45,6 @@ class EventPredictor
          * on the current page.
          */
         bool useDomAnalysis = true;
-        /**
-         * Optional developer hint table (paper Sec. 7 future work).
-         * Consulted before the statistical learner; not owned — must
-         * outlive the predictor.
-         */
-        const PredictionHintTable *hints = nullptr;
     };
 
     explicit EventPredictor(const LogisticModel &model);
@@ -85,27 +78,19 @@ class EventPredictor
 
   private:
     /**
-     * Choose the concrete target node for @p type among the candidates:
-     * largest visible area with a proximity boost toward the previous
-     * tap, menu items preferred (deterministic mirror of the user
-     * model's attention heuristic).
-     */
-    std::optional<CandidateEvent>
-    pickTarget(const DomAnalyzer &analyzer, const DomOverlay &state,
-               const FeatureWindow &window,
-               const std::vector<CandidateEvent> &candidates,
-               DomEventType type) const;
-
-    /**
-     * pickTarget over an analyze() result: identical scoring, but the
-     * per-candidate rect and role come precomputed from the single
-     * batched DOM pass instead of one analyzer call each.
+     * Choose the concrete target node for @p type among the analyzed
+     * candidates: largest visible area with a proximity boost toward
+     * the previous tap, menu items preferred (deterministic mirror of
+     * the user model's attention heuristic).
      */
     std::optional<CandidateEvent>
     pickTarget(const DomAnalysis &analysis, const FeatureWindow &window,
                DomEventType type) const;
 
-    /** predictNext body over a batched analyze() result. */
+    /**
+     * predictNext body over an analysis of the state: the LNES from
+     * analyze(), or every page event when DOM analysis is off.
+     */
     std::optional<PredictedEvent>
     predictFromAnalysis(const DomAnalysis &analysis,
                         const DomOverlay &state,

@@ -22,7 +22,7 @@ buildDataset(const WebApp &app, const InteractionTrace &trace)
         sample.label = ev.type;
         samples.push_back(sample);
 
-        window.observe(ev.type, ev.x, ev.y, ev.node);
+        window.observe(ev.type, ev.x, ev.y);
         session.commitEvent(ev.node, ev.type);
     }
     return samples;
@@ -70,7 +70,7 @@ evaluatePredictor(const LogisticModel &model, const WebApp &app,
             eval.calibration.add(prediction->confidence,
                                  prediction->type == ev.type);
         }
-        window.observe(ev.type, ev.x, ev.y, ev.node);
+        window.observe(ev.type, ev.x, ev.y);
         session.commitEvent(ev.node, ev.type);
     }
     return eval;

@@ -163,16 +163,6 @@ TraceCache::getOrLoad(const std::string &device, const std::string &app,
     }
 }
 
-TraceHandle
-TraceCache::getOrGenerate(const std::string &device,
-                          const AppProfile &profile, uint64_t user_seed,
-                          TraceGenerator &generator)
-{
-    return getOrLoad(device, profile.name, user_seed, [&] {
-        return generator.generate(profile, user_seed);
-    });
-}
-
 bool
 TraceCache::insert(const std::string &device, InteractionTrace trace)
 {

@@ -87,12 +87,6 @@ class TraceCache
                           const std::string &app, uint64_t user_seed,
                           const std::function<InteractionTrace()> &loader);
 
-    /** getOrLoad with synthesis through @p generator as the loader. */
-    TraceHandle getOrGenerate(const std::string &device,
-                              const AppProfile &profile,
-                              uint64_t user_seed,
-                              TraceGenerator &generator);
-
     /**
      * Insert a trace (e.g. preloaded from a corpus) unless the key is
      * already present — first insert wins, so handles given out earlier

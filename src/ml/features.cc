@@ -26,21 +26,11 @@ featureName(int index)
 }
 
 void
-FeatureWindow::observe(DomEventType type, double x, double y, NodeId node)
+FeatureWindow::observe(DomEventType type, double x, double y)
 {
-    window_.push_back({type, x, y, node});
+    window_.push_back({type, x, y});
     while (window_.size() > static_cast<size_t>(kWindowSize))
         window_.pop_front();
-}
-
-bool
-FeatureWindow::lastEvent(DomEventType &type, NodeId &node) const
-{
-    if (window_.empty())
-        return false;
-    type = window_.back().type;
-    node = window_.back().node;
-    return true;
 }
 
 void

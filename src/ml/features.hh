@@ -58,10 +58,8 @@ class FeatureWindow
     /** Window length (the paper uses the five most recent events). */
     static constexpr int kWindowSize = 5;
 
-    /** Record an executed event and the page position it occurred at.
-     *  @param node Target node when known (enables hint lookups). */
-    void observe(DomEventType type, double x, double y,
-                 NodeId node = kInvalidNode);
+    /** Record an executed event and the page position it occurred at. */
+    void observe(DomEventType type, double x, double y);
 
     /** Reset the window (e.g. at session start). */
     void clear();
@@ -81,16 +79,12 @@ class FeatureWindow
      */
     bool lastTapPosition(double &x, double &y) const;
 
-    /** Type and node of the most recent event (false when empty). */
-    bool lastEvent(DomEventType &type, NodeId &node) const;
-
   private:
     struct PastEvent
     {
         DomEventType type;
         double x;
         double y;
-        NodeId node;
     };
 
     std::deque<PastEvent> window_;

@@ -36,7 +36,6 @@ class LogisticModel;
 struct PopulationSpec;
 class ResultStore;
 class TelemetryRegistry;
-class TraceCache;
 class TraceEventSink;
 
 /** A contiguous range of jobs executed in order by one worker. */
@@ -74,8 +73,8 @@ enum class SeedMode
     Fleet = 0,
     /**
      * The paper's evaluation population (Sec. 6.1): user @c i maps to
-     * TraceGenerator::kEvaluationSeedBase + i, reproducing the classic
-     * Experiment::runSweep protocol exactly.
+     * TraceGenerator::kEvaluationSeedBase + i, reproducing the paper's
+     * evaluation protocol exactly (Experiment::runFleetSweep).
      */
     Evaluation,
 };
@@ -112,7 +111,7 @@ struct FleetConfig
      * Keep one driver per (device, app, scheduler) cell, replaying the
      * cell's sessions in user order on a single worker ("warmed device":
      * EBS/PES carry their Eqn.-1 measurement history across sessions,
-     * exactly like the classic Experiment::runSweep). When false every
+     * exactly like the paper's evaluation protocol). When false every
      * session gets a fresh driver — the independent-users fleet model —
      * and all sessions parallelize freely.
      */
@@ -141,16 +140,9 @@ struct FleetConfig
      * bound, giant fresh fleets fall back to bounded per-job synthesis
      * instead of accumulating millions of traces; 1 forces per-job
      * synthesis. Reports are bit-identical either way — synthesis is
-     * deterministic. Warm, corpus, and external-cache runs always
-     * share.
+     * deterministic. Warm and corpus runs always share.
      */
     long long maxSharedTraces = 32768;
-    /**
-     * Optional external trace cache (borrowed, not owned): lets several
-     * runs share one warm cache. When null and sharing is on, the
-     * runner builds a private cache per run() call.
-     */
-    TraceCache *traceCache = nullptr;
     /**
      * Optional recorded corpus (borrowed, not owned): traces replay
      * from disk instead of being synthesized. Every (device, app, user
@@ -160,14 +152,13 @@ struct FleetConfig
      */
     const CorpusStore *corpus = nullptr;
     /**
-     * Hard LRU bound on the trace cache the runner owns: at most this
+     * Hard LRU bound on the run's trace cache: at most this
      * many resident traces (0 = unbounded). Unlike maxSharedTraces —
      * which switches auto-sharing off entirely past the bound — a cap
      * keeps sharing on and evicts least-recently-replayed traces, so
      * giant fresh fleets get bounded memory AND cache hits. Eviction
      * never changes report bytes: an evicted trace re-materializes
-     * deterministically on the next miss. Ignored for caller-provided
-     * caches (the caller owns their policy).
+     * deterministically on the next miss.
      */
     size_t traceCacheCap = 0;
     /**
@@ -261,18 +252,19 @@ struct FleetConfig
         traceTransform;
     /**
      * Optional telemetry registry (borrowed, not owned). When armed,
-     * the runner records structured counters — sessions/events,
-     * per-job durations, cache/pool/checkpoint traffic — into
-     * per-worker shards merged canonically. Telemetry NEVER feeds back
+     * the runner records every figure of the run into it —
+     * sessions/events, per-job durations, cache/store/corpus/pool
+     * traffic, lock waits, peak RSS — through per-worker shards merged
+     * canonically; it is their only home. Telemetry NEVER feeds back
      * into simulation or reduction: reports stay byte-identical with
      * it on or off, at any thread count (locked by tests and CI).
      */
     TelemetryRegistry *telemetry = nullptr;
     /**
      * Optional Chrome trace-event sink (borrowed, not owned): the
-     * runner emits spans for its plan/execute/persist/reduce stages,
-     * per-job execute spans on per-worker lanes, and instant events
-     * for checkpoint flushes and trace-cache evictions. Same
+     * runner emits spans for its plan/setup/execute/persist/reduce
+     * stages, per-job execute spans on per-worker lanes, and instant
+     * events for checkpoint flushes and trace-cache evictions. Same
      * no-feedback contract as telemetry.
      */
     TraceEventSink *traceSink = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -27,6 +28,7 @@
 #include "sim/runtime_simulator.hh"
 #include "telemetry/trace_sink.hh"
 #include "trace/generator.hh"
+#include "util/contention.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -44,6 +46,14 @@ msSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/** A wall total in whole microseconds: the registry's counter unit for
+ *  times, so totals from many parts sum exactly. */
+uint64_t
+wholeUs(double ms)
+{
+    return ms > 0.0 ? static_cast<uint64_t>(std::llround(ms * 1000.0)) : 0;
 }
 
 /**
@@ -367,6 +377,9 @@ class Pipeline
   private:
     void makeTraceCache();
     void preloadCorpus();
+    /** Write the run's cache, store, corpus and lock-wait traffic into
+     *  the armed registry (its only home). */
+    void recordTraffic();
     void runRange(const JobRange &range, int worker);
     void runJob(const JobSpec &job, int worker, SchedulerDriver &driver);
     /** The job's trace, used both as the trace cache's loader and
@@ -430,8 +443,7 @@ class Pipeline
     std::vector<std::vector<std::unique_ptr<SchedulerDriver>>> drivers_;
 
     // ---- trace storage ----
-    std::unique_ptr<TraceCache> ownedCache_;
-    TraceCache *cache_ = nullptr;
+    std::unique_ptr<TraceCache> cache_;
     uint64_t tracesFromCorpus_ = 0;
     /** On-demand corpus loads by workers (capped-cache misses/reloads);
      *  folded into tracesFromCorpus so replay traffic is visible even
@@ -482,6 +494,8 @@ Pipeline::plan()
 void
 Pipeline::setup()
 {
+    TraceSpan setup_span(tsink_, 0, stageName("setup"), "stage");
+    const auto setup_start = std::chrono::steady_clock::now();
     store_ = config_.resultStore;
     if (store_) {
         fatal_if(store_->sweep() != SweepSpec::fromConfig(config_),
@@ -573,6 +587,8 @@ Pipeline::setup()
     }
     if (config_.progress)
         progress_.emplace(outcome_.plan.plannedJobs);
+    outcome_.setupMs = msSince(setup_start);
+    sampleRss();
 }
 
 void
@@ -580,13 +596,13 @@ Pipeline::makeTraceCache()
 {
     // Shared trace storage: each (device, app, user) trace materializes
     // once — synthesized on first use, or loaded from the corpus — and
-    // replays read-only across the scheduler axis. Warm sweeps, corpus
-    // replay, and caller-provided caches always share; the automatic
-    // case additionally requires the cache to pay (a lone scheduler
-    // never reuses a trace) and the resident set to stay bounded —
-    // either under the auto-share ceiling, or under an explicit LRU cap
-    // (traceCacheCap), which keeps sharing on for giant fleets while
-    // evicting least-recently-replayed traces.
+    // replays read-only across the scheduler axis. Warm sweeps and
+    // corpus replay always share; the automatic case additionally
+    // requires the cache to pay (a lone scheduler never reuses a trace)
+    // and the resident set to stay bounded — either under the auto-share
+    // ceiling, or under an explicit LRU cap (traceCacheCap), which keeps
+    // sharing on for giant fleets while evicting least-recently-replayed
+    // traces.
     const long long distinct_traces =
         static_cast<long long>(devices_.size()) *
         static_cast<long long>(config_.apps.size()) *
@@ -594,22 +610,15 @@ Pipeline::makeTraceCache()
     const bool auto_share = config_.schedulers.size() > 1 &&
         (config_.traceCacheCap > 0 || config_.maxSharedTraces <= 0 ||
          distinct_traces <= config_.maxSharedTraces);
-    if (!auto_share && !config_.warmDrivers && !config_.corpus &&
-        !config_.traceCache)
+    if (!auto_share && !config_.warmDrivers && !config_.corpus)
         return;
-    cache_ = config_.traceCache;
-    if (cache_)
-        return;
-    ownedCache_ = std::make_unique<TraceCache>();
-    ownedCache_->setCapacity(config_.traceCacheCap, 0);
+    cache_ = std::make_unique<TraceCache>();
+    cache_->setCapacity(config_.traceCacheCap, 0);
     if (tsink_) {
-        // Only the run-owned cache: a caller-provided cache outlives
-        // this run and keeps its own hook policy.
-        ownedCache_->setEvictionHook([tsink = tsink_, lane = storeLane_] {
+        cache_->setEvictionHook([tsink = tsink_, lane = storeLane_] {
             tsink->instant(lane, "cache evict", "cache");
         });
     }
-    cache_ = ownedCache_.get();
 }
 
 void
@@ -625,7 +634,7 @@ Pipeline::preloadCorpus()
     // poison the cache with untransformed traces, so sessions
     // load+derive on demand through the cache's deterministic loader.
     const CorpusStore &corpus = *config_.corpus;
-    const bool capped = (ownedCache_ && config_.traceCacheCap > 0) ||
+    const bool capped = config_.traceCacheCap > 0 ||
         static_cast<bool>(config_.traceTransform);
     std::set<std::tuple<std::string, std::string, uint64_t>> checked;
     for (const JobRange &range : outcome_.plan.ranges) {
@@ -634,9 +643,6 @@ Pipeline::preloadCorpus()
             const AppProfile &profile =
                 config_.apps[static_cast<size_t>(job.appIndex)];
             const std::string &device_name = deviceName(job);
-            // Every job's trace must exist in the corpus even when a
-            // caller-provided warm cache already holds the key — a
-            // stale cache must not mask a missing recording.
             const CorpusEntry *entry =
                 corpus.find(profile.name, device_name, job.userSeed);
             fatal_if(!entry,
@@ -678,7 +684,9 @@ Pipeline::execute()
         // determined (the main thread blocks in wait() while the lone
         // worker takes its ticks in job order).
         TraceSpan execute_span(tsink_, 0, stageName("execute"), "stage");
-        ThreadPool pool(config_.threads, telemetry_ != nullptr);
+        // Pool busy/idle is wall time: not measured under the logical
+        // clock, like every other wall-derived series.
+        ThreadPool pool(config_.threads, telemetry_ && !logical_);
 
         // Fresh fleets plan one singleton range per session; submitting
         // each as its own pool task costs a queue round-trip per
@@ -709,9 +717,18 @@ Pipeline::execute()
         pool.wait();
         for (const std::string &error : pool.errors())
             outcome_.diagnostics.push_back(error);
-        outcome_.poolStats = pool.stats();
+        if (telemetry_) {
+            const ThreadPoolStats stats = pool.stats();
+            telemetry_->count("pool.tasks", stats.tasks);
+            if (!logical_) {
+                telemetry_->count("pool.busy_us", wholeUs(stats.busyMs));
+                telemetry_->count("pool.idle_us", wholeUs(stats.idleMs));
+                telemetry_->gauge("pool.max_queue_depth",
+                                  static_cast<double>(stats.maxQueueDepth));
+            }
+        }
     }
-    outcome_.wallMs = msSince(start);
+    outcome_.executeMs = msSince(start);
     sampleRss();
     if (progress_)
         progress_->finish();
@@ -937,36 +954,43 @@ Pipeline::persist()
         outcome_.diagnostics.push_back(error);
     outcome_.persistedRecords = sink_.persisted;
     outcome_.checkpointFlushes = sink_.flushes;
-    outcome_.checkpointBytes = sink_.flushedBytes;
-
-    if (cache_) {
-        outcome_.traceCacheHits = cache_->hits();
-        outcome_.traceCacheMisses = cache_->misses();
-        outcome_.traceCacheEvictions = cache_->evictions();
-        outcome_.traceCacheDuplicateSynthesis = cache_->duplicateSynthesis();
-        outcome_.traceCacheContention = cache_->lockContention();
-    }
-    outcome_.persistContention = sink_.pushContention;
     outcome_.tracesFromCorpus = tracesFromCorpus_ + corpusLoads_.load();
+    if (telemetry_)
+        recordTraffic();
+}
 
-    // Fold run-level traffic into the registry's root shard so the
-    // snapshot in the telemetry artifact is self-contained.
-    if (telemetry_) {
-        telemetry_->count("cache.hits", outcome_.traceCacheHits);
-        telemetry_->count("cache.misses", outcome_.traceCacheMisses);
-        telemetry_->count("cache.evictions", outcome_.traceCacheEvictions);
-        telemetry_->count("cache.duplicate_synthesis",
-                          outcome_.traceCacheDuplicateSynthesis);
-        telemetry_->count("cache.lock_waits",
-                          outcome_.traceCacheContention.waits);
-        telemetry_->count("store.push_lock_waits",
-                          outcome_.persistContention.waits);
-        telemetry_->count("corpus.loads", outcome_.tracesFromCorpus);
-        telemetry_->count("store.checkpoint_flushes",
-                          outcome_.checkpointFlushes);
-        telemetry_->count("store.checkpoint_bytes",
-                          outcome_.checkpointBytes);
-        telemetry_->count("pool.tasks", outcome_.poolStats.tasks);
+void
+Pipeline::recordTraffic()
+{
+    // Run-level traffic lands in the registry's root shard, once. Counts
+    // first; then what depends on wall time or on how workers
+    // interleaved (lock waits, race-lost syntheses), which the logical
+    // clock leaves out.
+    TelemetryRegistry &registry = *telemetry_;
+    if (cache_) {
+        registry.count("cache.hits", cache_->hits());
+        registry.count("cache.misses", cache_->misses());
+        registry.count("cache.evictions", cache_->evictions());
+    }
+    if (config_.corpus)
+        registry.count("corpus.loads", outcome_.tracesFromCorpus);
+    if (store_) {
+        registry.count("store.checkpoint_flushes", sink_.flushes);
+        registry.count("store.checkpoint_bytes", sink_.flushedBytes);
+    }
+    if (logical_)
+        return;
+    if (cache_) {
+        const LockContention contention = cache_->lockContention();
+        registry.count("cache.duplicate_synthesis",
+                       cache_->duplicateSynthesis());
+        registry.count("cache.lock_waits", contention.waits);
+        registry.count("cache.lock_wait_us", wholeUs(contention.waitMs));
+    }
+    if (store_) {
+        registry.count("store.push_lock_waits", sink_.pushContention.waits);
+        registry.count("store.push_lock_wait_us",
+                       wholeUs(sink_.pushContention.waitMs));
     }
 }
 
@@ -995,7 +1019,7 @@ Pipeline::reduce()
         for (const auto &[job_index, session_stats] : reduceWindow_)
             foldJob(job_index, session_stats);
         reduceWindow_.clear();
-        if (telemetry_)
+        if (telemetry_ && !logical_)
             telemetry_->gauge("runner.reduce_window_peak",
                               static_cast<double>(reduceWindowPeak_));
     }
@@ -1030,62 +1054,44 @@ makeRunTelemetry(const FleetConfig &config, const FleetOutcome &outcome)
     t.logicalClock =
         config.traceSink && config.traceSink->logicalClock();
     t.threads = config.threads;
-    if (config.telemetry)
-        t.counters = config.telemetry->snapshot();
 
-    // Sessions/events prefer the registry's counters (they cover
-    // exactly what THIS run executed); an un-armed registry falls back
-    // to the outcome's plan and reduction totals.
-    t.sessions = t.counters.counter("sim.sessions");
+    // The header states the sessions and events THIS run executed, so
+    // the runner's sim.sessions/sim.events counters move out of the
+    // snapshot into it. An unarmed registry falls back to the outcome's
+    // plan and reduction totals.
+    TelemetrySnapshot snap;
+    if (config.telemetry)
+        snap = config.telemetry->snapshot();
+    const auto takeCounter = [&snap](const std::string &name) {
+        for (auto it = snap.counters.begin(); it != snap.counters.end();
+             ++it) {
+            if (it->first == name) {
+                const uint64_t value = it->second;
+                snap.counters.erase(it);
+                return value;
+            }
+        }
+        return uint64_t{0};
+    };
+    t.sessions = takeCounter("sim.sessions");
     if (t.sessions == 0)
         t.sessions = static_cast<uint64_t>(outcome.jobCount);
-    t.events = t.counters.counter("sim.events");
+    t.events = takeCounter("sim.events");
     if (t.events == 0)
         t.events = static_cast<uint64_t>(outcome.metrics.events());
+    t.setSnapshot(std::move(snap));
 
-    t.cacheHits = outcome.traceCacheHits;
-    t.cacheMisses = outcome.traceCacheMisses;
-    t.cacheEvictions = outcome.traceCacheEvictions;
-    t.cacheDuplicateSynthesis = outcome.traceCacheDuplicateSynthesis;
-    t.checkpointFlushes = outcome.checkpointFlushes;
-    t.checkpointBytes = outcome.checkpointBytes;
-    t.poolTasks = outcome.poolStats.tasks;
-
-    // Wall-derived and scheduling-dependent fields stay zero under the
-    // logical clock — that is what makes the artifact byte-reproducible
-    // (the RunTelemetry determinism contract).
+    // Wall-derived fields stay zero under the logical clock — that is
+    // what makes the artifact byte-reproducible (the RunTelemetry
+    // determinism contract).
     if (!t.logicalClock) {
-        t.peakRssKb = currentPeakRssKb();
         t.planMs = outcome.planMs;
-        t.executeMs = outcome.wallMs;
+        t.setupMs = outcome.setupMs;
+        t.executeMs = outcome.executeMs;
         t.persistMs = outcome.persistMs;
         t.reduceMs = outcome.reduceMs;
-        t.totalMs = outcome.planMs + outcome.wallMs +
+        t.totalMs = outcome.planMs + outcome.setupMs + outcome.executeMs +
             outcome.persistMs + outcome.reduceMs;
-        t.poolMaxQueueDepth = outcome.poolStats.maxQueueDepth;
-        t.poolBusyMs = outcome.poolStats.busyMs;
-        t.poolIdleMs = outcome.poolStats.idleMs;
-        // Scaling attribution is contention, i.e. scheduling: the whole
-        // section stays zero under the logical clock.
-        t.cacheLockWaits = outcome.traceCacheContention.waits;
-        t.cacheLockWaitMs = outcome.traceCacheContention.waitMs;
-        t.persistLockWaits = outcome.persistContention.waits;
-        t.persistLockWaitMs = outcome.persistContention.waitMs;
-        t.poolQueueTasks = outcome.poolStats.tasks;
-        t.poolQueueWaitMs = outcome.poolStats.queueWaitMs;
-        t.poolQueueWaitMeanMs = outcome.poolStats.tasks > 0
-            ? outcome.poolStats.queueWaitMs /
-                static_cast<double>(outcome.poolStats.tasks)
-            : 0.0;
-        t.workers.reserve(outcome.poolStats.workers.size());
-        for (const ThreadPoolWorkerStats &w : outcome.poolStats.workers) {
-            WorkerScaling ws;
-            ws.tasks = w.tasks;
-            ws.busyMs = w.busyMs;
-            ws.idleMs = w.idleMs;
-            ws.queueWaitMs = w.queueWaitMs;
-            t.workers.push_back(ws);
-        }
         t.recomputeRates();
     }
     return t;

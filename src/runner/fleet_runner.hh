@@ -2,24 +2,26 @@
  * @file
  * The fleet runner: staged batch execution of many simulated sessions.
  *
- * run() is an explicit four-stage pipeline, each stage a building block
- * that tools can reason about independently (a setup step between plan
- * and execute builds devices, the PES model and the trace cache):
+ * run() is an explicit five-stage pipeline, each stage a building block
+ * that tools can reason about independently:
  *
  *  1. plan    — enumerate the job cross-product, select this run's
  *               ranges (--shard k/N or coordinator leases), split them
  *               into execution units, and drop units already persisted
  *               in the result store (--resume).
- *  2. execute — run the planned ranges on a ThreadPool; workers reduce
+ *  2. setup   — build the device contexts, train (or borrow) the PES
+ *               event model, create the trace cache and preload the
+ *               corpus.
+ *  3. execute — run the planned ranges on a ThreadPool; workers reduce
  *               each session to SessionStats and hand it to the persist
  *               sink (with a store) or to an in-order streaming fold
  *               (without). Worker exceptions become run-level
  *               diagnostics, never process death.
- *  3. persist — checkpoint completed sessions into the attached
+ *  4. persist — checkpoint completed sessions into the attached
  *               ResultStore as .psum parts (every checkpointEvery
  *               sessions and at the end), so a killed sweep loses at
  *               most one checkpoint of work.
- *  4. reduce  — aggregate per-cell summaries. With a store attached the
+ *  5. reduce  — aggregate per-cell summaries. With a store attached the
  *               reduction reads back FROM the store, so whole, sharded,
  *               and killed-and-resumed runs all reduce through one path
  *               and their reports are byte-identical; without one, the
@@ -34,8 +36,9 @@
  *  - Sharding: fresh-driver fleets shard per job (maximum parallelism);
  *    warm-driver runs shard per (device, app, scheduler) cell so a
  *    driver's cross-session state (EBS/PES measurement history) replays
- *    sequentially, reproducing the classic Experiment::runSweep
- *    protocol. --shard k/N distributes the same units across machines.
+ *    sequentially, reproducing the paper's warmed-device evaluation
+ *    protocol (Experiment::runFleetSweep). --shard k/N distributes the
+ *    same units across machines.
  *  - Isolation: each worker keeps its own trace-generator caches;
  *    shared state (platform, power table, trained event model, the
  *    LRU-bounded trace cache) is immutable or internally synchronized.
@@ -49,10 +52,8 @@
 
 #include "runner/fleet_config.hh"
 #include "runner/metrics_aggregator.hh"
-#include "runner/thread_pool.hh"
 #include "sim/metrics.hh"
 #include "telemetry/run_telemetry.hh"
-#include "util/contention.hh"
 
 namespace pes {
 
@@ -71,7 +72,12 @@ struct FleetPlan
     int resumeSkipped = 0;
 };
 
-/** Everything a finished fleet run produced. */
+/**
+ * Everything a finished fleet run produced. Traffic figures (cache,
+ * store, corpus, pool, lock waits, memory) live in the armed
+ * TelemetryRegistry, not here; the outcome keeps what the tools print
+ * when telemetry is off.
+ */
 struct FleetOutcome
 {
     /** Per-cell aggregation — from the result store when one is
@@ -84,18 +90,13 @@ struct FleetOutcome
     int jobCount = 0;
     /** The plan this run executed. */
     FleetPlan plan;
-    /** Wall-clock of the parallel phase (ms). Never serialized. */
-    double wallMs = 0.0;
-    /** Per-stage wall-clock (ms); wallMs is the execute stage.
-     *  Telemetry only — never serialized into reports. */
+    /** Per-stage wall-clock (ms). Telemetry only — never serialized
+     *  into reports. */
     double planMs = 0.0;
+    double setupMs = 0.0;
+    double executeMs = 0.0;
     double persistMs = 0.0;
     double reduceMs = 0.0;
-    /** Worker-pool saturation of the execute stage (busy/idle wall
-     *  time only when telemetry was armed). */
-    ThreadPoolStats poolStats;
-    /** Bytes written by checkpoint flushes (telemetry only). */
-    uint64_t checkpointBytes = 0;
     /**
      * Run-level problems: worker exceptions, persistence failures,
      * store anomalies found at reduction. Empty on a clean run — tools
@@ -107,18 +108,6 @@ struct FleetOutcome
     uint64_t persistedRecords = 0;
     /** Checkpoint flushes performed (parts written). */
     uint64_t checkpointFlushes = 0;
-    /** Trace-cache traffic of the run (0/0 when sharing was off).
-     *  Diagnostics only — never serialized into reports. */
-    uint64_t traceCacheHits = 0;
-    uint64_t traceCacheMisses = 0;
-    uint64_t traceCacheEvictions = 0;
-    /** Materializations discarded to the first-insert-wins race (the
-     *  "97th miss": wasted synthesis that only exists under contention). */
-    uint64_t traceCacheDuplicateSynthesis = 0;
-    /** Contended acquisitions of the TraceCache mutex. */
-    LockContention traceCacheContention;
-    /** Contended acquisitions of the PersistSink push lock. */
-    LockContention persistContention;
     /** Corpus loads performed (preload, plus on-demand reloads when
      *  the trace cache is capped). Corpus replay only. */
     uint64_t tracesFromCorpus = 0;
@@ -146,7 +135,8 @@ class FleetRunner
     FleetPlan plan() const;
 
     /**
-     * Run the full pipeline (plan -> execute -> persist -> reduce).
+     * Run the full pipeline (plan -> setup -> execute -> persist ->
+     * reduce).
      * Trains the PES event model per device first when needed (or
      * borrows config.pretrainedModel). Reentrant: each call re-plans
      * and re-executes.
@@ -160,9 +150,10 @@ class FleetRunner
 
 /**
  * Build the RunTelemetry summary of one finished run (tool = "run"):
- * counters snapshot from the armed registry, stage times and traffic
- * from the outcome. Under a logical-clock trace sink all wall-derived
- * fields are zeroed (see telemetry/run_telemetry.hh).
+ * the armed registry's snapshot, with the run's sessions and events
+ * lifted into the header, plus the outcome's stage times. Under a
+ * logical-clock trace sink the stage times and rates stay zero (see
+ * telemetry/run_telemetry.hh).
  */
 RunTelemetry makeRunTelemetry(const FleetConfig &config,
                               const FleetOutcome &outcome);

@@ -42,34 +42,6 @@ MetricsAggregator::addEventLatencySketch(const std::string &device,
     cells_[CellKey{device, app, scheduler}].eventLatency.merge(sketch);
 }
 
-void
-MetricsAggregator::merge(const MetricsAggregator &other)
-{
-    for (const auto &[key, src] : other.cells_) {
-        CellAccum &dst = cells_[key];
-        dst.sessions += src.sessions;
-        dst.events += src.events;
-        dst.violations += src.violations;
-        dst.energy.merge(src.energy);
-        dst.busyEnergy.merge(src.busyEnergy);
-        dst.idleEnergy.merge(src.idleEnergy);
-        dst.overheadEnergy.merge(src.overheadEnergy);
-        dst.wasteEnergy.merge(src.wasteEnergy);
-        dst.duration.merge(src.duration);
-        dst.queueLength.merge(src.queueLength);
-        dst.maxLatencyMs = std::max(dst.maxLatencyMs, src.maxLatencyMs);
-        dst.latencyEventSum += src.latencyEventSum;
-        dst.sessionMeanLatency.merge(src.sessionMeanLatency);
-        dst.sessionP95Latency.merge(src.sessionP95Latency);
-        dst.eventLatency.merge(src.eventLatency);
-        dst.predictionsMade += src.predictionsMade;
-        dst.predictionsCorrect += src.predictionsCorrect;
-        dst.mispredictions += src.mispredictions;
-        dst.mispredictWasteMs += src.mispredictWasteMs;
-        dst.fallbacks += src.fallbacks;
-    }
-}
-
 int
 MetricsAggregator::sessions() const
 {

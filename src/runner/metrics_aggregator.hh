@@ -102,9 +102,6 @@ class MetricsAggregator
                                const std::string &scheduler,
                                const PercentileSketch &sketch);
 
-    /** Fold another aggregator's cells into this one. */
-    void merge(const MetricsAggregator &other);
-
     /** Total sessions across all cells. */
     int sessions() const;
 

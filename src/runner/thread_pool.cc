@@ -10,8 +10,6 @@ ThreadPool::ThreadPool(int threads, bool instrument)
     : instrument_(instrument)
 {
     const int count = std::max(1, threads);
-    if (instrument_)
-        stats_.workers.resize(static_cast<size_t>(count));
     workers_.reserve(static_cast<size_t>(count));
     for (int i = 0; i < count; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
@@ -31,13 +29,9 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(Task task)
 {
-    Queued queued;
-    queued.fn = std::move(task);
-    if (instrument_)
-        queued.enqueued = std::chrono::steady_clock::now();
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(queued));
+        queue_.push_back(std::move(task));
         stats_.maxQueueDepth =
             std::max(stats_.maxQueueDepth,
                      static_cast<uint64_t>(queue_.size()));
@@ -75,11 +69,9 @@ ThreadPool::workerLoop(int worker)
                                                          since)
             .count();
     };
-    const size_t self = static_cast<size_t>(worker);
     for (;;) {
         Task task;
         double idle_ms = 0.0;
-        double queue_wait_ms = 0.0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             if (instrument_ && (stopping_ || !queue_.empty())) {
@@ -98,13 +90,9 @@ ThreadPool::workerLoop(int worker)
             if (queue_.empty()) {
                 // stopping_ set and nothing left to do.
                 stats_.idleMs += idle_ms;
-                if (instrument_)
-                    stats_.workers[self].idleMs += idle_ms;
                 return;
             }
-            if (instrument_)
-                queue_wait_ms = elapsedMs(queue_.front().enqueued);
-            task = std::move(queue_.front().fn);
+            task = std::move(queue_.front());
             queue_.pop_front();
             ++inFlight_;
         }
@@ -130,29 +118,11 @@ ThreadPool::workerLoop(int worker)
             ++stats_.tasks;
             stats_.busyMs += busy_ms;
             stats_.idleMs += idle_ms;
-            stats_.queueWaitMs += queue_wait_ms;
-            if (instrument_) {
-                ThreadPoolWorkerStats &w = stats_.workers[self];
-                ++w.tasks;
-                w.busyMs += busy_ms;
-                w.idleMs += idle_ms;
-                w.queueWaitMs += queue_wait_ms;
-            }
             --inFlight_;
             if (queue_.empty() && inFlight_ == 0)
                 drained_.notify_all();
         }
     }
-}
-
-void
-parallelFor(int n, int threads,
-            const std::function<void(int index, int worker)> &fn)
-{
-    ThreadPool pool(threads);
-    for (int i = 0; i < n; ++i)
-        pool.submit([i, &fn](int worker) { fn(i, worker); });
-    pool.wait();
 }
 
 } // namespace pes

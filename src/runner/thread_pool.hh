@@ -19,11 +19,12 @@
 #ifndef PES_RUNNER_THREAD_POOL_HH
 #define PES_RUNNER_THREAD_POOL_HH
 
-#include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,21 +36,6 @@ namespace pes {
  * lock); busy/idle wall times only when the pool is instrumented —
  * they cost two clock reads per task and one per wait.
  */
-/**
- * One worker's share of the pool's lifetime (scaling attribution).
- * Only populated when the pool is instrumented; queueWaitMs is the
- * summed time the tasks THIS worker executed sat in the queue before
- * being picked up — high values with low busyMs point at dispatch
- * contention rather than slow tasks.
- */
-struct ThreadPoolWorkerStats
-{
-    uint64_t tasks = 0;
-    double busyMs = 0.0;
-    double idleMs = 0.0;
-    double queueWaitMs = 0.0;
-};
-
 struct ThreadPoolStats
 {
     /** Tasks executed (including ones that threw). */
@@ -60,10 +46,6 @@ struct ThreadPoolStats
     double busyMs = 0.0;
     /** Summed wall time workers spent waiting for work (ms). */
     double idleMs = 0.0;
-    /** Summed time tasks sat queued before a worker picked them up (ms). */
-    double queueWaitMs = 0.0;
-    /** Per-worker breakdown (index = worker id; instrumented pools only). */
-    std::vector<ThreadPoolWorkerStats> workers;
 };
 
 /**
@@ -113,15 +95,8 @@ class ThreadPool
   private:
     void workerLoop(int worker);
 
-    /** Queued task plus its enqueue stamp (only read when instrumented). */
-    struct Queued
-    {
-        Task fn;
-        std::chrono::steady_clock::time_point enqueued;
-    };
-
     std::vector<std::thread> workers_;
-    std::deque<Queued> queue_;
+    std::deque<Task> queue_;
     mutable std::mutex mutex_;
     std::condition_variable wake_;
     std::condition_variable drained_;
@@ -131,13 +106,6 @@ class ThreadPool
     bool instrument_ = false;
     ThreadPoolStats stats_;
 };
-
-/**
- * Run fn(i, worker) for every i in [0, n) on a temporary pool of
- * @p threads workers and block until done.
- */
-void parallelFor(int n, int threads,
-                 const std::function<void(int index, int worker)> &fn);
 
 } // namespace pes
 

@@ -21,11 +21,6 @@ ScenarioPlan::expand(const FleetConfig &base) const
         cell.config.scenario = cell.scenario;
         cell.config.resultStore = nullptr;
         cell.config.resume = false;
-        // A shared external cache is keyed on (device, app, userSeed)
-        // with no severity component, and hits bypass the loader where
-        // the transform runs — one cell's stressed traces would replay
-        // verbatim in every other cell. Each cell builds its own cache.
-        cell.config.traceCache = nullptr;
         // The transform captures the family BY VALUE: a cell config
         // must stay runnable after the plan goes out of scope. It is a
         // pure function of the input trace, so cache re-materialization

@@ -134,33 +134,32 @@ perfDigest(const std::string &text)
 std::vector<std::pair<std::string, double>>
 perfPointMetrics(const RunTelemetry &t)
 {
-    // Prefer the pool's own aggregate (present since telemetry v3);
-    // fall back to summing the per-worker rows for older documents.
-    double queue_wait_ms = t.poolQueueWaitMs;
-    if (queue_wait_ms == 0.0)
-        for (const WorkerScaling &w : t.workers)
-            queue_wait_ms += w.queueWaitMs;
+    // Series outside the header and the typed view read straight from
+    // the snapshot.
+    const auto ms = [&t](const char *us_counter) {
+        return static_cast<double>(t.snapshot.counter(us_counter)) / 1000.0;
+    };
     return {
         {"sessions_per_sec", t.sessionsPerSec},
         {"events_per_sec", t.eventsPerSec},
         {"plan_ms", t.planMs},
+        {"setup_ms", t.setupMs},
         {"execute_ms", t.executeMs},
         {"persist_ms", t.persistMs},
         {"reduce_ms", t.reduceMs},
         {"total_ms", t.totalMs},
         {"cache_hits", static_cast<double>(t.cacheHits)},
         {"cache_misses", static_cast<double>(t.cacheMisses)},
-        {"cache_evictions", static_cast<double>(t.cacheEvictions)},
+        {"cache_evictions",
+         static_cast<double>(t.snapshot.counter("cache.evictions"))},
         {"duplicate_synthesis",
          static_cast<double>(t.cacheDuplicateSynthesis)},
         {"cache_lock_waits", static_cast<double>(t.cacheLockWaits)},
-        {"cache_lock_wait_ms", t.cacheLockWaitMs},
+        {"cache_lock_wait_ms", ms("cache.lock_wait_us")},
         {"persist_lock_waits", static_cast<double>(t.persistLockWaits)},
-        {"persist_lock_wait_ms", t.persistLockWaitMs},
+        {"persist_lock_wait_ms", ms("store.push_lock_wait_us")},
         {"pool_busy_ms", t.poolBusyMs},
         {"pool_idle_ms", t.poolIdleMs},
-        {"pool_queue_wait_ms", queue_wait_ms},
-        {"pool_queue_wait_mean_ms", t.poolQueueWaitMeanMs},
     };
 }
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "util/json.hh"
 
@@ -48,6 +49,24 @@ fieldStr(const JsonValue &obj, const char *key)
 } // namespace
 
 void
+RunTelemetry::setSnapshot(TelemetrySnapshot snap)
+{
+    snapshot = std::move(snap);
+    const auto ms = [this](const char *us_counter) {
+        return static_cast<double>(snapshot.counter(us_counter)) / 1000.0;
+    };
+    poolBusyMs = ms("pool.busy_us");
+    poolIdleMs = ms("pool.idle_us");
+    cacheHits = snapshot.counter("cache.hits");
+    cacheMisses = snapshot.counter("cache.misses");
+    cacheDuplicateSynthesis = snapshot.counter("cache.duplicate_synthesis");
+    cacheLockWaits = snapshot.counter("cache.lock_waits");
+    persistLockWaits = snapshot.counter("store.push_lock_waits");
+    checkpointFlushes = snapshot.counter("store.checkpoint_flushes");
+    checkpointBytes = snapshot.counter("store.checkpoint_bytes");
+}
+
+void
 RunTelemetry::recomputeRates()
 {
     const double secs = executeMs / 1000.0;
@@ -71,64 +90,34 @@ writeRunTelemetryJson(const RunTelemetry &t, std::ostream &os)
        << ",\n"
        << "  \"events_per_sec\": " << jsonNum(t.eventsPerSec) << ",\n"
        << "  \"stage_ms\": {\"plan\": " << jsonNum(t.planMs)
+       << ", \"setup\": " << jsonNum(t.setupMs)
        << ", \"execute\": " << jsonNum(t.executeMs)
        << ", \"persist\": " << jsonNum(t.persistMs)
        << ", \"reduce\": " << jsonNum(t.reduceMs)
-       << ", \"total\": " << jsonNum(t.totalMs) << "},\n"
-       << "  \"trace_cache\": {\"hits\": " << t.cacheHits
-       << ", \"misses\": " << t.cacheMisses
-       << ", \"evictions\": " << t.cacheEvictions
-       << ", \"duplicate_synthesis\": " << t.cacheDuplicateSynthesis
-       << "},\n"
-       << "  \"checkpoint\": {\"flushes\": " << t.checkpointFlushes
-       << ", \"bytes\": " << t.checkpointBytes << "},\n"
-       << "  \"mem\": {\"peak_rss_kb\": " << t.peakRssKb << "},\n"
-       << "  \"thread_pool\": {\"tasks\": " << t.poolTasks
-       << ", \"max_queue_depth\": " << t.poolMaxQueueDepth
-       << ", \"busy_ms\": " << jsonNum(t.poolBusyMs)
-       << ", \"idle_ms\": " << jsonNum(t.poolIdleMs) << "},\n";
-
-    os << "  \"scaling\": {\"parallel_efficiency\": "
-       << jsonNum(t.parallelEfficiency)
-       << ", \"cache_lock_waits\": " << t.cacheLockWaits
-       << ", \"cache_lock_wait_ms\": " << jsonNum(t.cacheLockWaitMs)
-       << ", \"persist_lock_waits\": " << t.persistLockWaits
-       << ", \"persist_lock_wait_ms\": " << jsonNum(t.persistLockWaitMs)
-       << ", \"queue_tasks\": " << t.poolQueueTasks
-       << ", \"queue_wait_ms\": " << jsonNum(t.poolQueueWaitMs)
-       << ", \"queue_wait_mean_ms\": " << jsonNum(t.poolQueueWaitMeanMs)
-       << ", \"workers\": [";
-    for (size_t i = 0; i < t.workers.size(); ++i) {
-        const WorkerScaling &w = t.workers[i];
-        os << (i ? ", " : "") << "{\"tasks\": " << w.tasks
-           << ", \"busy_ms\": " << jsonNum(w.busyMs)
-           << ", \"idle_ms\": " << jsonNum(w.idleMs)
-           << ", \"queue_wait_ms\": " << jsonNum(w.queueWaitMs) << "}";
-    }
-    os << "]},\n";
+       << ", \"total\": " << jsonNum(t.totalMs) << "},\n";
 
     os << "  \"counters\": [";
-    for (size_t i = 0; i < t.counters.counters.size(); ++i) {
+    for (size_t i = 0; i < t.snapshot.counters.size(); ++i) {
         os << (i ? "," : "") << "\n    {\"name\": \""
-           << jsonEscape(t.counters.counters[i].first)
-           << "\", \"value\": " << t.counters.counters[i].second << "}";
+           << jsonEscape(t.snapshot.counters[i].first)
+           << "\", \"value\": " << t.snapshot.counters[i].second << "}";
     }
-    os << (t.counters.counters.empty() ? "" : "\n  ") << "],\n";
+    os << (t.snapshot.counters.empty() ? "" : "\n  ") << "],\n";
 
     os << "  \"gauges\": [";
-    for (size_t i = 0; i < t.counters.gauges.size(); ++i) {
+    for (size_t i = 0; i < t.snapshot.gauges.size(); ++i) {
         os << (i ? "," : "") << "\n    {\"name\": \""
-           << jsonEscape(t.counters.gauges[i].first)
-           << "\", \"value\": " << jsonNum(t.counters.gauges[i].second)
+           << jsonEscape(t.snapshot.gauges[i].first)
+           << "\", \"value\": " << jsonNum(t.snapshot.gauges[i].second)
            << "}";
     }
-    os << (t.counters.gauges.empty() ? "" : "\n  ") << "],\n";
+    os << (t.snapshot.gauges.empty() ? "" : "\n  ") << "],\n";
 
     os << "  \"durations\": [";
-    for (size_t i = 0; i < t.counters.durations.size(); ++i) {
-        const DurationStats &d = t.counters.durations[i].second;
+    for (size_t i = 0; i < t.snapshot.durations.size(); ++i) {
+        const DurationStats &d = t.snapshot.durations[i].second;
         os << (i ? "," : "") << "\n    {\"name\": \""
-           << jsonEscape(t.counters.durations[i].first)
+           << jsonEscape(t.snapshot.durations[i].first)
            << "\", \"count\": " << d.count << ", \"sum_ms\": "
            << jsonNum(d.sumMs) << ", \"min_ms\": " << jsonNum(d.minMs)
            << ", \"max_ms\": " << jsonNum(d.maxMs) << ", \"buckets\": [";
@@ -137,7 +126,7 @@ writeRunTelemetryJson(const RunTelemetry &t, std::ostream &os)
             os << (b ? ", " : "") << d.buckets[b];
         os << "]}";
     }
-    os << (t.counters.durations.empty() ? "" : "\n  ") << "]\n"
+    os << (t.snapshot.durations.empty() ? "" : "\n  ") << "]\n"
        << "}\n";
 }
 
@@ -170,60 +159,23 @@ parseRunTelemetry(const std::string &text)
 
     if (const JsonValue *stage = doc->find("stage_ms")) {
         t.planMs = fieldNum(*stage, "plan");
+        t.setupMs = fieldNum(*stage, "setup");
         t.executeMs = fieldNum(*stage, "execute");
         t.persistMs = fieldNum(*stage, "persist");
         t.reduceMs = fieldNum(*stage, "reduce");
         t.totalMs = fieldNum(*stage, "total");
     }
-    if (const JsonValue *cache = doc->find("trace_cache")) {
-        t.cacheHits = fieldU64(*cache, "hits");
-        t.cacheMisses = fieldU64(*cache, "misses");
-        t.cacheEvictions = fieldU64(*cache, "evictions");
-        t.cacheDuplicateSynthesis =
-            fieldU64(*cache, "duplicate_synthesis");
-    }
-    if (const JsonValue *ckpt = doc->find("checkpoint")) {
-        t.checkpointFlushes = fieldU64(*ckpt, "flushes");
-        t.checkpointBytes = fieldU64(*ckpt, "bytes");
-    }
-    if (const JsonValue *mem = doc->find("mem"))
-        t.peakRssKb = fieldU64(*mem, "peak_rss_kb");
-    if (const JsonValue *pool = doc->find("thread_pool")) {
-        t.poolTasks = fieldU64(*pool, "tasks");
-        t.poolMaxQueueDepth = fieldU64(*pool, "max_queue_depth");
-        t.poolBusyMs = fieldNum(*pool, "busy_ms");
-        t.poolIdleMs = fieldNum(*pool, "idle_ms");
-    }
-    if (const JsonValue *scaling = doc->find("scaling")) {
-        t.parallelEfficiency = fieldNum(*scaling, "parallel_efficiency");
-        t.cacheLockWaits = fieldU64(*scaling, "cache_lock_waits");
-        t.cacheLockWaitMs = fieldNum(*scaling, "cache_lock_wait_ms");
-        t.persistLockWaits = fieldU64(*scaling, "persist_lock_waits");
-        t.persistLockWaitMs = fieldNum(*scaling, "persist_lock_wait_ms");
-        t.poolQueueTasks = fieldU64(*scaling, "queue_tasks");
-        t.poolQueueWaitMs = fieldNum(*scaling, "queue_wait_ms");
-        t.poolQueueWaitMeanMs = fieldNum(*scaling, "queue_wait_mean_ms");
-        if (const JsonValue *workers = scaling->find("workers")) {
-            for (const JsonValue &row : workers->arr) {
-                WorkerScaling w;
-                w.tasks = fieldU64(row, "tasks");
-                w.busyMs = fieldNum(row, "busy_ms");
-                w.idleMs = fieldNum(row, "idle_ms");
-                w.queueWaitMs = fieldNum(row, "queue_wait_ms");
-                t.workers.push_back(w);
-            }
-        }
-    }
 
+    TelemetrySnapshot snap;
     if (const JsonValue *counters = doc->find("counters")) {
         for (const JsonValue &row : counters->arr)
-            t.counters.counters.emplace_back(fieldStr(row, "name"),
-                                             fieldU64(row, "value"));
+            snap.counters.emplace_back(fieldStr(row, "name"),
+                                       fieldU64(row, "value"));
     }
     if (const JsonValue *gauges = doc->find("gauges")) {
         for (const JsonValue &row : gauges->arr)
-            t.counters.gauges.emplace_back(fieldStr(row, "name"),
-                                           fieldNum(row, "value"));
+            snap.gauges.emplace_back(fieldStr(row, "name"),
+                                     fieldNum(row, "value"));
     }
     if (const JsonValue *durations = doc->find("durations")) {
         for (const JsonValue &row : durations->arr) {
@@ -239,9 +191,10 @@ parseRunTelemetry(const std::string &text)
                 for (size_t b = 0; b < n; ++b)
                     d.buckets[b] = buckets->arr[b].number64();
             }
-            t.counters.durations.emplace_back(fieldStr(row, "name"), d);
+            snap.durations.emplace_back(fieldStr(row, "name"), d);
         }
     }
+    t.setSnapshot(std::move(snap));
     return t;
 }
 
@@ -271,72 +224,14 @@ foldRunTelemetry(RunTelemetry &into, const RunTelemetry &part)
     into.sessions += part.sessions;
     into.events += part.events;
     addFinite(into.planMs, part.planMs);
+    addFinite(into.setupMs, part.setupMs);
     addFinite(into.executeMs, part.executeMs);
     addFinite(into.persistMs, part.persistMs);
     addFinite(into.reduceMs, part.reduceMs);
     addFinite(into.totalMs, part.totalMs);
-    into.cacheHits += part.cacheHits;
-    into.cacheMisses += part.cacheMisses;
-    into.cacheEvictions += part.cacheEvictions;
-    into.cacheDuplicateSynthesis += part.cacheDuplicateSynthesis;
-    into.checkpointFlushes += part.checkpointFlushes;
-    into.checkpointBytes += part.checkpointBytes;
-    // One process, one high-water mark: parts fold by max, not sum.
-    into.peakRssKb = std::max(into.peakRssKb, part.peakRssKb);
-    into.poolTasks += part.poolTasks;
-    into.poolMaxQueueDepth =
-        std::max(into.poolMaxQueueDepth, part.poolMaxQueueDepth);
-    addFinite(into.poolBusyMs, part.poolBusyMs);
-    addFinite(into.poolIdleMs, part.poolIdleMs);
-
-    // Scaling: lock waits sum; workers merge index-wise (the stress
-    // rollup reuses the same pool shape across cells); parallel
-    // efficiency needs a t1 anchor, so a fold leaves it unset.
-    into.cacheLockWaits += part.cacheLockWaits;
-    addFinite(into.cacheLockWaitMs, part.cacheLockWaitMs);
-    into.persistLockWaits += part.persistLockWaits;
-    addFinite(into.persistLockWaitMs, part.persistLockWaitMs);
-    into.poolQueueTasks += part.poolQueueTasks;
-    addFinite(into.poolQueueWaitMs, part.poolQueueWaitMs);
-    // All-idle rollups (queue_tasks == 0) must emit 0, never NaN: the
-    // folded mean feeds perf-ledger samples as-is.
-    into.poolQueueWaitMeanMs =
-        into.poolQueueTasks > 0 && std::isfinite(into.poolQueueWaitMs)
-            ? into.poolQueueWaitMs /
-                  static_cast<double>(into.poolQueueTasks)
-            : 0.0;
-    into.parallelEfficiency = 0.0;
-    if (into.workers.size() < part.workers.size())
-        into.workers.resize(part.workers.size());
-    for (size_t i = 0; i < part.workers.size(); ++i) {
-        into.workers[i].tasks += part.workers[i].tasks;
-        addFinite(into.workers[i].busyMs, part.workers[i].busyMs);
-        addFinite(into.workers[i].idleMs, part.workers[i].idleMs);
-        addFinite(into.workers[i].queueWaitMs, part.workers[i].queueWaitMs);
-    }
-
-    // Canonical counter merge, mirroring TelemetryRegistry::snapshot().
-    std::map<std::string, uint64_t> counters(
-        into.counters.counters.begin(), into.counters.counters.end());
-    for (const auto &entry : part.counters.counters)
-        counters[entry.first] += entry.second;
-    std::map<std::string, double> gauges(into.counters.gauges.begin(),
-                                         into.counters.gauges.end());
-    for (const auto &entry : part.counters.gauges) {
-        auto it = gauges.find(entry.first);
-        if (it == gauges.end())
-            gauges.emplace(entry.first, entry.second);
-        else
-            it->second = std::max(it->second, entry.second);
-    }
-    std::map<std::string, DurationStats> durations(
-        into.counters.durations.begin(), into.counters.durations.end());
-    for (const auto &entry : part.counters.durations)
-        durations[entry.first].merge(entry.second);
-
-    into.counters.counters.assign(counters.begin(), counters.end());
-    into.counters.gauges.assign(gauges.begin(), gauges.end());
-    into.counters.durations.assign(durations.begin(), durations.end());
+    TelemetrySnapshot merged = std::move(into.snapshot);
+    merged.merge(part.snapshot);
+    into.setSnapshot(std::move(merged));
     into.recomputeRates();
 }
 

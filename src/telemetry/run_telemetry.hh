@@ -4,16 +4,23 @@
  *
  * Where a FleetReport is the deterministic WHAT of a sweep (metric
  * values, byte-identical for any thread count), RunTelemetry is the
- * HOW FAST: sessions/sec and events/sec, per-stage wall time through
- * the runner's plan→execute→persist→reduce pipeline, trace-cache
- * traffic, thread-pool saturation, checkpoint cost, and the full
- * counter snapshot of the armed TelemetryRegistry.
+ * HOW FAST. It is a header — tool, scenario, logical clock, threads,
+ * sessions, events, the rates and the per-stage wall time of the
+ * runner's plan→setup→execute→persist→reduce pipeline — plus the
+ * snapshot of the armed TelemetryRegistry. The snapshot is the only
+ * place a run's traffic lives: cache, store, corpus, pool, lock-wait
+ * and memory figures are registry series, each stated once.
+ *
+ * Series kinds follow one rule: counters sum (counts, and wall totals
+ * in integer microseconds such as pool.busy_us or cache.lock_wait_us);
+ * gauges take the max (high-water marks such as mem.peak_rss_kb or
+ * pool.max_queue_depth); durations are histograms.
  *
  * Determinism contract: telemetry artifacts are explicitly EXEMPT from
  * the byte-identity guarantee — they carry wall-clock values — EXCEPT
- * under the logical clock, where every wall-derived or scheduling-
- * dependent field (rates, stage times, pool busy/idle, queue depth) is
- * zeroed so a single-threaded logical-clock run is byte-reproducible.
+ * under the logical clock, where the rates and stage times are zeroed
+ * and the runner records no wall-clock or scheduling-dependent series
+ * at all, so a single-threaded logical-clock run is byte-reproducible.
  * The flag is recorded in the artifact ("logical_clock") so consumers
  * can tell structural summaries from timed ones.
  *
@@ -28,34 +35,22 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "telemetry/telemetry.hh"
 
 namespace pes {
 
-/**
- * One worker's slice of the execute stage, promoted from
- * ThreadPoolWorkerStats into the telemetry artifact (scaling section).
- */
-struct WorkerScaling
-{
-    uint64_t tasks = 0;
-    double busyMs = 0.0;
-    double idleMs = 0.0;
-    double queueWaitMs = 0.0;
-};
-
 /** Serializable performance summary of one run. */
 struct RunTelemetry
 {
-    /** Schema version (bumped on layout changes). v2 adds the scaling
-     *  section and trace_cache duplicate_synthesis; v3 adds pool
-     *  queue-wait attribution (tasks, total and mean wait) to scaling;
-     *  v4 adds the "mem" section (peak_rss_kb high-water mark). */
-    static constexpr int kVersion = 4;
+    /** Schema version (bumped on layout changes; v5 = the header,
+     *  stage_ms and the registry snapshot, nothing else). */
+    static constexpr int kVersion = 5;
 
-    /** Producing verb: "run", "stress", "merge", "bench". */
+    // ---- header ----
+
+    /** Producing verb: "run", "stress", "merge", "work", "bench",
+     *  "coordinator". */
     std::string tool = "run";
     /** Scenario identity ("<family>@<severity>"; empty = baseline). */
     std::string scenario;
@@ -68,69 +63,35 @@ struct RunTelemetry
     double sessionsPerSec = 0.0;
     double eventsPerSec = 0.0;
 
-    /** Per-stage wall time of the runner pipeline (ms). */
+    /** Per-stage wall time of the runner pipeline (ms, "stage_ms"). */
     double planMs = 0.0;
+    double setupMs = 0.0;
     double executeMs = 0.0;
     double persistMs = 0.0;
     double reduceMs = 0.0;
-    /** Whole-pipeline wall time (ms). */
+    /** Whole-pipeline wall time (ms): the sum of the stages. */
     double totalMs = 0.0;
 
-    /** TraceCache traffic (0 when sharing was off). */
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-    uint64_t cacheEvictions = 0;
-    /** Materializations discarded to a first-insert-wins race. */
-    uint64_t cacheDuplicateSynthesis = 0;
+    /** The registry snapshot (name-sorted; may be empty). Assign it
+     *  through setSnapshot() so the typed view below follows. */
+    TelemetrySnapshot snapshot;
 
-    /** Persist-stage checkpoint cost. */
-    uint64_t checkpointFlushes = 0;
-    uint64_t checkpointBytes = 0;
+    // ---- typed view of `snapshot` ----
+    // Filled by setSnapshot() from the series named beside each field;
+    // never serialized on its own.
 
-    /**
-     * Process peak RSS in KiB (VmHWM from /proc/self/status), sampled
-     * at the runner's stage boundaries. A scheduling-dependent OS
-     * figure, so it is zeroed under the logical clock like the wall
-     * times; 0 also on platforms without /proc. The bounded-memory CI
-     * gate reads it: a 100k-user mixture sweep must sit in the same
-     * envelope as a 1k-user one (sketches, not samples).
-     */
-    uint64_t peakRssKb = 0;
+    double poolBusyMs = 0.0;               ///< pool.busy_us / 1000
+    double poolIdleMs = 0.0;               ///< pool.idle_us / 1000
+    uint64_t cacheHits = 0;                ///< cache.hits
+    uint64_t cacheMisses = 0;              ///< cache.misses
+    uint64_t cacheDuplicateSynthesis = 0;  ///< cache.duplicate_synthesis
+    uint64_t cacheLockWaits = 0;           ///< cache.lock_waits
+    uint64_t persistLockWaits = 0;         ///< store.push_lock_waits
+    uint64_t checkpointFlushes = 0;        ///< store.checkpoint_flushes
+    uint64_t checkpointBytes = 0;          ///< store.checkpoint_bytes
 
-    /** ThreadPool saturation over the execute stage. */
-    uint64_t poolTasks = 0;
-    uint64_t poolMaxQueueDepth = 0;
-    double poolBusyMs = 0.0;
-    double poolIdleMs = 0.0;
-
-    /**
-     * Scaling attribution: where parallel speedup goes to die. Lock
-     * waits name the contended mutexes (TraceCache, PersistSink push);
-     * workers break execute-stage time down per worker; parallel
-     * efficiency = rate_tN / (N · rate_t1) needs a t1 anchor, so it is
-     * filled by consumers that have one (bench, pes_perf) and stays 0
-     * in a single run. All of it is scheduling-dependent and zeroed
-     * under the logical clock.
-     */
-    double parallelEfficiency = 0.0;
-    uint64_t cacheLockWaits = 0;
-    double cacheLockWaitMs = 0.0;
-    uint64_t persistLockWaits = 0;
-    double persistLockWaitMs = 0.0;
-    /**
-     * Queue-wait attribution: how long submitted tasks sat queued
-     * before a worker picked them up — the task count behind the
-     * number, the raw sum, and the mean wait per task (the readable
-     * figure: a raw sum grows with task count even when each task
-     * barely waited).
-     */
-    uint64_t poolQueueTasks = 0;
-    double poolQueueWaitMs = 0.0;
-    double poolQueueWaitMeanMs = 0.0;
-    std::vector<WorkerScaling> workers;
-
-    /** Full registry snapshot (name-sorted; may be empty). */
-    TelemetrySnapshot counters;
+    /** Adopt @p snap as the run's snapshot and refresh the typed view. */
+    void setSnapshot(TelemetrySnapshot snap);
 
     /** Recompute sessionsPerSec/eventsPerSec from totals (0 guard). */
     void recomputeRates();
@@ -149,18 +110,21 @@ std::string runTelemetryToString(const RunTelemetry &t);
 std::optional<RunTelemetry> parseRunTelemetry(const std::string &text);
 
 /**
- * Fold @p part into @p into (the stress grid rollup): sessions,
- * events, stage times, cache/checkpoint/pool totals sum; queue depth
- * takes the max; counters merge canonically; rates recompute from the
- * folded totals. tool/threads/logicalClock are taken from @p part when
- * @p into is empty (zero sessions and events).
+ * Fold @p part into @p into (the stress grid and work-loop rollups):
+ * sessions, events and stage times sum, the snapshots merge through
+ * TelemetrySnapshot::merge (the registry's own merge), and the rates
+ * recompute from the folded totals. tool/threads/logicalClock are
+ * taken from @p part when @p into is empty (zero sessions and events).
  */
 void foldRunTelemetry(RunTelemetry &into, const RunTelemetry &part);
 
 /**
  * The process's peak resident set size in KiB (VmHWM from
- * /proc/self/status); 0 when unavailable. Monotone over a process
- * lifetime — callers sample it at stage boundaries and keep the max.
+ * /proc/self/status); 0 when unavailable. Successive reads are not
+ * monotone: the kernel derives the figure partly from approximate,
+ * batched RSS counters, so a later read can come out lower than an
+ * earlier one. Callers sample it at stage boundaries and keep the max
+ * (the runner's mem.peak_rss_kb gauge).
  */
 uint64_t currentPeakRssKb();
 

@@ -69,6 +69,48 @@ TelemetrySnapshot::gaugeValue(const std::string &name) const
     return 0.0;
 }
 
+namespace {
+
+/** Fold @p part into the name-sorted series @p into; a name present on
+ *  both sides combines through @p combine. */
+template <typename T, typename Combine>
+void
+mergeSeries(std::vector<std::pair<std::string, T>> &into,
+            const std::vector<std::pair<std::string, T>> &part,
+            Combine combine)
+{
+    std::map<std::string, T> merged(into.begin(), into.end());
+    for (const auto &[name, value] : part) {
+        const auto [it, fresh] = merged.emplace(name, value);
+        if (!fresh)
+            combine(it->second, value);
+    }
+    into.assign(merged.begin(), merged.end());
+}
+
+} // namespace
+
+void
+TelemetrySnapshot::merge(const TelemetrySnapshot &other)
+{
+    mergeSeries(counters, other.counters,
+                [](uint64_t &a, uint64_t b) { a += b; });
+    mergeSeries(gauges, other.gauges,
+                [](double &a, double b) { a = std::max(a, b); });
+    mergeSeries(durations, other.durations,
+                [](DurationStats &a, const DurationStats &b) { a.merge(b); });
+}
+
+TelemetrySnapshot
+TelemetryShard::snapshot() const
+{
+    TelemetrySnapshot snap;
+    snap.counters.assign(counters_.begin(), counters_.end());
+    snap.gauges.assign(gauges_.begin(), gauges_.end());
+    snap.durations.assign(durations_.begin(), durations_.end());
+    return snap;
+}
+
 TelemetryShard *
 TelemetryRegistry::makeShard()
 {
@@ -108,28 +150,10 @@ TelemetrySnapshot
 TelemetryRegistry::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Canonical merge: root first, then shards in creation order, into
-    // name-keyed maps (sorted, so the emitted series are name-ordered).
-    std::map<std::string, uint64_t> counters = root_.counters_;
-    std::map<std::string, double> gauges = root_.gauges_;
-    std::map<std::string, DurationStats> durations = root_.durations_;
-    for (const auto &shard : shards_) {
-        for (const auto &entry : shard->counters_)
-            counters[entry.first] += entry.second;
-        for (const auto &entry : shard->gauges_) {
-            auto it = gauges.find(entry.first);
-            if (it == gauges.end())
-                gauges.emplace(entry.first, entry.second);
-            else
-                it->second = std::max(it->second, entry.second);
-        }
-        for (const auto &entry : shard->durations_)
-            durations[entry.first].merge(entry.second);
-    }
-    TelemetrySnapshot snap;
-    snap.counters.assign(counters.begin(), counters.end());
-    snap.gauges.assign(gauges.begin(), gauges.end());
-    snap.durations.assign(durations.begin(), durations.end());
+    // Canonical merge: root first, then shards in creation order.
+    TelemetrySnapshot snap = root_.snapshot();
+    for (const auto &shard : shards_)
+        snap.merge(shard->snapshot());
     return snap;
 }
 

@@ -60,6 +60,27 @@ struct DurationStats
     double meanMs() const { return count ? sumMs / count : 0.0; }
 };
 
+/** Point-in-time merge of a registry: name-sorted series. */
+struct TelemetrySnapshot
+{
+    std::vector<std::pair<std::string, uint64_t>> counters;
+    std::vector<std::pair<std::string, double>> gauges;
+    std::vector<std::pair<std::string, DurationStats>> durations;
+
+    /** Counter value (0 when absent). */
+    uint64_t counter(const std::string &name) const;
+    /** Gauge value (0.0 when absent). */
+    double gaugeValue(const std::string &name) const;
+
+    /**
+     * Fold @p other in: counters sum, gauges take the max, durations
+     * merge; the series stay name-sorted. The one merge routine:
+     * TelemetryRegistry::snapshot() folds its shards through it and
+     * foldRunTelemetry() folds run summaries through it.
+     */
+    void merge(const TelemetrySnapshot &other);
+};
+
 /**
  * Unsynchronized accumulation area for one writer (a worker thread).
  * Obtain via TelemetryRegistry::makeShard(); the registry owns it.
@@ -92,22 +113,12 @@ class TelemetryShard
   private:
     friend class TelemetryRegistry;
 
+    /** This shard's series, name-sorted. */
+    TelemetrySnapshot snapshot() const;
+
     std::map<std::string, uint64_t> counters_;
     std::map<std::string, double> gauges_;
     std::map<std::string, DurationStats> durations_;
-};
-
-/** Point-in-time merge of a registry: name-sorted series. */
-struct TelemetrySnapshot
-{
-    std::vector<std::pair<std::string, uint64_t>> counters;
-    std::vector<std::pair<std::string, double>> gauges;
-    std::vector<std::pair<std::string, DurationStats>> durations;
-
-    /** Counter value (0 when absent). */
-    uint64_t counter(const std::string &name) const;
-    /** Gauge value (0.0 when absent). */
-    double gaugeValue(const std::string &name) const;
 };
 
 /**

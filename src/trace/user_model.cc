@@ -127,7 +127,7 @@ UserModel::generateSession() const
         e.classKey = eventClassKeyFor(p.name, e.pageId, e.node, *handler);
         trace.events.push_back(e);
 
-        window.observe(e.type, e.x, e.y, e.node);
+        window.observe(e.type, e.x, e.y);
         session.commitEvent(cand.node, cand.type);
     };
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "core/ebs_policy.hh"
-#include "core/hints.hh"
 #include "core/ebs_scheduler.hh"
 #include "core/experiment.hh"
 #include "core/governors.hh"
@@ -537,115 +536,6 @@ TEST_F(DriverFixture, DisabledPredictionEqualsReactiveBehavior)
     EXPECT_EQ(r.wasteEnergy, 0.0);
     for (const EventRecord &e : r.events)
         EXPECT_FALSE(e.servedSpeculatively);
-}
-
-
-// ------------------------------------------------------------ Hints
-
-TEST(Hints, LookupMatchingRules)
-{
-    PredictionHintTable table;
-    PredictionHint any_click;
-    any_click.trigger = DomEventType::Click;
-    any_click.next = DomEventType::Scroll;
-    table.add(any_click);
-
-    PredictionHint page1_load;
-    page1_load.pageId = 1;
-    page1_load.trigger = DomEventType::Load;
-    page1_load.next = DomEventType::Click;
-    table.add(page1_load);
-
-    // Wildcard click hint fires on any page/node.
-    auto hit = table.lookup(0, DomEventType::Click, 7);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->next, DomEventType::Scroll);
-    // Page-scoped load hint only on page 1.
-    EXPECT_FALSE(table.lookup(0, DomEventType::Load, 0).has_value());
-    EXPECT_TRUE(table.lookup(1, DomEventType::Load, 0).has_value());
-}
-
-TEST(Hints, NodeScopedHintWinsByOrder)
-{
-    PredictionHintTable table;
-    PredictionHint specific;
-    specific.trigger = DomEventType::Click;
-    specific.triggerNode = 5;
-    specific.next = DomEventType::Load;
-    table.add(specific);
-    PredictionHint generic;
-    generic.trigger = DomEventType::Click;
-    generic.next = DomEventType::Scroll;
-    table.add(generic);
-
-    EXPECT_EQ(table.lookup(0, DomEventType::Click, 5)->next,
-              DomEventType::Load);
-    EXPECT_EQ(table.lookup(0, DomEventType::Click, 6)->next,
-              DomEventType::Scroll);
-}
-
-TEST(Hints, PredictorPrefersHintOverLearner)
-{
-    const WebApp app = AppDomBuilder(appByName("cnn")).build();
-    WebAppSession session(app);
-    DomAnalyzer analyzer(session);
-    FeatureWindow window;
-    window.observe(DomEventType::Click, 100, 100, 3);
-
-    // A learner that would otherwise predict Click everywhere.
-    LogisticModel model;
-    model.weight(static_cast<int>(DomEventType::Click),
-                 kNumFeatures) = 5.0;
-
-    PredictionHintTable hints;
-    PredictionHint hint;
-    hint.trigger = DomEventType::Click;
-    hint.next = AppDomBuilder::moveTypeFor(appByName("cnn"));
-    hint.confidence = 0.99;
-    hints.add(hint);
-
-    EventPredictor::Config config;
-    config.hints = &hints;
-    EventPredictor predictor(model, config);
-    const auto next = predictor.predictNext(
-        analyzer, session.snapshotState(), window);
-    ASSERT_TRUE(next.has_value());
-    EXPECT_EQ(next->type, hint.next);
-    EXPECT_NEAR(next->confidence, 0.99, 1e-12);
-
-    // Without the table, the learner's majority class wins.
-    const auto plain = EventPredictor(model).predictNext(
-        analyzer, session.snapshotState(), window);
-    ASSERT_TRUE(plain.has_value());
-    EXPECT_EQ(plain->type, DomEventType::Click);
-}
-
-TEST(Hints, HintedPesRunsEndToEnd)
-{
-    // A correct document-level hint ("after a scroll, another scroll")
-    // must not break the pipeline and keeps accuracy high on a
-    // scroll-heavy app.
-    Experiment exp;
-    setQuiet(true);
-    exp.trainedModel();
-    const AppProfile &profile = appByName("twitter");
-
-    PredictionHintTable hints;
-    PredictionHint hint;
-    hint.trigger = AppDomBuilder::moveTypeFor(profile);
-    hint.next = hint.trigger;
-    hint.confidence = 0.9;
-    hints.add(hint);
-
-    PesScheduler::Config config;
-    config.predictor.hints = &hints;
-    PesScheduler pes(exp.trainedModel(), config);
-    const auto trace = exp.generator().evaluationSet(profile, 1).front();
-    const SimResult r = exp.runTrace(profile, trace, pes);
-    EXPECT_GT(r.predictionsMade, 0);
-    EXPECT_GT(r.predictionAccuracy(), 0.7);
-    for (const EventRecord &e : r.events)
-        EXPECT_GT(e.displayed, 0.0);
 }
 
 } // namespace

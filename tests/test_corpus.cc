@@ -18,6 +18,7 @@
 #include "corpus/trace_mutator.hh"
 #include "runner/fleet_runner.hh"
 #include "runner/reporters.hh"
+#include "telemetry/telemetry.hh"
 #include "trace/generator.hh"
 
 namespace fs = std::filesystem;
@@ -365,18 +366,21 @@ TEST(TraceCache, SynthesizesOncePerKeyAndSharesPointers)
     TraceGenerator generator(exynos());
     const std::string device = exynos().name();
     const AppProfile &profile = appByName("cnn");
+    const auto get = [&](uint64_t seed) {
+        return cache.getOrLoad(device, profile.name, seed, [&] {
+            return generator.generate(profile, seed);
+        });
+    };
 
-    const TraceHandle a = cache.getOrGenerate(device, profile, 42,
-                                              generator);
-    const TraceHandle b = cache.getOrGenerate(device, profile, 42,
-                                              generator);
+    const TraceHandle a = get(42);
+    const TraceHandle b = get(42);
     EXPECT_EQ(a.get(), b.get());
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.size(), 1u);
 
     // Distinct user => distinct entry.
-    cache.getOrGenerate(device, profile, 43, generator);
+    get(43);
     EXPECT_EQ(cache.size(), 2u);
 
     EXPECT_NE(cache.lookup(device, "cnn", 42), nullptr);
@@ -384,12 +388,11 @@ TEST(TraceCache, SynthesizesOncePerKeyAndSharesPointers)
 
     // insert() is first-insert-wins: an existing key keeps its trace
     // (handles stay valid), a fresh key is adopted and serves later
-    // getOrGenerate calls as hits.
+    // getOrLoad calls as hits.
     InteractionTrace would_replace = makeTrace("cnn", 42);
     would_replace.events.clear();
     EXPECT_FALSE(cache.insert(device, std::move(would_replace)));
-    EXPECT_EQ(cache.getOrGenerate(device, profile, 42, generator).get(),
-              a.get());
+    EXPECT_EQ(get(42).get(), a.get());
 
     InteractionTrace fresh = makeTrace("cnn", 42);
     fresh.userSeed = 4242;
@@ -408,13 +411,17 @@ TEST(TraceCache, LruCapEvictsColdEntriesAndHandlesStayValid)
     TraceGenerator generator(exynos());
     const std::string device = exynos().name();
     const AppProfile &profile = appByName("cnn");
+    const auto get = [&](uint64_t seed) {
+        return cache.getOrLoad(device, profile.name, seed, [&] {
+            return generator.generate(profile, seed);
+        });
+    };
 
-    const TraceHandle a = cache.getOrGenerate(device, profile, 1,
-                                              generator);
-    cache.getOrGenerate(device, profile, 2, generator);
+    const TraceHandle a = get(1);
+    get(2);
     // Touch user 1 so user 2 is the LRU victim when 3 arrives.
-    cache.getOrGenerate(device, profile, 1, generator);
-    cache.getOrGenerate(device, profile, 3, generator);
+    get(1);
+    get(3);
 
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.evictions(), 1u);
@@ -423,14 +430,13 @@ TEST(TraceCache, LruCapEvictsColdEntriesAndHandlesStayValid)
     EXPECT_NE(cache.lookup(device, "cnn", 3), nullptr);
 
     // An evicted key re-materializes deterministically on re-miss.
-    const TraceHandle again = cache.getOrGenerate(device, profile, 2,
-                                                  generator);
+    const TraceHandle again = get(2);
     EXPECT_TRUE(*again == *cache.lookup(device, "cnn", 2));
 
     // The held handle survives eviction of its entry: evict user 1 by
     // loading two more users, then verify the trace is still readable.
-    cache.getOrGenerate(device, profile, 4, generator);
-    cache.getOrGenerate(device, profile, 5, generator);
+    get(4);
+    get(5);
     EXPECT_EQ(cache.lookup(device, "cnn", 1), nullptr);
     EXPECT_GT(a->events.size(), 0u);
     EXPECT_EQ(a->userSeed, 1u);
@@ -664,61 +670,80 @@ TEST(FleetCorpus, CappedCacheReplayReloadsFromCorpusNotSynthesis)
     FleetConfig capped = fidelityFleet();
     capped.corpus = &*store;
     capped.traceCacheCap = 1;  // 4 distinct traces: every job re-misses
+    TelemetryRegistry telemetry;
+    capped.telemetry = &telemetry;
     FleetRunner capped_runner(capped);
     const FleetOutcome outcome = capped_runner.run();
     EXPECT_TRUE(outcome.diagnostics.empty());
-    EXPECT_GT(outcome.traceCacheEvictions, 0u);
+    EXPECT_GT(telemetry.snapshot().counter("cache.evictions"), 0u);
     EXPECT_EQ(reportBytes(capped_runner, outcome), uncapped_bytes);
+}
+
+/** Trace-cache lookups (hits + misses) an armed run recorded. */
+uint64_t
+cacheLookups(const TelemetryRegistry &telemetry)
+{
+    const TelemetrySnapshot snap = telemetry.snapshot();
+    return snap.counter("cache.hits") + snap.counter("cache.misses");
 }
 
 TEST(FleetCorpus, SharedTraceSweepMatchesPerJobSynthesis)
 {
+    TelemetryRegistry per_job_telemetry;
     FleetConfig per_job = fidelityFleet();
     per_job.maxSharedTraces = 1;
+    per_job.telemetry = &per_job_telemetry;
     FleetRunner per_job_runner(per_job);
     const FleetOutcome a = per_job_runner.run();
-    EXPECT_EQ(a.traceCacheHits + a.traceCacheMisses, 0u);
+    EXPECT_EQ(cacheLookups(per_job_telemetry), 0u);
 
     // Single worker makes the hit/miss split exact (multi-threaded runs
     // may double-synthesize a racing key; bytes are identical either
     // way). Comparing 1-thread-shared against 4-thread-per-job also
     // recrosses the thread-count determinism guarantee.
+    TelemetryRegistry shared_telemetry;
     FleetConfig shared = fidelityFleet();
     shared.threads = 1;
+    shared.telemetry = &shared_telemetry;
     FleetRunner shared_runner(shared);
     const FleetOutcome b = shared_runner.run();
 
     EXPECT_EQ(reportBytes(shared_runner, b),
               reportBytes(per_job_runner, a));
-    EXPECT_EQ(b.traceCacheMisses, 4u);  // 2 apps x 2 users
-    EXPECT_EQ(b.traceCacheHits,
-              static_cast<uint64_t>(b.jobCount) - b.traceCacheMisses);
+    const TelemetrySnapshot snap = shared_telemetry.snapshot();
+    EXPECT_EQ(snap.counter("cache.misses"), 4u);  // 2 apps x 2 users
+    EXPECT_EQ(snap.counter("cache.hits"),
+              static_cast<uint64_t>(b.jobCount) -
+                  snap.counter("cache.misses"));
 }
 
 TEST(FleetCorpus, AutoSharingOnlyWhenItPaysAndStaysBounded)
 {
     // A lone scheduler never reuses a trace: no cache traffic.
+    TelemetryRegistry lone_telemetry;
     FleetConfig lone = fidelityFleet();
     lone.schedulers = {SchedulerKind::Interactive};
-    FleetRunner lone_runner(lone);
-    const FleetOutcome a = lone_runner.run();
-    EXPECT_EQ(a.traceCacheHits + a.traceCacheMisses, 0u);
+    lone.telemetry = &lone_telemetry;
+    FleetRunner(lone).run();
+    EXPECT_EQ(cacheLookups(lone_telemetry), 0u);
 
     // Over the resident-set budget: falls back to per-job synthesis.
+    TelemetryRegistry big_telemetry;
     FleetConfig big = fidelityFleet();
     big.maxSharedTraces = 1;
-    FleetRunner big_runner(big);
-    const FleetOutcome b = big_runner.run();
-    EXPECT_EQ(b.traceCacheHits + b.traceCacheMisses, 0u);
+    big.telemetry = &big_telemetry;
+    FleetRunner(big).run();
+    EXPECT_EQ(cacheLookups(big_telemetry), 0u);
 
     // Warm sweeps always share regardless of the budget (their
     // protocol depends on record-once replay).
+    TelemetryRegistry warm_telemetry;
     FleetConfig warm = fidelityFleet();
     warm.maxSharedTraces = 1;
     warm.warmDrivers = true;
-    FleetRunner warm_runner(warm);
-    const FleetOutcome c = warm_runner.run();
-    EXPECT_GT(c.traceCacheHits + c.traceCacheMisses, 0u);
+    warm.telemetry = &warm_telemetry;
+    FleetRunner(warm).run();
+    EXPECT_GT(cacheLookups(warm_telemetry), 0u);
 }
 
 TEST(FleetCorpus, ExplicitSeedListDrivesTheUserAxis)

@@ -5,11 +5,11 @@
  * classified, never crashing), CV noise hand-math, the gate exit-code
  * contract (0 within noise / 2 regressed / 3 missing / 4 corrupt or
  * fingerprint mismatch), calibrated-tolerance round-trip and its
- * consumption by both gates, parallel-scaling attribution math
- * (efficiency derivation, contention ledger, per-worker accounting),
- * and the no-feedback contract with the contention instrumentation in
- * place: telemetry-armed runs stay byte-identical to bare runs at
- * threads 1 and 8.
+ * consumption by both gates, the telemetry -> ledger series mapping,
+ * parallel-scaling attribution (efficiency derivation, contention
+ * ledger, registry lock-wait series), and the no-feedback contract with
+ * the contention instrumentation in place: telemetry-armed runs stay
+ * byte-identical to bare runs at threads 1 and 8.
  */
 
 #include <gtest/gtest.h>
@@ -142,6 +142,46 @@ TEST(PerfHistory, AppendAndLoadAccumulateLedger)
     ASSERT_NE(history.latest("bench_sim"), nullptr);
     EXPECT_EQ(history.latest("bench_sim")->rev, "def5678");
     EXPECT_EQ(history.latest("no_such_label"), nullptr);
+}
+
+TEST(PerfHistory, PointMetricsNameTheLedgerSeries)
+{
+    // What one RunTelemetry replicate contributes to the ledger: the
+    // header's rates and stage times, then the registry's traffic,
+    // through the typed view or straight from the snapshot.
+    TelemetrySnapshot snap;
+    snap.counters = {{"cache.evictions", 3}, {"cache.hits", 90},
+                     {"cache.lock_wait_us", 1500}, {"cache.misses", 10},
+                     {"pool.busy_us", 250000},
+                     {"store.push_lock_wait_us", 500}};
+    RunTelemetry t;
+    t.setupMs = 4.0;
+    t.setSnapshot(snap);
+
+    const auto metrics = perfPointMetrics(t);
+    std::vector<std::string> names;
+    for (const auto &metric : metrics)
+        names.push_back(metric.first);
+    const std::vector<std::string> expected{
+        "sessions_per_sec", "events_per_sec", "plan_ms", "setup_ms",
+        "execute_ms", "persist_ms", "reduce_ms", "total_ms", "cache_hits",
+        "cache_misses", "cache_evictions", "duplicate_synthesis",
+        "cache_lock_waits", "cache_lock_wait_ms", "persist_lock_waits",
+        "persist_lock_wait_ms", "pool_busy_ms", "pool_idle_ms"};
+    EXPECT_EQ(names, expected);
+
+    const auto value = [&metrics](const std::string &name) {
+        for (const auto &metric : metrics)
+            if (metric.first == name)
+                return metric.second;
+        return -1.0;
+    };
+    EXPECT_DOUBLE_EQ(value("setup_ms"), 4.0);
+    EXPECT_DOUBLE_EQ(value("cache_hits"), 90.0);
+    EXPECT_DOUBLE_EQ(value("cache_evictions"), 3.0);
+    EXPECT_DOUBLE_EQ(value("cache_lock_wait_ms"), 1.5);
+    EXPECT_DOUBLE_EQ(value("persist_lock_wait_ms"), 0.5);
+    EXPECT_DOUBLE_EQ(value("pool_busy_ms"), 250.0);
 }
 
 // --------------------------------------------- damage classification
@@ -583,37 +623,13 @@ TEST(Scaling, SingleThreadRunsAreContentionFree)
     FleetConfig config = miniConfig(1);
     config.telemetry = &telemetry;
     FleetRunner runner(std::move(config));
-    const FleetOutcome outcome = runner.run();
+    const RunTelemetry t = makeRunTelemetry(runner.config(), runner.run());
     // One worker, no overlap: try_lock always wins, deterministically.
-    EXPECT_EQ(outcome.traceCacheContention.waits, 0u);
-    EXPECT_EQ(outcome.persistContention.waits, 0u);
-
-    const RunTelemetry t = makeRunTelemetry(runner.config(), outcome);
+    // The run shared its traces, so the cache series are really there.
+    EXPECT_GT(t.cacheHits, 0u);
     EXPECT_EQ(t.cacheLockWaits, 0u);
+    EXPECT_EQ(t.snapshot.counter("cache.lock_wait_us"), 0u);
     EXPECT_EQ(t.persistLockWaits, 0u);
-    ASSERT_EQ(t.workers.size(), 1u);
-    EXPECT_EQ(t.workers[0].tasks, t.poolTasks);
-}
-
-TEST(Scaling, WorkerAccountingCoversEveryPoolTask)
-{
-    TelemetryRegistry telemetry;
-    FleetConfig config = miniConfig(3);
-    config.telemetry = &telemetry;
-    FleetRunner runner(std::move(config));
-    const FleetOutcome outcome = runner.run();
-    const RunTelemetry t = makeRunTelemetry(runner.config(), outcome);
-
-    ASSERT_EQ(t.workers.size(), 3u);
-    uint64_t tasks = 0;
-    for (const WorkerScaling &w : t.workers) {
-        tasks += w.tasks;
-        EXPECT_GE(w.busyMs, 0.0);
-        EXPECT_GE(w.idleMs, 0.0);
-        EXPECT_GE(w.queueWaitMs, 0.0);
-    }
-    EXPECT_EQ(tasks, t.poolTasks);
-    EXPECT_EQ(t.sessions, 12u);
 }
 
 TEST(Scaling, DuplicateSynthesisSurfacesInTelemetry)
@@ -622,12 +638,13 @@ TEST(Scaling, DuplicateSynthesisSurfacesInTelemetry)
     FleetConfig config = miniConfig(2);
     config.telemetry = &telemetry;
     FleetRunner runner(std::move(config));
-    const FleetOutcome outcome = runner.run();
-    const RunTelemetry t = makeRunTelemetry(runner.config(), outcome);
-    // The counter exists and is consistent between outcome and summary
-    // (its value is scheduling-dependent: race losers synthesize twice).
+    const RunTelemetry t = makeRunTelemetry(runner.config(), runner.run());
+    // The series is recorded and the summary's typed view reads it (its
+    // value is scheduling-dependent: race losers synthesize twice).
+    EXPECT_NE(runTelemetryToString(t).find("\"cache.duplicate_synthesis\""),
+              std::string::npos);
     EXPECT_EQ(t.cacheDuplicateSynthesis,
-              outcome.traceCacheDuplicateSynthesis);
+              telemetry.snapshot().counter("cache.duplicate_synthesis"));
 }
 
 // ------------------------------------------------ no-feedback contract

@@ -19,6 +19,7 @@
 #include "results/result_store.hh"
 #include "runner/fleet_runner.hh"
 #include "runner/reporters.hh"
+#include "telemetry/telemetry.hh"
 #include "trace/app_profile.hh"
 
 namespace fs = std::filesystem;
@@ -643,9 +644,11 @@ TEST(FleetResults, TraceCacheEvictionNeverChangesReportBytes)
 
     FleetConfig capped = fidelityFleet();
     capped.traceCacheCap = 2;  // 6 distinct traces in this sweep
+    TelemetryRegistry telemetry;
+    capped.telemetry = &telemetry;
     FleetRunner capped_runner(capped);
     const FleetOutcome outcome = capped_runner.run();
-    EXPECT_GT(outcome.traceCacheEvictions, 0u);
+    EXPECT_GT(telemetry.snapshot().counter("cache.evictions"), 0u);
     EXPECT_EQ(reportBytes(capped_runner.config(), outcome.metrics),
               unbounded_bytes);
 }

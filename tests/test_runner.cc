@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "core/experiment.hh"
 #include "runner/fleet_config.hh"
@@ -168,18 +170,25 @@ TEST(ThreadPool, WaitIsReusable)
     EXPECT_EQ(counter.load(), 3);
 }
 
-TEST(ThreadPool, ParallelForCoversRange)
+TEST(ThreadPool, StatsCountEveryTaskAndBusyTimeWhenInstrumented)
 {
-    std::vector<std::atomic<int>> hits(100);
-    for (auto &h : hits)
-        h = 0;
-    parallelFor(100, 3, [&](int i, int worker) {
-        EXPECT_GE(worker, 0);
-        EXPECT_LT(worker, 3);
-        hits[static_cast<size_t>(i)] += 1;
-    });
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
+    // The runner's pool.tasks/pool.busy_us series come from here.
+    ThreadPool bare(3);
+    ThreadPool instrumented(3, true);
+    for (ThreadPool *pool : {&bare, &instrumented}) {
+        for (int i = 0; i < 40; ++i) {
+            pool->submit([](int) {
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+            });
+        }
+        pool->wait();
+        const ThreadPoolStats stats = pool->stats();
+        EXPECT_EQ(stats.tasks, 40u);
+        EXPECT_GE(stats.maxQueueDepth, 1u);
+    }
+    EXPECT_DOUBLE_EQ(bare.stats().busyMs, 0.0);
+    EXPECT_DOUBLE_EQ(bare.stats().idleMs, 0.0);
+    EXPECT_GT(instrumented.stats().busyMs, 0.0);
 }
 
 // ----------------------------------------------------------- aggregator
@@ -218,38 +227,6 @@ TEST(MetricsAggregator, AggregatesKnownInputs)
 
     // Unknown cell reads as empty.
     EXPECT_EQ(agg.cell("dev", "nope", "S").sessions, 0);
-}
-
-TEST(MetricsAggregator, MergeMatchesSequentialFeed)
-{
-    const std::vector<SessionStats> sessions{
-        fakeSession(10, 1, 100.0, 50.0), fakeSession(20, 3, 250.0, 80.0),
-        fakeSession(15, 0, 90.0, 20.0), fakeSession(5, 2, 400.0, 300.0)};
-
-    MetricsAggregator whole;
-    for (const SessionStats &s : sessions)
-        whole.add("d", "a", "S", s);
-
-    MetricsAggregator left, right;
-    left.add("d", "a", "S", sessions[0]);
-    left.add("d", "a", "S", sessions[1]);
-    right.add("d", "a", "S", sessions[2]);
-    right.add("d", "a", "S", sessions[3]);
-    left.merge(right);
-
-    const CellSummary a = whole.cell("d", "a", "S");
-    const CellSummary b = left.cell("d", "a", "S");
-    EXPECT_EQ(a.sessions, b.sessions);
-    EXPECT_EQ(a.events, b.events);
-    EXPECT_EQ(a.violations, b.violations);
-    EXPECT_DOUBLE_EQ(a.violationRate, b.violationRate);
-    EXPECT_NEAR(a.meanEnergyMj, b.meanEnergyMj, 1e-9);
-    EXPECT_NEAR(a.stddevEnergyMj, b.stddevEnergyMj, 1e-9);
-    EXPECT_DOUBLE_EQ(a.minEnergyMj, b.minEnergyMj);
-    EXPECT_DOUBLE_EQ(a.maxEnergyMj, b.maxEnergyMj);
-    EXPECT_NEAR(a.meanLatencyMs, b.meanLatencyMs, 1e-9);
-    EXPECT_DOUBLE_EQ(a.p50SessionLatencyMs, b.p50SessionLatencyMs);
-    EXPECT_DOUBLE_EQ(a.p95SessionLatencyMs, b.p95SessionLatencyMs);
 }
 
 TEST(MetricsAggregator, ReducesSimResultFaithfully)
@@ -398,8 +375,8 @@ TEST(FleetRunner, CollectedResultsFollowJobOrder)
 TEST(FleetRunner, WarmEvaluationMatchesExperimentSweep)
 {
     // The fleet's warm evaluation mode must reproduce the classic
-    // Experiment::runSweep protocol bit-for-bit (cell-sequential warmed
-    // drivers over the Sec.-6.1 evaluation users).
+    // serial protocol bit-for-bit (cell-sequential warmed drivers over
+    // the Sec.-6.1 evaluation users).
     const std::vector<AppProfile> profiles{appByName("bbc")};
     const std::vector<SchedulerKind> kinds{SchedulerKind::Ebs};
 
@@ -415,8 +392,7 @@ TEST(FleetRunner, WarmEvaluationMatchesExperimentSweep)
 
     Experiment exp2;
     exp2.setSweepThreads(3);
-    ResultSet fleet;
-    exp2.runSweep(profiles, kinds, fleet);
+    const ResultSet fleet = exp2.runFleetSweep(profiles, kinds).results;
 
     ASSERT_EQ(fleet.results().size(), manual.results().size());
     for (size_t i = 0; i < manual.results().size(); ++i) {

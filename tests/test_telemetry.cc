@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "results/result_store.hh"
 #include "runner/fleet_runner.hh"
 #include "runner/reporters.hh"
 #include "telemetry/run_telemetry.hh"
@@ -134,7 +137,7 @@ TEST(TraceSink, EmittedJsonParsesWithOwnParser)
             ++jobs;
     }
     EXPECT_EQ(metadata, 2 + 2);  // runner + store + 2 worker lanes
-    EXPECT_EQ(stages, 4);        // plan, execute, persist, reduce
+    EXPECT_EQ(stages, 5);        // plan, setup, execute, persist, reduce
     EXPECT_EQ(jobs, 12);         // one span per session
 }
 
@@ -183,49 +186,77 @@ TEST(TraceSink, InstantEventsRecordCacheEvictions)
 
 // ------------------------------------------------------ RunTelemetry
 
-TEST(RunTelemetry, JsonRoundTripPreservesEveryField)
+/** Unique temporary directory, removed on scope exit. */
+struct TempDir
 {
+    explicit TempDir(const std::string &name)
+        : path(std::filesystem::temp_directory_path() /
+               ("pes_telemetry_test_" + name))
+    {
+        std::filesystem::remove_all(path);
+        std::filesystem::create_directories(path);
+    }
+    ~TempDir() { std::filesystem::remove_all(path); }
+
+    std::filesystem::path path;
+};
+
+/**
+ * The mini sweep persisted to a fresh result store in @p dir, with
+ * telemetry armed and optionally on the logical clock: a run that
+ * records every series kind. Returns its serialized summary.
+ */
+std::string
+storeBackedArtifact(const std::filesystem::path &dir, int threads,
+                    bool logical)
+{
+    TelemetryRegistry telemetry;
+    TraceEventSink sink(logical ? TraceEventSink::Clock::Logical
+                                : TraceEventSink::Clock::Wall);
+    FleetConfig config = miniConfig(threads);
+    config.telemetry = &telemetry;
+    config.traceSink = &sink;
+    config.checkpointEvery = 5;
+    std::string error;
+    auto store = ResultStore::create(
+        (dir / "store").string(), SweepSpec::fromConfig(config), &error);
+    EXPECT_TRUE(store.has_value()) << error;
+    config.resultStore = &*store;
+    FleetRunner runner(std::move(config));
+    const FleetOutcome outcome = runner.run();
+    EXPECT_TRUE(outcome.diagnostics.empty());
+    return runTelemetryToString(makeRunTelemetry(runner.config(), outcome));
+}
+
+TEST(RunTelemetry, V5RoundTripIsAFixedPoint)
+{
+    // Every header field and all three series kinds.
     RunTelemetry t;
     t.tool = "stress";
     t.scenario = "burst@0.5";
-    t.logicalClock = false;
     t.threads = 8;
     t.sessions = 1200;
     t.events = 65536;
-    t.planMs = 1.5;
-    t.executeMs = 250.25;
-    t.persistMs = 8.125;
-    t.reduceMs = 2.5;
-    t.totalMs = 262.375;
-    t.cacheHits = 900;
-    t.cacheMisses = 300;
-    t.cacheEvictions = 7;
-    t.cacheDuplicateSynthesis = 2;
-    t.checkpointFlushes = 3;
-    t.checkpointBytes = 4096;
-    t.poolTasks = 1200;
-    t.poolMaxQueueDepth = 64;
-    t.poolBusyMs = 1999.5;
-    t.poolIdleMs = 0.5;
     // Exact binary fractions: %.10g must round-trip them exactly.
     t.sessionsPerSec = 4800.0;
     t.eventsPerSec = 262144.5;
-    t.parallelEfficiency = 0.75;
-    t.cacheLockWaits = 11;
-    t.cacheLockWaitMs = 1.25;
-    t.persistLockWaits = 5;
-    t.persistLockWaitMs = 0.5;
-    t.poolQueueTasks = 1200;
-    t.poolQueueWaitMs = 6.0;
-    t.poolQueueWaitMeanMs = 0.005;
-    t.workers = {{600, 900.25, 0.25, 3.5}, {600, 899.5, 1.0, 2.5}};
-    t.counters.counters = {{"sim.events", 65536},
-                           {"sim.sessions", 1200}};
-    t.counters.gauges = {{"pool.depth", 64.0}};
+    t.planMs = 1.5;
+    t.setupMs = 40.75;
+    t.executeMs = 250.25;
+    t.persistMs = 8.125;
+    t.reduceMs = 2.5;
+    t.totalMs = 303.125;
+    TelemetrySnapshot snap;
+    snap.counters = {{"cache.hits", 900},
+                     {"pool.busy_us", 1999500},
+                     {"store.checkpoint_bytes", 4096}};
+    snap.gauges = {{"mem.peak_rss_kb", 20480.0},
+                   {"pool.max_queue_depth", 64.0}};
     DurationStats d;
     d.record(1.0);
     d.record(2.0);
-    t.counters.durations = {{"runner.job_ms", d}};
+    snap.durations = {{"runner.job_ms", d}};
+    t.setSnapshot(std::move(snap));
 
     const auto parsed = parseRunTelemetry(runTelemetryToString(t));
     ASSERT_TRUE(parsed.has_value());
@@ -238,94 +269,159 @@ TEST(RunTelemetry, JsonRoundTripPreservesEveryField)
     EXPECT_DOUBLE_EQ(parsed->sessionsPerSec, t.sessionsPerSec);
     EXPECT_DOUBLE_EQ(parsed->eventsPerSec, t.eventsPerSec);
     EXPECT_DOUBLE_EQ(parsed->planMs, t.planMs);
+    EXPECT_DOUBLE_EQ(parsed->setupMs, t.setupMs);
     EXPECT_DOUBLE_EQ(parsed->executeMs, t.executeMs);
     EXPECT_DOUBLE_EQ(parsed->persistMs, t.persistMs);
     EXPECT_DOUBLE_EQ(parsed->reduceMs, t.reduceMs);
     EXPECT_DOUBLE_EQ(parsed->totalMs, t.totalMs);
-    EXPECT_EQ(parsed->cacheHits, t.cacheHits);
-    EXPECT_EQ(parsed->cacheMisses, t.cacheMisses);
-    EXPECT_EQ(parsed->cacheEvictions, t.cacheEvictions);
-    EXPECT_EQ(parsed->cacheDuplicateSynthesis, t.cacheDuplicateSynthesis);
-    EXPECT_EQ(parsed->checkpointFlushes, t.checkpointFlushes);
-    EXPECT_EQ(parsed->checkpointBytes, t.checkpointBytes);
-    EXPECT_EQ(parsed->poolTasks, t.poolTasks);
-    EXPECT_EQ(parsed->poolMaxQueueDepth, t.poolMaxQueueDepth);
-    EXPECT_DOUBLE_EQ(parsed->poolBusyMs, t.poolBusyMs);
-    EXPECT_DOUBLE_EQ(parsed->poolIdleMs, t.poolIdleMs);
-    EXPECT_DOUBLE_EQ(parsed->parallelEfficiency, t.parallelEfficiency);
-    EXPECT_EQ(parsed->cacheLockWaits, t.cacheLockWaits);
-    EXPECT_DOUBLE_EQ(parsed->cacheLockWaitMs, t.cacheLockWaitMs);
-    EXPECT_EQ(parsed->persistLockWaits, t.persistLockWaits);
-    EXPECT_DOUBLE_EQ(parsed->persistLockWaitMs, t.persistLockWaitMs);
-    EXPECT_EQ(parsed->poolQueueTasks, t.poolQueueTasks);
-    EXPECT_DOUBLE_EQ(parsed->poolQueueWaitMs, t.poolQueueWaitMs);
-    EXPECT_DOUBLE_EQ(parsed->poolQueueWaitMeanMs, t.poolQueueWaitMeanMs);
-    ASSERT_EQ(parsed->workers.size(), 2u);
-    EXPECT_EQ(parsed->workers[0].tasks, 600u);
-    EXPECT_DOUBLE_EQ(parsed->workers[0].busyMs, 900.25);
-    EXPECT_DOUBLE_EQ(parsed->workers[0].idleMs, 0.25);
-    EXPECT_DOUBLE_EQ(parsed->workers[0].queueWaitMs, 3.5);
-    EXPECT_DOUBLE_EQ(parsed->workers[1].queueWaitMs, 2.5);
-    ASSERT_EQ(parsed->counters.counters.size(), 2u);
-    EXPECT_EQ(parsed->counters.counters[0].first, "sim.events");
-    EXPECT_EQ(parsed->counters.counters[1].second, 1200u);
-    ASSERT_EQ(parsed->counters.gauges.size(), 1u);
-    EXPECT_DOUBLE_EQ(parsed->counters.gauges[0].second, 64.0);
-    ASSERT_EQ(parsed->counters.durations.size(), 1u);
-    const DurationStats &rd = parsed->counters.durations[0].second;
+    EXPECT_EQ(parsed->snapshot.counters, t.snapshot.counters);
+    EXPECT_EQ(parsed->snapshot.gauges, t.snapshot.gauges);
+    ASSERT_EQ(parsed->snapshot.durations.size(), 1u);
+    const DurationStats &rd = parsed->snapshot.durations[0].second;
     EXPECT_EQ(rd.count, 2u);
     EXPECT_DOUBLE_EQ(rd.sumMs, 3.0);
     EXPECT_DOUBLE_EQ(rd.minMs, 1.0);
     EXPECT_DOUBLE_EQ(rd.maxMs, 2.0);
     EXPECT_EQ(rd.buckets, d.buckets);
+    // Parsing refreshes the typed view from the parsed series.
+    EXPECT_EQ(parsed->cacheHits, 900u);
+    EXPECT_DOUBLE_EQ(parsed->poolBusyMs, 1999.5);
+    EXPECT_EQ(parsed->checkpointBytes, 4096u);
 
     // Round-trip is a fixed point: re-serializing parses identically.
     EXPECT_EQ(runTelemetryToString(*parsed), runTelemetryToString(t));
 }
 
-TEST(RunTelemetry, RejectsMalformedAndWrongVersion)
+TEST(RunTelemetry, RejectsMalformedWrongVersionAndV4Documents)
 {
     EXPECT_FALSE(parseRunTelemetry("not json").has_value());
     EXPECT_FALSE(parseRunTelemetry("{}").has_value());
-    RunTelemetry t;
-    std::string text = runTelemetryToString(t);
-    const std::string needle = "\"telemetry_version\": 4";
+    std::string text = runTelemetryToString(RunTelemetry());
+    const std::string needle = "\"telemetry_version\": 5";
     const size_t at = text.find(needle);
     ASSERT_NE(at, std::string::npos);
     text.replace(at, needle.size(), "\"telemetry_version\": 999");
     EXPECT_FALSE(parseRunTelemetry(text).has_value());
+
+    // A v4 document, bespoke blocks and all, is refused rather than
+    // half-read.
+    const std::string v4 =
+        "{\"telemetry_version\": 4, \"tool\": \"run\", \"scenario\": \"\", "
+        "\"logical_clock\": 0, \"threads\": 2, \"sessions\": 12, "
+        "\"events\": 600, \"sessions_per_sec\": 100, "
+        "\"events_per_sec\": 5000, \"stage_ms\": {\"plan\": 1, "
+        "\"execute\": 120, \"persist\": 2, \"reduce\": 3, \"total\": 126}, "
+        "\"trace_cache\": {\"hits\": 12, \"misses\": 4, \"evictions\": 0, "
+        "\"duplicate_synthesis\": 0}, \"checkpoint\": {\"flushes\": 1, "
+        "\"bytes\": 900}, \"mem\": {\"peak_rss_kb\": 9000}, "
+        "\"thread_pool\": {\"tasks\": 8, \"max_queue_depth\": 8, "
+        "\"busy_ms\": 110, \"idle_ms\": 2}, \"scaling\": "
+        "{\"parallel_efficiency\": 0, \"cache_lock_waits\": 0, "
+        "\"cache_lock_wait_ms\": 0, \"persist_lock_waits\": 0, "
+        "\"persist_lock_wait_ms\": 0, \"queue_tasks\": 8, "
+        "\"queue_wait_ms\": 14.9, \"queue_wait_mean_ms\": 1.9, "
+        "\"workers\": []}, \"counters\": [], \"gauges\": [], "
+        "\"durations\": []}";
+    ASSERT_TRUE(parseJson(v4).has_value());
+    EXPECT_FALSE(parseRunTelemetry(v4).has_value());
 }
 
-TEST(RunTelemetry, FoldSumsAndMaxesIntoRollup)
+TEST(RunTelemetry, TopLevelKeysAreHeaderStagesAndSeriesOnly)
 {
+    const TempDir dir("keys");
+    const std::string text = storeBackedArtifact(dir.path, 2, false);
+    const auto doc = parseJson(text);
+    ASSERT_TRUE(doc.has_value());
+    std::vector<std::string> keys;
+    for (const auto &member : doc->obj)
+        keys.push_back(member.first);
+    const std::vector<std::string> expected{
+        "telemetry_version", "tool", "scenario", "logical_clock",
+        "threads", "sessions", "events", "sessions_per_sec",
+        "events_per_sec", "stage_ms", "counters", "gauges", "durations"};
+    EXPECT_EQ(keys, expected);
+
+    std::vector<std::string> stages;
+    for (const auto &member : doc->find("stage_ms")->obj)
+        stages.push_back(member.first);
+    EXPECT_EQ(stages, (std::vector<std::string>{"plan", "setup", "execute",
+                                                "persist", "reduce",
+                                                "total"}));
+
+    // Every series is named once across the three kinds, and the
+    // header's sessions/events are not repeated as counters.
+    std::set<std::string> names;
+    size_t series = 0;
+    for (const char *kind : {"counters", "gauges", "durations"}) {
+        for (const JsonValue &row : doc->find(kind)->arr) {
+            names.insert(row.find("name")->str);
+            ++series;
+        }
+    }
+    EXPECT_EQ(names.size(), series);
+    EXPECT_EQ(names.count("sim.sessions"), 0u);
+    EXPECT_EQ(names.count("sim.events"), 0u);
+    EXPECT_EQ(names.count("mem.peak_rss_kb"), 1u);
+    // One peak-RSS value per artifact.
+    size_t rss = 0;
+    for (size_t at = text.find("peak_rss"); at != std::string::npos;
+         at = text.find("peak_rss", at + 1))
+        ++rss;
+    EXPECT_EQ(rss, 1u);
+}
+
+TEST(RunTelemetry, TypedViewEqualsItsSeries)
+{
+    const TempDir dir("view");
+    const auto parsed =
+        parseRunTelemetry(storeBackedArtifact(dir.path, 2, false));
+    ASSERT_TRUE(parsed.has_value());
+    const RunTelemetry &t = *parsed;
+    const TelemetrySnapshot &s = t.snapshot;
+    EXPECT_GT(t.cacheHits, 0u);
+    EXPECT_GT(t.checkpointFlushes, 0u);
+    EXPECT_GT(t.checkpointBytes, 0u);
+    EXPECT_EQ(t.cacheHits, s.counter("cache.hits"));
+    EXPECT_EQ(t.cacheMisses, s.counter("cache.misses"));
+    EXPECT_EQ(t.cacheDuplicateSynthesis,
+              s.counter("cache.duplicate_synthesis"));
+    EXPECT_EQ(t.cacheLockWaits, s.counter("cache.lock_waits"));
+    EXPECT_EQ(t.persistLockWaits, s.counter("store.push_lock_waits"));
+    EXPECT_EQ(t.checkpointFlushes, s.counter("store.checkpoint_flushes"));
+    EXPECT_EQ(t.checkpointBytes, s.counter("store.checkpoint_bytes"));
+    EXPECT_DOUBLE_EQ(t.poolBusyMs,
+                     static_cast<double>(s.counter("pool.busy_us")) / 1000);
+    EXPECT_DOUBLE_EQ(t.poolIdleMs,
+                     static_cast<double>(s.counter("pool.idle_us")) / 1000);
+}
+
+TEST(RunTelemetry, FoldEqualsMergingTheRegistries)
+{
+    const auto record = [](TelemetryShard &shard, int k) {
+        shard.count("cache.hits", static_cast<uint64_t>(10 * k));
+        shard.count(k == 1 ? "only.first" : "only.second", 1);
+        shard.gauge("mem.peak_rss_kb", 1000.0 * (3 - k));
+        shard.duration("runner.job_ms", 0.25 * k);
+    };
+    TelemetryRegistry first, second, both;
+    record(*first.makeShard(), 1);
+    record(*second.makeShard(), 2);
+    record(*both.makeShard(), 1);
+    record(*both.makeShard(), 2);
+
     RunTelemetry a;
     a.tool = "stress";
     a.threads = 4;
     a.sessions = 10;
     a.events = 100;
+    a.setupMs = 5.0;
     a.executeMs = 50.0;
-    a.poolMaxQueueDepth = 8;
-    a.cacheHits = 5;
-    a.cacheDuplicateSynthesis = 1;
-    a.cacheLockWaits = 3;
-    a.cacheLockWaitMs = 0.5;
-    a.poolQueueTasks = 10;
-    a.poolQueueWaitMs = 1.0;
-    a.poolQueueWaitMeanMs = 0.1;
-    a.workers = {{10, 40.0, 10.0, 1.0}};
-    a.counters.counters = {{"sim.sessions", 10}};
-
+    a.setSnapshot(first.snapshot());
     RunTelemetry b = a;
     b.sessions = 30;
     b.events = 300;
     b.executeMs = 150.0;
-    b.poolMaxQueueDepth = 2;
-    b.poolQueueTasks = 30;
-    b.poolQueueWaitMs = 5.0;
-    b.poolQueueWaitMeanMs = 5.0 / 30.0;
-    // One more worker lane than a: fold must widen, not truncate.
-    b.workers = {{30, 120.0, 30.0, 2.0}, {5, 20.0, 5.0, 0.5}};
-    b.counters.counters = {{"sim.sessions", 30}};
+    b.setSnapshot(second.snapshot());
 
     RunTelemetry rollup;
     foldRunTelemetry(rollup, a);
@@ -334,102 +430,84 @@ TEST(RunTelemetry, FoldSumsAndMaxesIntoRollup)
     EXPECT_EQ(rollup.threads, 4);
     EXPECT_EQ(rollup.sessions, 40u);
     EXPECT_EQ(rollup.events, 400u);
+    EXPECT_DOUBLE_EQ(rollup.setupMs, 10.0);
     EXPECT_DOUBLE_EQ(rollup.executeMs, 200.0);
-    EXPECT_EQ(rollup.poolMaxQueueDepth, 8u);
-    EXPECT_EQ(rollup.cacheHits, 10u);
-    EXPECT_EQ(rollup.cacheDuplicateSynthesis, 2u);
-    EXPECT_EQ(rollup.cacheLockWaits, 6u);
-    EXPECT_DOUBLE_EQ(rollup.cacheLockWaitMs, 1.0);
-    EXPECT_EQ(rollup.poolQueueTasks, 40u);
-    EXPECT_DOUBLE_EQ(rollup.poolQueueWaitMs, 6.0);
-    // The folded mean recomputes from the folded totals, not the means.
-    EXPECT_DOUBLE_EQ(rollup.poolQueueWaitMeanMs, 6.0 / 40.0);
-    ASSERT_EQ(rollup.workers.size(), 2u);  // widened to the max
-    EXPECT_EQ(rollup.workers[0].tasks, 40u);
-    EXPECT_DOUBLE_EQ(rollup.workers[0].busyMs, 160.0);
-    EXPECT_DOUBLE_EQ(rollup.workers[0].queueWaitMs, 3.0);
-    EXPECT_EQ(rollup.workers[1].tasks, 5u);
-    ASSERT_EQ(rollup.counters.counters.size(), 1u);
-    EXPECT_EQ(rollup.counters.counters[0].second, 40u);
     EXPECT_DOUBLE_EQ(rollup.sessionsPerSec, 40.0 / 0.2);
+
+    const TelemetrySnapshot merged = both.snapshot();
+    EXPECT_EQ(rollup.snapshot.counters, merged.counters);
+    EXPECT_EQ(rollup.snapshot.gauges, merged.gauges);
+    ASSERT_EQ(rollup.snapshot.durations.size(), merged.durations.size());
+    for (size_t i = 0; i < merged.durations.size(); ++i) {
+        const DurationStats &x = rollup.snapshot.durations[i].second;
+        const DurationStats &y = merged.durations[i].second;
+        EXPECT_EQ(rollup.snapshot.durations[i].first,
+                  merged.durations[i].first);
+        EXPECT_EQ(x.count, y.count);
+        EXPECT_DOUBLE_EQ(x.sumMs, y.sumMs);
+        EXPECT_DOUBLE_EQ(x.minMs, y.minMs);
+        EXPECT_DOUBLE_EQ(x.maxMs, y.maxMs);
+        EXPECT_EQ(x.buckets, y.buckets);
+    }
+    // The typed view follows the folded snapshot.
+    EXPECT_EQ(rollup.cacheHits, 30u);
 }
 
-TEST(RunTelemetry, FoldGuardsZeroTasksAndNonFiniteInputs)
+TEST(RunTelemetry, FoldSkipsNonFiniteStageTimes)
 {
-    // Zero queue tasks must fold to a zero mean — never 0/0 = NaN.
-    RunTelemetry idle;
-    idle.sessions = 4;
-    idle.executeMs = 10.0;
-    idle.poolQueueTasks = 0;
-    idle.poolQueueWaitMs = 0.0;
-    RunTelemetry rollup;
-    foldRunTelemetry(rollup, idle);
-    EXPECT_EQ(rollup.poolQueueTasks, 0u);
-    EXPECT_DOUBLE_EQ(rollup.poolQueueWaitMeanMs, 0.0);
-
     // A non-finite part (NaN survives the JSON round-trip as a quoted
     // literal, e.g. from a telemetry file written by a crashed or
-    // clock-skewed worker) must not poison the folded sums or mean.
+    // clock-skewed worker) must not poison the folded sums or rates.
+    RunTelemetry clean;
+    clean.sessions = 4;
+    clean.executeMs = 10.0;
     RunTelemetry poisoned;
     poisoned.sessions = 6;
     poisoned.executeMs = std::numeric_limits<double>::quiet_NaN();
-    poisoned.poolQueueTasks = 3;
-    poisoned.poolQueueWaitMs =
-        std::numeric_limits<double>::quiet_NaN();
-    poisoned.poolQueueWaitMeanMs =
-        std::numeric_limits<double>::infinity();
-    std::ostringstream os;
-    writeRunTelemetryJson(poisoned, os);
-    const auto parsed = parseRunTelemetry(os.str());
+    poisoned.totalMs = std::numeric_limits<double>::infinity();
+    const auto parsed = parseRunTelemetry(runTelemetryToString(poisoned));
     ASSERT_TRUE(parsed.has_value());
-    EXPECT_TRUE(std::isnan(parsed->poolQueueWaitMs));
+    EXPECT_TRUE(std::isnan(parsed->executeMs));
 
+    RunTelemetry rollup;
+    foldRunTelemetry(rollup, clean);
     foldRunTelemetry(rollup, *parsed);
     EXPECT_EQ(rollup.sessions, 10u);
-    EXPECT_EQ(rollup.poolQueueTasks, 3u);
-    EXPECT_TRUE(std::isfinite(rollup.executeMs));
-    EXPECT_TRUE(std::isfinite(rollup.poolQueueWaitMs));
-    EXPECT_TRUE(std::isfinite(rollup.poolQueueWaitMeanMs));
-    EXPECT_DOUBLE_EQ(rollup.poolQueueWaitMeanMs, 0.0);
+    EXPECT_DOUBLE_EQ(rollup.executeMs, 10.0);
+    EXPECT_DOUBLE_EQ(rollup.totalMs, 0.0);
+    EXPECT_DOUBLE_EQ(rollup.sessionsPerSec, 1000.0);
 }
 
-TEST(RunTelemetry, LogicalClockZeroesWallDerivedFields)
+TEST(RunTelemetry, LogicalClockArtifactHasNoWallOrSchedulingSeries)
 {
-    TelemetryRegistry telemetry;
-    TraceEventSink sink(TraceEventSink::Clock::Logical);
-    FleetConfig config = miniConfig(1);
-    config.telemetry = &telemetry;
-    config.traceSink = &sink;
-    FleetRunner runner(std::move(config));
-    const FleetOutcome outcome = runner.run();
-    const RunTelemetry t = makeRunTelemetry(runner.config(), outcome);
-    EXPECT_TRUE(t.logicalClock);
-    EXPECT_EQ(t.sessions, 12u);
-    EXPECT_GT(t.events, 0u);
-    EXPECT_DOUBLE_EQ(t.totalMs, 0.0);
-    EXPECT_DOUBLE_EQ(t.sessionsPerSec, 0.0);
-    EXPECT_DOUBLE_EQ(t.poolBusyMs, 0.0);
-    EXPECT_EQ(t.poolMaxQueueDepth, 0u);
-    // The scaling section is wall/scheduling-derived: zeroed too.
-    EXPECT_EQ(t.cacheLockWaits, 0u);
-    EXPECT_DOUBLE_EQ(t.cacheLockWaitMs, 0.0);
-    EXPECT_EQ(t.persistLockWaits, 0u);
-    EXPECT_DOUBLE_EQ(t.persistLockWaitMs, 0.0);
-    EXPECT_TRUE(t.workers.empty());
-    // No wall durations may leak into the snapshot either.
-    EXPECT_TRUE(t.counters.durations.empty());
+    const TempDir dir_a("logical_a");
+    const TempDir dir_b("logical_b");
+    const std::string text = storeBackedArtifact(dir_a.path, 1, true);
+    const auto t = parseRunTelemetry(text);
+    ASSERT_TRUE(t.has_value());
+    EXPECT_TRUE(t->logicalClock);
+    EXPECT_EQ(t->sessions, 12u);
+    EXPECT_GT(t->events, 0u);
+    EXPECT_DOUBLE_EQ(t->setupMs, 0.0);
+    EXPECT_DOUBLE_EQ(t->totalMs, 0.0);
+    EXPECT_DOUBLE_EQ(t->sessionsPerSec, 0.0);
+
+    // Counts that a single worker fixes stay; wall totals, lock waits,
+    // race-lost syntheses, high-water marks and durations do not.
+    EXPECT_GT(t->snapshot.counter("cache.hits"), 0u);
+    EXPECT_GT(t->snapshot.counter("store.checkpoint_flushes"), 0u);
+    EXPECT_GT(t->snapshot.counter("pool.tasks"), 0u);
+    for (const auto &counter : t->snapshot.counters) {
+        const std::string &name = counter.first;
+        EXPECT_EQ(name.find("_us"), std::string::npos) << name;
+        EXPECT_EQ(name.find("lock_waits"), std::string::npos) << name;
+        EXPECT_NE(name, "cache.duplicate_synthesis");
+    }
+    EXPECT_TRUE(t->snapshot.gauges.empty());
+    EXPECT_TRUE(t->snapshot.durations.empty());
 
     // The whole artifact is byte-reproducible in this mode.
-    TelemetryRegistry telemetry2;
-    TraceEventSink sink2(TraceEventSink::Clock::Logical);
-    FleetConfig config2 = miniConfig(1);
-    config2.telemetry = &telemetry2;
-    config2.traceSink = &sink2;
-    FleetRunner runner2(std::move(config2));
-    const FleetOutcome outcome2 = runner2.run();
-    EXPECT_EQ(runTelemetryToString(
-                  makeRunTelemetry(runner2.config(), outcome2)),
-              runTelemetryToString(t));
+    EXPECT_EQ(storeBackedArtifact(dir_b.path, 1, true), text);
 }
 
 // ------------------------------------------------- canonical merging

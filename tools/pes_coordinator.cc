@@ -274,7 +274,7 @@ cmdRun(const Command &cmd)
         rt.threads = 1;
         rt.sessions = sessions;
         rt.totalMs = static_cast<double>(wallClockMs() - started);
-        rt.counters = telemetry.snapshot();
+        rt.setSnapshot(telemetry.snapshot());
         std::ofstream os(telemetry_out);
         fatal_if(!os, "cannot open '%s'", telemetry_out.c_str());
         writeRunTelemetryJson(rt, os);

@@ -298,7 +298,7 @@ cmdReplay(const Command &cmd)
     if (!quiet) {
         std::cout << outcome.jobCount << " sessions replayed from "
                   << outcome.tracesFromCorpus << " recorded traces in "
-                  << formatDouble(outcome.wallMs / 1000.0, 2) << " s\n";
+                  << formatDouble(outcome.executeMs / 1000.0, 2) << " s\n";
     }
     if (!outcome.diagnostics.empty()) {
         for (const std::string &d : outcome.diagnostics)

@@ -344,7 +344,7 @@ cmdMerge(const Command &cmd)
                         static_cast<uint64_t>(merged->parts().size()));
         telemetry.count("merge.records", merged->recordCount());
         telemetry.count("merge.duplicates", reduction.duplicates);
-        mt.counters = telemetry.snapshot();
+        mt.setSnapshot(telemetry.snapshot());
         mt.sessions = reduction.sessions;
         mt.events = static_cast<uint64_t>(reduction.metrics.events());
         mt.scenario = merged->sweep().scenario;
@@ -936,7 +936,7 @@ cmdStress(const Command &cmd)
         if (!quiet) {
             std::cout << "  " << cell.scenario << ": "
                       << outcome.jobCount << " sessions in "
-                      << formatDouble(outcome.wallMs / 1000.0, 2)
+                      << formatDouble(outcome.executeMs / 1000.0, 2)
                       << " s\n";
             std::cout.flush();
         }
@@ -1128,7 +1128,7 @@ cmdRun(const Command &cmd)
                       << " already-completed sessions]\n";
         }
     }
-    const double secs = outcome.wallMs / 1000.0;
+    const double secs = outcome.executeMs / 1000.0;
     std::cout << outcome.jobCount << " sessions, "
               << outcome.metrics.events() << " events in "
               << formatDouble(secs, 2) << " s ("
