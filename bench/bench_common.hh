@@ -14,7 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
+#include "runner/fleet_runner.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -38,29 +39,18 @@ emitTable(const Table &table, const std::string &csv_name)
 }
 
 /**
- * Run the standard evaluation sweep on the fleet runner (warm per-cell
- * drivers, evaluation population, all hardware threads) and return the
- * outcome: aggregated per-cell metrics, plus the raw ResultSet unless
- * @p collect_results is false (metrics-only benches skip the per-event
- * retention).
+ * Run @p config to completion. A figure has no partial mode: the pool
+ * turns worker exceptions into diagnostics so batch tools can report
+ * partial sweeps, but numbers from an incomplete sweep must never look
+ * like results.
  */
 inline FleetOutcome
-runFleetEvaluation(Experiment &exp,
-                   const std::vector<AppProfile> &profiles,
-                   const std::vector<SchedulerKind> &kinds,
-                   bool collect_results = true)
+runComplete(FleetConfig config)
 {
-    return exp.runFleetSweep(profiles, kinds, collect_results);
-}
-
-/** Evaluation sweep, raw results only (fleet-backed). */
-inline ResultSet
-runEvaluationSweep(Experiment &exp,
-                   const std::vector<AppProfile> &profiles,
-                   const std::vector<SchedulerKind> &kinds)
-{
-    FleetOutcome outcome = exp.runFleetSweep(profiles, kinds);
-    return std::move(outcome.results);
+    FleetOutcome outcome = FleetRunner(std::move(config)).run();
+    panic_if(!outcome.diagnostics.empty(), "fleet sweep failed: %s",
+             outcome.diagnostics.front().c_str());
+    return outcome;
 }
 
 /** Names of all apps in a profile list. */

@@ -48,8 +48,8 @@ main()
                 "PES paper Fig. 2 (Sec. 4.2): a burst around an "
                 "inherently heavy event under each scheduler.");
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
+    device.model();
     const AppProfile &profile = appByName("cnn");
 
     // Scan fresh-user sessions for the paper's scenario.
@@ -58,7 +58,7 @@ main()
     for (uint64_t seed = TraceGenerator::kEvaluationSeedBase;
          seed < TraceGenerator::kEvaluationSeedBase + 40; ++seed) {
         InteractionTrace candidate =
-            exp.generator().generate(profile, seed);
+            device.generator().generate(profile, seed);
         const int idx = findBurst(candidate);
         if (idx >= 0) {
             snapshot_trace = std::move(candidate);
@@ -85,9 +85,8 @@ main()
     for (const SchedulerKind kind :
          {SchedulerKind::Interactive, SchedulerKind::Ebs,
           SchedulerKind::Pes, SchedulerKind::Oracle}) {
-        const auto driver = exp.makeScheduler(kind);
-        const SimResult r = exp.runTrace(profile, snapshot_trace,
-                                         *driver);
+        const SimResult r = device.replay(profile, snapshot_trace,
+                                          *device.makeDriver(kind));
         int violations = 0;
         double busy = 0.0;
         for (int k = -1; k <= 2; ++k) {
@@ -95,7 +94,7 @@ main()
             const EventRecord &e = r.events[i];
             const TraceEvent &ev = snapshot_trace.events[i];
             const AcmpConfig cfg =
-                exp.platform().configAt(e.configIndex);
+                device.platform().configAt(e.configIndex);
             const double gap = i > 0
                 ? ev.arrival - snapshot_trace.events[i - 1].arrival
                 : 0.0;

@@ -18,19 +18,18 @@ main()
     benchHeader("Fig. 3 - Event Type I-IV distribution under EBS",
                 "PES paper Fig. 3 (Sec. 4.3).");
 
-    Experiment exp;
-    exp.trainedModel();
-    EventClassifier classifier(exp.platform(), exp.power());
+    DeviceContext device;
+    EventClassifier classifier(device.platform(), device.power());
 
     Table table({"app", "TypeI_pct", "TypeII_pct", "TypeIII_pct",
                  "TypeIV_pct"});
     CategoryDistribution overall;
     for (const AppProfile &p : seenApps()) {
-        const auto driver = exp.makeScheduler(SchedulerKind::Ebs);
+        const auto driver = device.makeDriver(SchedulerKind::Ebs);
         CategoryDistribution dist;
-        for (const auto &trace : exp.generator().evaluationSet(
-                 p, Experiment::kEvalTracesPerApp)) {
-            const SimResult r = exp.runTrace(p, trace, *driver);
+        for (const auto &trace : device.generator().evaluationSet(
+                 p, TraceGenerator::kEvalTracesPerApp)) {
+            const SimResult r = device.replay(p, trace, *driver);
             dist.merge(classifier.classifyRun(trace, r));
         }
         overall.merge(dist);

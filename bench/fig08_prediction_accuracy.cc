@@ -20,17 +20,17 @@ main()
     benchHeader("Fig. 8 - Event predictor accuracy",
                 "PES paper Fig. 8 (Sec. 6.2).");
 
-    Experiment exp;
-    const LogisticModel &model = exp.trainedModel();
+    DeviceContext device;
+    const LogisticModel &model = device.model();
 
     Table table({"app", "set", "accuracy_pct", "events"});
     RunningStats seen_acc, unseen_acc;
     for (const AppProfile &p : appRegistry()) {
-        const WebApp &app = exp.generator().appFor(p);
+        const WebApp &app = device.generator().appFor(p);
         double correct_weighted = 0.0;
         long total = 0;
-        for (const auto &trace : exp.generator().evaluationSet(
-                 p, Experiment::kEvalTracesPerApp)) {
+        for (const auto &trace : device.generator().evaluationSet(
+                 p, TraceGenerator::kEvalTracesPerApp)) {
             const PredictorEval eval = evaluatePredictor(model, app,
                                                          trace);
             correct_weighted +=

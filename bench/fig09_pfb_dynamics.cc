@@ -17,12 +17,12 @@ main()
     benchHeader("Fig. 9 - Pending Frame Buffer dynamics (ebay)",
                 "PES paper Fig. 9 (Sec. 6.2).");
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
+    device.model();
     const AppProfile &profile = appByName("ebay");
-    const auto driver = exp.makeScheduler(SchedulerKind::Pes);
-    const auto traces = exp.generator().evaluationSet(
-        profile, Experiment::kEvalTracesPerApp);
+    const auto driver = device.makeDriver(SchedulerKind::Pes);
+    const auto traces = device.generator().evaluationSet(
+        profile, TraceGenerator::kEvalTracesPerApp);
 
     Table table({"trace", "time_s", "event_idx", "pfb_size",
                  "after_squash"});
@@ -30,7 +30,7 @@ main()
     int squashes = 0;
     int rounds = 0;
     for (size_t t = 0; t < traces.size(); ++t) {
-        const SimResult r = exp.runTrace(profile, traces[t], *driver);
+        const SimResult r = device.replay(profile, traces[t], *driver);
         int last = 0;
         for (const PfbSample &s : r.pfbTrace) {
             table.beginRow()

@@ -17,8 +17,11 @@ main()
     benchHeader("Fig. 10 - Mispredict waste",
                 "PES paper Fig. 10 + Sec. 6.3 overhead analysis.");
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
+    const ResultSet rs =
+        runComplete(evaluationFleet(device, appRegistry(),
+                                    {SchedulerKind::Pes}))
+            .results;
 
     Table table({"app", "set", "waste_per_mispredict_ms",
                  "waste_per_event_ms", "waste_energy_per_mispredict_mJ",
@@ -26,14 +29,13 @@ main()
     double seen_ms = 0, unseen_ms = 0, seen_pct = 0, unseen_pct = 0;
     int seen_n = 0, unseen_n = 0;
     for (const AppProfile &p : appRegistry()) {
-        const auto driver = exp.makeScheduler(SchedulerKind::Pes);
-        ResultSet rs;
-        exp.runAppUnder(p, *driver, rs);
         const GroupSummary s = rs.summarize(p.name, "PES");
 
         int mispredicts = 0;
         double waste_mj = 0.0, total_mj = 0.0;
         for (const SimResult &r : rs.results()) {
+            if (r.appName != p.name)
+                continue;
             mispredicts += r.mispredictions;
             waste_mj += r.wasteEnergy - r.endOfRunWasteMj;
             total_mj += r.totalEnergy;

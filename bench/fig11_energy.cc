@@ -18,8 +18,7 @@ main()
                 "PES paper Fig. 11 (Sec. 6.4). Lower is better; "
                 "Interactive = 100%.");
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
 
     const std::vector<SchedulerKind> kinds{
         SchedulerKind::Interactive, SchedulerKind::Ebs,
@@ -31,7 +30,7 @@ main()
         // Fleet-backed sweep; normalization needs the raw per-trace
         // energies, so use the outcome's ResultSet.
         const ResultSet rs =
-            runFleetEvaluation(exp, profiles, kinds).results;
+            runComplete(evaluationFleet(device, profiles, kinds)).results;
         for (const AppProfile &p : profiles) {
             table.beginRow()
                 .cell(p.name)

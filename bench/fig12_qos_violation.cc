@@ -17,32 +17,33 @@ main()
                 "PES paper Fig. 12 (Sec. 6.4). Lower is better; Oracle "
                 "must be 0.");
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
 
     const std::vector<SchedulerKind> kinds{
         SchedulerKind::Interactive, SchedulerKind::Ebs,
         SchedulerKind::Pes, SchedulerKind::Oracle};
 
-    const std::string device = exp.platform().name();
+    const std::string device_name = device.platform().name();
 
     Table table({"app", "set", "Interactive", "EBS", "PES", "Oracle"});
     double seen_pes = 0.0, seen_ebs = 0.0, seen_inter = 0.0;
     for (const bool seen : {true, false}) {
         const auto profiles = seen ? seenApps() : unseenApps();
-        const FleetOutcome outcome = runFleetEvaluation(
-            exp, profiles, kinds, /*collect_results=*/false);
-        const MetricsAggregator &metrics = outcome.metrics;
+        FleetConfig config = evaluationFleet(device, profiles, kinds);
+        config.collectResults = false;
+        const MetricsAggregator metrics =
+            runComplete(std::move(config)).metrics;
         double pes_sum = 0, ebs_sum = 0, inter_sum = 0, oracle_sum = 0;
         for (const AppProfile &p : profiles) {
             const double inter =
-                metrics.cell(device, p.name, "Interactive").violationRate;
+                metrics.cell(device_name, p.name, "Interactive")
+                    .violationRate;
             const double ebs =
-                metrics.cell(device, p.name, "EBS").violationRate;
+                metrics.cell(device_name, p.name, "EBS").violationRate;
             const double pes =
-                metrics.cell(device, p.name, "PES").violationRate;
+                metrics.cell(device_name, p.name, "PES").violationRate;
             const double oracle =
-                metrics.cell(device, p.name, "Oracle").violationRate;
+                metrics.cell(device_name, p.name, "Oracle").violationRate;
             inter_sum += inter;
             ebs_sum += ebs;
             pes_sum += pes;

@@ -18,15 +18,15 @@ main()
                 "PES paper Fig. 13 (Sec. 6.4), aggregated over the 12 "
                 "seen apps.");
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
 
     const std::vector<SchedulerKind> kinds{
         SchedulerKind::Interactive, SchedulerKind::Ondemand,
         SchedulerKind::Ebs, SchedulerKind::Pes, SchedulerKind::Oracle};
 
     const auto profiles = seenApps();
-    ResultSet rs = runEvaluationSweep(exp, profiles, kinds);
+    const ResultSet rs =
+        runComplete(evaluationFleet(device, profiles, kinds)).results;
     const auto apps = namesOf(profiles);
 
     Table table({"scheduler", "norm_energy_pct", "qos_violation_pct"});

@@ -7,6 +7,7 @@
  */
 
 #include "bench/bench_common.hh"
+#include "core/pes_scheduler.hh"
 
 using namespace pes;
 
@@ -17,8 +18,7 @@ main()
     benchHeader("Fig. 14 - Confidence-threshold sensitivity",
                 "PES paper Fig. 14 (Sec. 6.5); normalized to EBS.");
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
 
     // Subset of seen apps keeps the sweep brisk while spanning behaviour
     // (bursty, shoppy, newsy, searchy).
@@ -30,13 +30,10 @@ main()
     // EBS baselines per app, over a widened trace sample (the paper's
     // three traces per app leave the threshold sweep noisy).
     constexpr int kTraces = 6;
-    ResultSet ebs_rs;
-    for (const AppProfile &p : profiles) {
-        const auto driver = exp.makeScheduler(SchedulerKind::Ebs);
-        for (const auto &trace :
-             exp.generator().evaluationSet(p, kTraces))
-            ebs_rs.add(exp.runTrace(p, trace, *driver));
-    }
+    FleetConfig ebs_fleet =
+        evaluationFleet(device, profiles, {SchedulerKind::Ebs});
+    ebs_fleet.users = kTraces;
+    const ResultSet ebs_rs = runComplete(std::move(ebs_fleet)).results;
 
     Table table({"confidence_threshold_pct", "norm_energy_vs_ebs_pct",
                  "qos_violation_reduction_vs_ebs_pct",
@@ -49,10 +46,10 @@ main()
         for (const AppProfile &p : profiles) {
             PesScheduler::Config config;
             config.predictor.confidenceThreshold = threshold;
-            PesScheduler pes(exp.trainedModel(), config);
+            PesScheduler pes(device.model(), config);
             for (const auto &trace :
-                 exp.generator().evaluationSet(p, kTraces))
-                rs.add(exp.runTrace(p, trace, pes));
+                 device.generator().evaluationSet(p, kTraces))
+                rs.add(device.replay(p, trace, pes));
         }
         for (const SimResult &r : rs.results()) {
             for (int d : r.predictionDegrees) {

@@ -10,7 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
+#include "core/ebs_policy.hh"
 #include "core/optimizer.hh"
 #include "core/predictor.hh"
 #include "core/predictor_training.hh"
@@ -21,31 +22,31 @@
 namespace pes {
 namespace {
 
-Experiment &
-experiment()
+DeviceContext &
+trainedDevice()
 {
-    static Experiment exp;
+    static DeviceContext device;
     static bool init = false;
     if (!init) {
         setQuiet(true);
-        exp.trainedModel();
+        device.model();
         init = true;
     }
-    return exp;
+    return device;
 }
 
 /** Paper: "evaluating a simple five-variable logistic model ~2 us". */
 void
 BM_PredictorSingleStep(benchmark::State &state)
 {
-    Experiment &exp = experiment();
+    DeviceContext &device = trainedDevice();
     const AppProfile &profile = appByName("cnn");
-    const WebApp &app = exp.generator().appFor(profile);
+    const WebApp &app = device.generator().appFor(profile);
     WebAppSession session(app);
     DomAnalyzer analyzer(session);
     FeatureWindow window;
     window.observe(DomEventType::Click, 100, 100);
-    EventPredictor predictor(exp.trainedModel());
+    EventPredictor predictor(device.model());
     const DomOverlay snapshot = session.snapshotState();
 
     for (auto _ : state) {
@@ -59,14 +60,14 @@ BENCHMARK(BM_PredictorSingleStep);
 void
 BM_PredictorSequence(benchmark::State &state)
 {
-    Experiment &exp = experiment();
+    DeviceContext &device = trainedDevice();
     const AppProfile &profile = appByName("cnn");
-    const WebApp &app = exp.generator().appFor(profile);
+    const WebApp &app = device.generator().appFor(profile);
     WebAppSession session(app);
     DomAnalyzer analyzer(session);
     FeatureWindow window;
     window.observe(DomEventType::Click, 100, 100);
-    EventPredictor predictor(exp.trainedModel());
+    EventPredictor predictor(device.model());
 
     for (auto _ : state) {
         auto seq = predictor.predictSequence(
@@ -80,10 +81,10 @@ BENCHMARK(BM_PredictorSequence);
 void
 BM_GlobalOptimizer(benchmark::State &state)
 {
-    Experiment &exp = experiment();
-    const DvfsLatencyModel model(exp.platform());
+    DeviceContext &device = trainedDevice();
+    const DvfsLatencyModel model(device.platform());
     const VsyncClock vsync;
-    GlobalOptimizer optimizer(model, exp.power(), vsync);
+    GlobalOptimizer optimizer(model, device.power(), vsync);
     std::vector<PlanEventSpec> specs(
         static_cast<size_t>(state.range(0)));
     for (size_t i = 0; i < specs.size(); ++i) {
@@ -92,7 +93,7 @@ BM_GlobalOptimizer(benchmark::State &state)
     }
     for (auto _ : state) {
         auto sol = optimizer.planSchedule(
-            0.0, exp.platform().minConfig(), specs);
+            0.0, device.platform().minConfig(), specs);
         benchmark::DoNotOptimize(sol);
     }
 }
@@ -140,14 +141,14 @@ BENCHMARK(BM_Simplex);
 void
 BM_EbsChoice(benchmark::State &state)
 {
-    Experiment &exp = experiment();
-    EbsPolicy policy(exp.platform(), exp.power());
-    const DvfsLatencyModel model(exp.platform());
+    DeviceContext &device = trainedDevice();
+    EbsPolicy policy(device.platform(), device.power());
+    const DvfsLatencyModel model(device.platform());
     const Workload truth{5.0, 120.0};
     policy.recordMeasurement(1, DomEventType::Click,
-                             exp.platform().maxConfig(),
+                             device.platform().maxConfig(),
                              model.latency(truth,
-                                           exp.platform().maxConfig()));
+                                           device.platform().maxConfig()));
     policy.recordMeasurement(
         1, DomEventType::Click, {CoreType::Big, 1000.0},
         model.latency(truth, {CoreType::Big, 1000.0}));
@@ -162,13 +163,13 @@ BENCHMARK(BM_EbsChoice);
 void
 BM_FullPesReplay(benchmark::State &state)
 {
-    Experiment &exp = experiment();
+    DeviceContext &device = trainedDevice();
     const AppProfile &profile = appByName("cnn");
     const auto trace =
-        exp.generator().evaluationSet(profile, 1).front();
+        device.generator().evaluationSet(profile, 1).front();
     for (auto _ : state) {
-        const auto driver = exp.makeScheduler(SchedulerKind::Pes);
-        auto r = exp.runTrace(profile, trace, *driver);
+        const auto driver = device.makeDriver(SchedulerKind::Pes);
+        auto r = device.replay(profile, trace, *driver);
         benchmark::DoNotOptimize(r.totalEnergy);
     }
 }

@@ -10,6 +10,7 @@
  */
 
 #include "bench/bench_common.hh"
+#include "core/pes_scheduler.hh"
 
 using namespace pes;
 
@@ -31,8 +32,7 @@ main()
                 "Predictor-design ablation (paper Sec. 6.5) + this "
                 "reproduction's documented design knobs.");
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
 
     std::vector<AppProfile> profiles;
     for (const char *name :
@@ -79,11 +79,9 @@ main()
     }
 
     // EBS reference for normalization.
-    ResultSet ebs_rs;
-    for (const AppProfile &p : profiles) {
-        const auto driver = exp.makeScheduler(SchedulerKind::Ebs);
-        exp.runAppUnder(p, *driver, ebs_rs);
-    }
+    const ResultSet ebs_rs =
+        runComplete(evaluationFleet(device, profiles, {SchedulerKind::Ebs}))
+            .results;
 
     Table table({"variant", "norm_energy_vs_ebs_pct",
                  "qos_violation_pct", "prediction_accuracy_pct",
@@ -92,19 +90,10 @@ main()
         variant.config.nameOverride = "PES-variant";
         ResultSet rs;
         for (const AppProfile &p : profiles) {
-            // Strict matching requires the simulator to resolve ground
-            // truth strictly as well.
-            PesScheduler pes(exp.trainedModel(), variant.config);
-            const WebApp &app = exp.generator().appFor(p);
-            SimConfig sim_config;
-            sim_config.renderScale = p.renderScale;
-            sim_config.matchPolicy = variant.config.matchPolicy;
-            RuntimeSimulator sim(exp.platform(), exp.power(), app,
-                                 sim_config);
-            for (const auto &trace : exp.generator().evaluationSet(
-                     p, Experiment::kEvalTracesPerApp)) {
-                rs.add(sim.run(trace, pes));
-            }
+            PesScheduler pes(device.model(), variant.config);
+            for (const auto &trace : device.generator().evaluationSet(
+                     p, TraceGenerator::kEvalTracesPerApp))
+                rs.add(device.replay(p, trace, pes));
         }
         double energy_ratio = 0.0;
         for (const AppProfile &p : profiles) {

@@ -13,14 +13,15 @@ using namespace pes;
 namespace {
 
 void
-runOn(const char *label, Experiment &exp, Table &table)
+runOn(const char *label, AcmpPlatform platform, Table &table)
 {
-    exp.trainedModel();
+    DeviceContext device(std::move(platform));
     const std::vector<SchedulerKind> kinds{
         SchedulerKind::Interactive, SchedulerKind::Ebs,
         SchedulerKind::Pes, SchedulerKind::Oracle};
     const auto profiles = seenApps();
-    ResultSet rs = runEvaluationSweep(exp, profiles, kinds);
+    const ResultSet rs =
+        runComplete(evaluationFleet(device, profiles, kinds)).results;
     const auto apps = namesOf(profiles);
     table.beginRow()
         .cell(std::string(label))
@@ -46,14 +47,8 @@ main()
 
     Table table({"platform", "Interactive", "EBS", "PES", "Oracle",
                  "PES_viol_pct"});
-    {
-        Experiment exynos(AcmpPlatform::exynos5410());
-        runOn("Exynos 5410 (2013)", exynos, table);
-    }
-    {
-        Experiment parker(AcmpPlatform::tegraParker());
-        runOn("Parker / TX2 (2017)", parker, table);
-    }
+    runOn("Exynos 5410 (2013)", AcmpPlatform::exynos5410(), table);
+    runOn("Parker / TX2 (2017)", AcmpPlatform::tegraParker(), table);
 
     emitTable(table, "sec65_other_devices.csv");
     std::cout << "Paper reference: ~24.6% PES energy saving vs "

@@ -20,14 +20,13 @@ main()
     benchHeader("Table 1 - Model features",
                 "PES paper Table 1 (Sec. 5.2).");
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
 
     // Collect the feature matrix over seen-app evaluation traces.
     std::vector<TrainSample> samples;
     for (const AppProfile &p : seenApps()) {
-        const WebApp &app = exp.generator().appFor(p);
-        for (const auto &trace : exp.generator().evaluationSet(p, 2)) {
+        const WebApp &app = device.generator().appFor(p);
+        for (const auto &trace : device.generator().evaluationSet(p, 2)) {
             const auto s = buildDataset(app, trace);
             samples.insert(samples.end(), s.begin(), s.end());
         }

@@ -14,7 +14,8 @@
 
 #include <iostream>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
+#include "runner/fleet_runner.hh"
 #include "sim/scheduler_driver.hh"
 #include "sim/simulator_api.hh"
 #include "util/logging.hh"
@@ -54,23 +55,26 @@ int
 main()
 {
     setQuiet(true);
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
 
     std::vector<AppProfile> profiles;
     for (const char *name : {"cnn", "ebay", "twitter"})
         profiles.push_back(appByName(name));
 
-    ResultSet rs;
+    // The built-in schedulers run the paper's evaluation protocol as a
+    // fleet; a custom driver replays the same evaluation traces itself.
+    ResultSet rs =
+        FleetRunner(evaluationFleet(device, profiles,
+                                    {SchedulerKind::Interactive,
+                                     SchedulerKind::Ebs,
+                                     SchedulerKind::Pes}))
+            .run()
+            .results;
     for (const AppProfile &p : profiles) {
         RaceToIdleScheduler race;
-        exp.runAppUnder(p, race, rs);
-        for (SchedulerKind kind :
-             {SchedulerKind::Interactive, SchedulerKind::Ebs,
-              SchedulerKind::Pes}) {
-            const auto driver = exp.makeScheduler(kind);
-            exp.runAppUnder(p, *driver, rs);
-        }
+        for (const InteractionTrace &trace : device.generator().evaluationSet(
+                 p, TraceGenerator::kEvalTracesPerApp))
+            rs.add(device.replay(p, trace, race));
     }
 
     const auto apps = rs.apps();

@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -27,24 +27,24 @@ main(int argc, char **argv)
     const uint64_t seed = argc > 1
         ? std::strtoull(argv[1], nullptr, 10) : 9001ull;
 
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
+    device.model();
     const AppProfile &profile = appByName("cnn");
     const InteractionTrace trace =
-        exp.generator().generate(profile, seed);
+        device.generator().generate(profile, seed);
 
     std::cout << "cnn session of user " << seed << ": " << trace.size()
               << " events, "
               << formatDouble(trace.duration() / 1000.0, 1) << " s.\n\n";
 
-    const auto pes = exp.makeScheduler(SchedulerKind::Pes);
-    const SimResult r = exp.runTrace(profile, trace, *pes);
+    const auto pes = device.makeDriver(SchedulerKind::Pes);
+    const SimResult r = device.replay(profile, trace, *pes);
 
     Table table({"#", "t_s", "event", "served", "config", "latency_ms",
                  "qos_ms", "ok", "busy_mJ"});
     for (size_t i = 0; i < r.events.size(); ++i) {
         const EventRecord &e = r.events[i];
-        const AcmpConfig cfg = exp.platform().configAt(e.configIndex);
+        const AcmpConfig cfg = device.platform().configAt(e.configIndex);
         table.beginRow()
             .cell(static_cast<long>(i))
             .cell(e.arrival / 1000.0, 1)

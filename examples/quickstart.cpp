@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -30,14 +30,14 @@ main(int argc, char **argv)
 
     // ---- 1. The application -------------------------------------------
     const AppProfile &profile = appByName(app_name);
-    Experiment exp;  // Exynos 5410 platform + power table + generator
-    const WebApp &app = exp.generator().appFor(profile);
+    DeviceContext device;  // Exynos 5410 platform + power table + generator
+    const WebApp &app = device.generator().appFor(profile);
     std::cout << "App '" << profile.name << "': " << app.numPages()
               << " pages, " << app.dom(0).size()
               << " DOM nodes on the landing page.\n";
 
     // ---- 2. A user session --------------------------------------------
-    InteractionTrace trace = exp.generator().generate(profile, 12345);
+    InteractionTrace trace = device.generator().generate(profile, 12345);
     std::cout << "Generated session: " << trace.size() << " events over "
               << formatDouble(trace.duration() / 1000.0, 1) << " s.\n";
 
@@ -50,13 +50,13 @@ main(int argc, char **argv)
     // ---- 3. Train the predictor (cached across calls) -----------------
     std::cout << "Training the event-sequence model on the 12 seen "
                  "apps...\n";
-    exp.trainedModel();
+    device.model();
 
     // ---- 4. Replay under both schedulers -------------------------------
-    const auto ebs = exp.makeScheduler(SchedulerKind::Ebs);
-    const auto pes = exp.makeScheduler(SchedulerKind::Pes);
-    const SimResult ebs_result = exp.runTrace(profile, trace, *ebs);
-    const SimResult pes_result = exp.runTrace(profile, trace, *pes);
+    const auto ebs = device.makeDriver(SchedulerKind::Ebs);
+    const auto pes = device.makeDriver(SchedulerKind::Pes);
+    const SimResult ebs_result = device.replay(profile, trace, *ebs);
+    const SimResult pes_result = device.replay(profile, trace, *pes);
 
     // ---- 5. Compare -----------------------------------------------------
     Table table({"metric", "EBS", "PES"});

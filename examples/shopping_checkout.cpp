@@ -16,7 +16,8 @@
 
 #include <iostream>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
+#include "core/pes_scheduler.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -25,19 +26,13 @@ using namespace pes;
 namespace {
 
 SimResult
-runWithPolicy(Experiment &exp, const AppProfile &profile,
+runWithPolicy(DeviceContext &device, const AppProfile &profile,
               const InteractionTrace &trace, MatchPolicy policy)
 {
     PesScheduler::Config config;
     config.matchPolicy = policy;
-    PesScheduler pes(exp.trainedModel(), config);
-
-    SimConfig sim_config;
-    sim_config.renderScale = profile.renderScale;
-    sim_config.matchPolicy = policy;
-    RuntimeSimulator sim(exp.platform(), exp.power(),
-                         exp.generator().appFor(profile), sim_config);
-    return sim.run(trace, pes);
+    PesScheduler pes(device.model(), config);
+    return device.replay(profile, trace, pes);
 }
 
 } // namespace
@@ -46,8 +41,8 @@ int
 main()
 {
     setQuiet(true);
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
+    device.model();
     const AppProfile &profile = appByName("amazon");
 
     // Find a session that actually reaches the checkout form.
@@ -55,7 +50,7 @@ main()
     for (uint64_t seed = TraceGenerator::kEvaluationSeedBase;
          seed < TraceGenerator::kEvaluationSeedBase + 60; ++seed) {
         InteractionTrace candidate =
-            exp.generator().generate(profile, seed);
+            device.generator().generate(profile, seed);
         bool has_submit = false;
         for (const TraceEvent &e : candidate.events)
             has_submit |= e.type == DomEventType::Submit;
@@ -65,7 +60,7 @@ main()
         }
     }
     if (trace.events.empty())
-        trace = exp.generator().generate(
+        trace = device.generator().generate(
             profile, TraceGenerator::kEvaluationSeedBase);
 
     int submits = 0, loads = 0, taps = 0, moves = 0;
@@ -83,9 +78,9 @@ main()
               << moves << " moves).\n\n";
 
     const SimResult type_level =
-        runWithPolicy(exp, profile, trace, MatchPolicy::TypeLevel);
+        runWithPolicy(device, profile, trace, MatchPolicy::TypeLevel);
     const SimResult strict =
-        runWithPolicy(exp, profile, trace, MatchPolicy::Strict);
+        runWithPolicy(device, profile, trace, MatchPolicy::Strict);
 
     Table table({"metric", "type-level match", "strict match"});
     table.beginRow().cell(std::string("total energy (mJ)"))

@@ -361,6 +361,7 @@ PesScheduler::nextWork(SimulatorApi &api)
             work.kind = WorkItem::Kind::Speculative;
             work.targetPosition = item.position;
             work.predicted = item.predicted;
+            work.matchPolicy = config_.matchPolicy;
             work.config = api.platform().configAt(item.configIndex);
             return work;
         }

@@ -64,7 +64,8 @@ class PesScheduler : public SchedulerDriver
     {
         /** Predictor settings (70% confidence threshold etc.). */
         EventPredictor::Config predictor;
-        /** Commit-match granularity (see MatchPolicy). */
+        /** Commit-match granularity (see MatchPolicy), also stamped on
+         *  every speculative WorkItem for the simulator's ground truth. */
         MatchPolicy matchPolicy = MatchPolicy::TypeLevel;
         /** Consecutive mispredictions before disabling prediction. */
         int maxConsecutiveMispredicts = 3;

@@ -2,9 +2,10 @@
  * @file
  * The scheduler taxonomy of the evaluation.
  *
- * Split out of experiment.hh so lower-coupling layers (the fleet runner's
- * job enumeration) can name schedulers without pulling in the whole
- * experiment harness.
+ * Names only: layers that enumerate or parse schedulers (the fleet
+ * runner's job axes, the tools' flags) include this without the drivers.
+ * DeviceContext::makeDriver (core/device_context.hh) turns a kind into a
+ * driver.
  */
 
 #ifndef PES_CORE_SCHEDULER_KIND_HH

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <climits>
+#include <thread>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
 #include "population/population_spec.hh"
-#include "trace/generator.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/strings.hh"
@@ -92,6 +92,29 @@ enumerateJobs(const FleetConfig &config)
         }
     }
     return jobs;
+}
+
+FleetConfig
+evaluationFleet(DeviceContext &device, std::vector<AppProfile> apps,
+                std::vector<SchedulerKind> schedulers)
+{
+    FleetConfig config;
+    config.devices = {device.platform()};
+    config.apps = std::move(apps);
+    config.schedulers = std::move(schedulers);
+    config.users = TraceGenerator::kEvalTracesPerApp;
+    config.seedMode = SeedMode::Evaluation;
+    config.warmDrivers = true;
+    config.collectResults = true;
+    config.threads = defaultSweepThreads();
+    for (const SchedulerKind kind : config.schedulers) {
+        if (kind == SchedulerKind::Pes) {
+            config.pretrainedModel = &device.model();
+            config.pretrainedModelDevice = device.platform().name();
+            break;
+        }
+    }
+    return config;
 }
 
 std::vector<SchedulerKind>
@@ -200,7 +223,7 @@ sweepFlags(FleetConfig &config, const std::vector<std::string> &names)
     config.schedulers = parseSchedulerList(schedulers);
     config.apps = parseAppList(apps);
     config.users = 100;
-    config.threads = Experiment::defaultSweepThreads();
+    config.threads = defaultSweepThreads();
     // The list parsers fatal() on unknown names themselves.
     const auto axis = [](auto &field, auto parse) {
         return [&field, parse](const std::string &value) {
@@ -251,6 +274,13 @@ sweepFlags(FleetConfig &config, const std::vector<std::string> &names)
         picked.push_back(*it);
     }
     return picked;
+}
+
+int
+defaultSweepThreads()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? static_cast<int>(hw) : 1;
 }
 
 int

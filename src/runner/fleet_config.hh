@@ -26,12 +26,14 @@
 #include "core/scheduler_kind.hh"
 #include "hw/acmp.hh"
 #include "trace/app_profile.hh"
+#include "trace/generator.hh"
 #include "trace/trace.hh"
 #include "util/flags.hh"
 
 namespace pes {
 
 class CorpusStore;
+class DeviceContext;
 class LogisticModel;
 struct PopulationSpec;
 class ResultStore;
@@ -74,7 +76,7 @@ enum class SeedMode
     /**
      * The paper's evaluation population (Sec. 6.1): user @c i maps to
      * TraceGenerator::kEvaluationSeedBase + i, reproducing the paper's
-     * evaluation protocol exactly (Experiment::runFleetSweep).
+     * evaluation protocol exactly (evaluationFleet).
      */
     Evaluation,
 };
@@ -120,7 +122,7 @@ struct FleetConfig
      *  aggregated metrics. Costs memory on big fleets. */
     bool collectResults = false;
     /** Training sessions per seen app for the PES event model. */
-    int trainingTracesPerApp = 9;
+    int trainingTracesPerApp = TraceGenerator::kTrainingTracesPerApp;
     /**
      * Optional pre-trained event model (borrowed, not owned). Used only
      * for single-device fleets whose device name equals
@@ -296,6 +298,19 @@ uint64_t fleetUserSeed(const FleetConfig &config, int user_index);
  */
 std::vector<JobSpec> enumerateJobs(const FleetConfig &config);
 
+/**
+ * The paper's evaluation protocol (Sec. 6.1) as a fleet on @p device:
+ * every app's TraceGenerator::kEvalTracesPerApp evaluation users,
+ * replayed in order on one warmed driver per (app, scheduler) cell, with
+ * every SimResult retained (collectResults), on defaultSweepThreads()
+ * workers. Results are identical for any thread count. When a scheduler
+ * is PES the fleet borrows @p device's model(), so @p device must
+ * outlive the run.
+ */
+FleetConfig evaluationFleet(DeviceContext &device,
+                            std::vector<AppProfile> apps,
+                            std::vector<SchedulerKind> schedulers);
+
 // ------------- axis parsing (the tools' flags, tests, benches) -------------
 
 /**
@@ -328,6 +343,9 @@ std::vector<AcmpPlatform> parseDeviceList(const std::string &spec);
  */
 Flags sweepFlags(FleetConfig &config,
                  const std::vector<std::string> &names = {});
+
+/** Default worker count of sweeps: the hardware concurrency (>= 1). */
+int defaultSweepThreads();
 
 /**
  * Resolve a `--population=SPEC` reference (a built-in name or a .json

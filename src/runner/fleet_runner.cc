@@ -14,13 +14,9 @@
 #include <tuple>
 #include <utility>
 
-#include "core/ebs_scheduler.hh"
+#include "core/device_context.hh"
 #include "corpus/corpus_store.hh"
 #include "corpus/trace_cache.hh"
-#include "core/governors.hh"
-#include "core/oracle_scheduler.hh"
-#include "core/pes_scheduler.hh"
-#include "core/predictor_training.hh"
 #include "population/population_spec.hh"
 #include "results/result_reduce.hh"
 #include "results/result_store.hh"
@@ -114,48 +110,6 @@ class ProgressMeter
     std::chrono::steady_clock::time_point lastPrint_{};
     int lastPrinted_ = -1;
 };
-
-/**
- * Immutable per-device state shared by every worker: the platform, its
- * power table, and the trained event model. Construction order matters
- * (power and generator hold references into platform), hence the
- * in-struct initialization.
- */
-struct DeviceContext
-{
-    explicit DeviceContext(const AcmpPlatform &p)
-        : platform(p), power(platform), trainGenerator(platform)
-    {
-    }
-
-    AcmpPlatform platform;
-    PowerModel power;
-    /** Main-thread generator used only for model training. */
-    TraceGenerator trainGenerator;
-    /** Trained event model; unset when no scheduler needs it. */
-    std::optional<LogisticModel> ownedModel;
-    /** Model the PES driver uses (owned or borrowed). */
-    const LogisticModel *model = nullptr;
-};
-
-std::unique_ptr<SchedulerDriver>
-makeFleetScheduler(SchedulerKind kind, const DeviceContext &device)
-{
-    switch (kind) {
-      case SchedulerKind::Interactive:
-        return std::make_unique<InteractiveGovernor>();
-      case SchedulerKind::Ondemand:
-        return std::make_unique<OndemandGovernor>();
-      case SchedulerKind::Ebs:
-        return std::make_unique<EbsScheduler>();
-      case SchedulerKind::Pes:
-        panic_if(!device.model, "fleet: PES scheduled without a model");
-        return std::make_unique<PesScheduler>(*device.model);
-      case SchedulerKind::Oracle:
-        return std::make_unique<OracleScheduler>();
-    }
-    panic("makeFleetScheduler: invalid kind");
-}
 
 /**
  * Checkpointing sink of the persist stage: workers push completed
@@ -413,7 +367,7 @@ class Pipeline
     const std::string &deviceName(const JobSpec &job) const
     {
         return devices_[static_cast<size_t>(job.deviceIndex)]
-            ->platform.name();
+            ->platform().name();
     }
 
     const FleetRunner &runner_;
@@ -511,19 +465,15 @@ Pipeline::setup()
 
     devices_.reserve(config_.devices.size());
     for (const AcmpPlatform &platform : config_.devices) {
-        auto ctx = std::make_unique<DeviceContext>(platform);
-        if (needs_model) {
-            if (config_.pretrainedModel && config_.devices.size() == 1 &&
-                platform.name() == config_.pretrainedModelDevice) {
-                ctx->model = config_.pretrainedModel;
-            } else {
-                ctx->ownedModel = trainEventModel(
-                    ctx->trainGenerator, seenApps(),
-                    config_.trainingTracesPerApp);
-                ctx->model = &*ctx->ownedModel;
-            }
-        }
-        devices_.push_back(std::move(ctx));
+        const bool borrow = config_.pretrainedModel &&
+            config_.devices.size() == 1 &&
+            platform.name() == config_.pretrainedModelDevice;
+        auto device = std::make_unique<DeviceContext>(
+            platform, config_.trainingTracesPerApp,
+            borrow ? config_.pretrainedModel : nullptr);
+        if (needs_model)
+            device->model();
+        devices_.push_back(std::move(device));
     }
 
     // Streaming canonical reduction for store-less runs (store-backed
@@ -747,9 +697,8 @@ Pipeline::runRange(const JobRange &range, int worker)
                      devices_.size() +
                  static_cast<size_t>(head.deviceIndex)];
     if (!driver || !driver->resetFresh()) {
-        driver = makeFleetScheduler(
-            config_.schedulers[static_cast<size_t>(head.schedulerIndex)],
-            *devices_[static_cast<size_t>(head.deviceIndex)]);
+        driver = devices_[static_cast<size_t>(head.deviceIndex)]->makeDriver(
+            config_.schedulers[static_cast<size_t>(head.schedulerIndex)]);
     }
     for (int i = 0; i < range.count; ++i)
         runJob(jobs_[static_cast<size_t>(range.first + i)], worker,
@@ -806,12 +755,12 @@ Pipeline::materialize(const JobSpec &job, TraceGenerator &generator)
 void
 Pipeline::runJob(const JobSpec &job, int worker, SchedulerDriver &driver)
 {
-    DeviceContext &device =
+    const DeviceContext &device =
         *devices_[static_cast<size_t>(job.deviceIndex)];
     auto &generator = generators_[static_cast<size_t>(worker)]
                                  [static_cast<size_t>(job.deviceIndex)];
     if (!generator)
-        generator = std::make_unique<TraceGenerator>(device.platform);
+        generator = std::make_unique<TraceGenerator>(device.platform());
     const AppProfile &profile =
         config_.apps[static_cast<size_t>(job.appIndex)];
     const char *scheduler = schedulerKindName(
@@ -833,7 +782,7 @@ Pipeline::runJob(const JobSpec &job, int worker, SchedulerDriver &driver)
     const InteractionTrace *trace = &fresh;
     if (cache_) {
         handle = cache_->getOrLoad(
-            device.platform.name(), profile.name, job.userSeed,
+            device.platform().name(), profile.name, job.userSeed,
             [&] { return materialize(job, *generator); });
         trace = handle.get();
     } else {
@@ -845,13 +794,8 @@ Pipeline::runJob(const JobSpec &job, int worker, SchedulerDriver &driver)
                 [static_cast<size_t>(job.deviceIndex) *
                      config_.apps.size() +
                  static_cast<size_t>(job.appIndex)];
-    if (!engine) {
-        SimConfig sim_config;
-        sim_config.renderScale = profile.renderScale;
-        engine = std::make_unique<RuntimeSimulator>(
-            device.platform, device.power, generator->appFor(profile),
-            sim_config);
-    }
+    if (!engine)
+        engine = device.makeEngine(profile, *generator);
     // The engine's app/platform/renderScale are fixed per slot; only
     // the speculation-noise seed varies job to job. Fleet users get a
     // per-user stream (instead of the default fixed seed) so fleets are
@@ -869,7 +813,7 @@ Pipeline::runJob(const JobSpec &job, int worker, SchedulerDriver &driver)
     }
     if (store_) {
         SessionRecord record;
-        record.device = device.platform.name();
+        record.device = device.platform().name();
         record.app = profile.name;
         record.scheduler = scheduler;
         record.userIndex = static_cast<uint32_t>(job.userIndex);

@@ -37,7 +37,7 @@
  *    warm-driver runs shard per (device, app, scheduler) cell so a
  *    driver's cross-session state (EBS/PES measurement history) replays
  *    sequentially, reproducing the paper's warmed-device evaluation
- *    protocol (Experiment::runFleetSweep). --shard k/N distributes the
+ *    protocol (evaluationFleet). --shard k/N distributes the
  *    same units across machines.
  *  - Isolation: each worker keeps its own trace-generator caches;
  *    shared state (platform, power table, trained event model, the

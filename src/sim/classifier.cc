@@ -50,10 +50,8 @@ CategoryDistribution::merge(const CategoryDistribution &other)
 }
 
 EventClassifier::EventClassifier(const AcmpPlatform &platform,
-                                 const PowerModel &power,
-                                 double vsync_rate_hz)
-    : platform_(&platform), power_(&power), latencyModel_(platform),
-      vsync_(vsync_rate_hz)
+                                 const PowerModel &power)
+    : platform_(&platform), power_(&power), latencyModel_(platform)
 {
 }
 

@@ -66,8 +66,7 @@ struct CategoryDistribution
 class EventClassifier
 {
   public:
-    EventClassifier(const AcmpPlatform &platform, const PowerModel &power,
-                    double vsync_rate_hz = 60.0);
+    EventClassifier(const AcmpPlatform &platform, const PowerModel &power);
 
     /** Category of one event given its run record and true workload. */
     EventCategory classify(const TraceEvent &event,

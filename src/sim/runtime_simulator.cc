@@ -108,8 +108,7 @@ RuntimeSimulator::RuntimeSimulator(const AcmpPlatform &platform,
                                    const PowerModel &power,
                                    const WebApp &app, SimConfig config)
     : platform_(&platform), power_(&power), app_(&app), config_(config),
-      latencyModel_(platform), vsync_(config.vsyncRateHz),
-      currentConfig_(platform.minConfig())
+      latencyModel_(platform), currentConfig_(platform.minConfig())
 {
 }
 
@@ -255,7 +254,7 @@ RuntimeSimulator::resolveTruth(const WorkItem &item, bool &matched) const
         const TraceEvent &actual =
             trace_->events[static_cast<size_t>(pos)];
         bool match = actual.type == item.predicted.type;
-        if (config_.matchPolicy == MatchPolicy::Strict) {
+        if (item.matchPolicy == MatchPolicy::Strict) {
             match = match && actual.node == item.predicted.node &&
                 actual.pageId == item.predicted.pageId;
         }
@@ -631,7 +630,7 @@ RuntimeSimulator::apiChargeSchedulerOverhead(TimeMs duration)
 void
 RuntimeSimulator::apiRecordPfbSample(int pfb_size, bool after_squash)
 {
-    if (!config_.recordPfb || !recordDetail_)
+    if (!recordDetail_)
         return;
     result_.pfbTrace.push_back(
         {now_, servedCount_, pfb_size, after_squash});

@@ -47,16 +47,6 @@ namespace pes {
 /** Replay options. */
 struct SimConfig
 {
-    /** Display refresh rate. */
-    double vsyncRateHz = 60.0;
-    /** Record the PFB occupancy trace (Fig. 9). */
-    bool recordPfb = true;
-    /**
-     * Matching rule deciding whether a speculative frame's ground-truth
-     * workload is the actual event's (the paper's type-level accuracy
-     * granularity) or a freshly sampled plausible workload.
-     */
-    MatchPolicy matchPolicy = MatchPolicy::TypeLevel;
     /** Render-scale of the app (for sampling mispredicted workloads). */
     double renderScale = 1.0;
     /** Seed for sampling mispredicted speculative workloads. */

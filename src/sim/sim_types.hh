@@ -55,6 +55,12 @@ struct WorkItem
     int targetPosition = -1;
     /** Speculative work: the predicted event. */
     PredictedEvent predicted;
+    /**
+     * Speculative work: the driver's commit-match rule. The frame
+     * computed the actual event's workload exactly when the prediction
+     * matches that event under this rule.
+     */
+    MatchPolicy matchPolicy = MatchPolicy::TypeLevel;
     /** Execution configuration requested by the scheduler. */
     AcmpConfig config;
 };

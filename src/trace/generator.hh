@@ -32,8 +32,12 @@ class TraceGenerator
   public:
     /** First user seed of the training population. */
     static constexpr uint64_t kTrainingSeedBase = 1000;
+    /** Training sessions per seen app (>100 across the 12 seen apps). */
+    static constexpr int kTrainingTracesPerApp = 9;
     /** First user seed of the evaluation population (disjoint users). */
     static constexpr uint64_t kEvaluationSeedBase = 9000;
+    /** Evaluation sessions per app (paper Sec. 6.1: three). */
+    static constexpr int kEvalTracesPerApp = 3;
 
     explicit TraceGenerator(const AcmpPlatform &platform);
 

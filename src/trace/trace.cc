@@ -97,7 +97,11 @@ InteractionTrace::deserialize(const std::string &blob)
         if (!(in >> key) || key != "events" || !(in >> count))
             return std::nullopt;
     }
-    trace.events.reserve(count);
+    // A session has at least one event. The header count only bounds
+    // the loop: events are appended as they parse, so a huge count in a
+    // short file fails at its end instead of sizing an allocation.
+    if (count == 0)
+        return std::nullopt;
     for (size_t i = 0; i < count; ++i) {
         TraceEvent e;
         std::string type_name;

@@ -80,7 +80,8 @@ struct InteractionTrace
     /** Serialize to the text trace format. */
     std::string serialize() const;
 
-    /** Parse a serialized trace; nullopt on malformed input. */
+    /** Parse a serialized trace; nullopt on malformed input or on an
+     *  empty event list. */
     static std::optional<InteractionTrace>
     deserialize(const std::string &blob);
 

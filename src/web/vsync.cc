@@ -2,27 +2,14 @@
 
 #include <cmath>
 
-#include "util/logging.hh"
-
 namespace pes {
-
-VsyncClock::VsyncClock(double rate_hz)
-{
-    panic_if(rate_hz <= 0.0, "VsyncClock: rate must be positive");
-    period_ = 1000.0 / rate_hz;
-}
 
 TimeMs
 VsyncClock::nextVsyncAt(TimeMs t) const
 {
     if (t <= 0.0)
         return 0.0;
-    const double frames = t / period_;
-    const double up = std::ceil(frames);
-    // Guard against floating-point jitter when t is already on a boundary.
-    if (up - frames < 1e-9)
-        return up * period_;
-    return up * period_;
+    return std::ceil(t / period_) * period_;
 }
 
 long

@@ -15,15 +15,15 @@
 namespace pes {
 
 /**
- * Fixed-rate display refresh clock starting at t = 0.
+ * The 60 Hz display refresh clock, starting at t = 0. The rate is fixed:
+ * trace synthesis makes every trace feasible for the Oracle at 60 Hz
+ * (trace/user_model.cc), so any other rate would silently void the
+ * Oracle's zero-violation guarantee.
  */
 class VsyncClock
 {
   public:
-    /** @param rate_hz Display refresh rate (default 60 Hz). */
-    explicit VsyncClock(double rate_hz = 60.0);
-
-    /** Refresh period in ms (16.67 ms at 60 Hz). */
+    /** Refresh period in ms (16.67 ms). */
     TimeMs periodMs() const { return period_; }
 
     /**
@@ -36,7 +36,7 @@ class VsyncClock
     long frameIndexAt(TimeMs t) const;
 
   private:
-    TimeMs period_;
+    TimeMs period_ = 1000.0 / 60.0;
 };
 
 } // namespace pes

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
 #include "trace/dom_builder.hh"
 #include "trace/user_model.hh"
 #include "util/logging.hh"
@@ -26,24 +26,24 @@ class PerApp : public ::testing::TestWithParam<int>
         return appRegistry()[static_cast<size_t>(GetParam())];
     }
 
-    static Experiment &
-    experiment()
+    static DeviceContext &
+    trainedDevice()
     {
-        static Experiment exp;
+        static DeviceContext device;
         static bool init = false;
         if (!init) {
             setQuiet(true);
-            exp.trainedModel();
+            device.model();
             init = true;
         }
-        return exp;
+        return device;
     }
 };
 
 TEST_P(PerApp, DomIsWellFormed)
 {
     const AppProfile &p = profile();
-    const WebApp &app = experiment().generator().appFor(p);
+    const WebApp &app = trainedDevice().generator().appFor(p);
     ASSERT_EQ(app.numPages(), p.numPages);
     for (int page = 0; page < app.numPages(); ++page) {
         const DomTree &dom = app.dom(page);
@@ -82,9 +82,9 @@ TEST_P(PerApp, LnesNeverEmptyDuringSession)
     // The user model and the predictor both require that some event is
     // always possible; replay a committed session checking the LNES.
     const AppProfile &p = profile();
-    const WebApp &app = experiment().generator().appFor(p);
+    const WebApp &app = trainedDevice().generator().appFor(p);
     const InteractionTrace trace =
-        experiment().generator().generate(p, 4040);
+        trainedDevice().generator().generate(p, 4040);
     WebAppSession session(app);
     DomAnalyzer analyzer(session);
     for (const TraceEvent &e : trace.events) {
@@ -98,11 +98,11 @@ TEST_P(PerApp, LnesNeverEmptyDuringSession)
 TEST_P(PerApp, TraceInvariants)
 {
     const AppProfile &p = profile();
-    Experiment &exp = experiment();
-    const DvfsLatencyModel model(exp.platform());
+    DeviceContext &device = trainedDevice();
+    const DvfsLatencyModel model(device.platform());
     const VsyncClock vsync;
 
-    const InteractionTrace trace = exp.generator().generate(p, 7070);
+    const InteractionTrace trace = device.generator().generate(p, 7070);
     ASSERT_GE(trace.size(), 8u) << p.name;
     ASSERT_LE(trace.size(), static_cast<size_t>(UserModel::kMaxEvents));
     EXPECT_EQ(trace.events.front().type, DomEventType::Load);
@@ -118,7 +118,7 @@ TEST_P(PerApp, TraceInvariants)
         EXPECT_LT(e.totalWork().ndep, 10000.0);
         // Oracle feasibility: back-to-back max-config chain meets every
         // deadline (the zero-violation guarantee).
-        chain += model.latency(e.totalWork(), exp.platform().maxConfig());
+        chain += model.latency(e.totalWork(), device.platform().maxConfig());
         EXPECT_LE(vsync.nextVsyncAt(std::max(chain, e.arrival)),
                   e.arrival + e.qosTarget() + 1e-6)
             << p.name << " event " << i;
@@ -130,10 +130,10 @@ TEST_P(PerApp, TraceInvariants)
 TEST_P(PerApp, OracleZeroViolationsEverywhere)
 {
     const AppProfile &p = profile();
-    Experiment &exp = experiment();
-    const auto oracle = exp.makeScheduler(SchedulerKind::Oracle);
-    const InteractionTrace trace = exp.generator().generate(p, 8081);
-    const SimResult r = exp.runTrace(p, trace, *oracle);
+    DeviceContext &device = trainedDevice();
+    const auto oracle = device.makeDriver(SchedulerKind::Oracle);
+    const InteractionTrace trace = device.generator().generate(p, 8081);
+    const SimResult r = device.replay(p, trace, *oracle);
     EXPECT_NEAR(r.violationRate(), 0.0, 1e-12) << p.name;
     EXPECT_EQ(r.events.size(), trace.size());
 }
@@ -141,17 +141,17 @@ TEST_P(PerApp, OracleZeroViolationsEverywhere)
 TEST_P(PerApp, PesServesEveryEventAndStaysSane)
 {
     const AppProfile &p = profile();
-    Experiment &exp = experiment();
-    const auto pes = exp.makeScheduler(SchedulerKind::Pes);
-    const InteractionTrace trace = exp.generator().generate(p, 9092);
-    const SimResult r = exp.runTrace(p, trace, *pes);
+    DeviceContext &device = trainedDevice();
+    const auto pes = device.makeDriver(SchedulerKind::Pes);
+    const InteractionTrace trace = device.generator().generate(p, 9092);
+    const SimResult r = device.replay(p, trace, *pes);
 
     ASSERT_EQ(r.events.size(), trace.size());
     for (const EventRecord &e : r.events) {
         EXPECT_GE(e.frameReady, 0.0);
         EXPECT_GE(e.displayed, e.arrival);
         EXPECT_GE(e.configIndex, 0);
-        EXPECT_LT(e.configIndex, exp.platform().numConfigs());
+        EXPECT_LT(e.configIndex, device.platform().numConfigs());
     }
     // Energy identity holds on every app.
     EXPECT_NEAR(r.totalEnergy,

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/device_context.hh"
 #include "core/ebs_policy.hh"
 #include "core/ebs_scheduler.hh"
-#include "core/experiment.hh"
 #include "core/governors.hh"
 #include "core/optimizer.hh"
 #include "core/oracle_scheduler.hh"
@@ -17,6 +17,7 @@
 #include "core/pfb.hh"
 #include "core/predictor.hh"
 #include "core/predictor_training.hh"
+#include "runner/fleet_runner.hh"
 #include "trace/dom_builder.hh"
 #include "util/logging.hh"
 
@@ -347,49 +348,46 @@ TEST_F(PredictorFixture, MaxDegreeCap)
 class DriverFixture : public ::testing::Test
 {
   protected:
-    static Experiment &
-    experiment()
+    static DeviceContext &
+    trainedDevice()
     {
-        static Experiment exp;
+        static DeviceContext device;
         static bool trained = false;
         if (!trained) {
             setQuiet(true);
-            exp.trainedModel();
+            device.model();
             trained = true;
         }
-        return exp;
+        return device;
+    }
+
+    /** The Sec.-6.1 evaluation of @p apps under @p schedulers (a fleet). */
+    static ResultSet
+    evaluate(const std::string &apps, const std::string &schedulers,
+             int users = TraceGenerator::kEvalTracesPerApp)
+    {
+        FleetConfig config =
+            evaluationFleet(trainedDevice(), parseAppList(apps),
+                            parseSchedulerList(schedulers));
+        config.users = users;
+        FleetOutcome outcome = FleetRunner(std::move(config)).run();
+        EXPECT_TRUE(outcome.diagnostics.empty());
+        return std::move(outcome.results);
     }
 };
 
 TEST_F(DriverFixture, OracleHasZeroViolations)
 {
-    Experiment &exp = experiment();
-    for (const char *name : {"cnn", "twitter"}) {
-        const AppProfile &profile = appByName(name);
-        const auto driver = exp.makeScheduler(SchedulerKind::Oracle);
-        const auto traces = exp.generator().evaluationSet(profile, 2);
-        for (const auto &trace : traces) {
-            const SimResult r = exp.runTrace(profile, trace, *driver);
-            EXPECT_NEAR(r.violationRate(), 0.0, 1e-12)
-                << name << " user " << trace.userSeed;
-        }
-    }
+    const ResultSet rs = evaluate("cnn,twitter", "oracle", 2);
+    ASSERT_EQ(rs.results().size(), 4u);
+    for (const SimResult &r : rs.results())
+        EXPECT_NEAR(r.violationRate(), 0.0, 1e-12) << r.appName;
 }
 
 TEST_F(DriverFixture, SchedulerEnergyOrdering)
 {
     // Oracle <= PES <= Interactive and EBS <= Interactive on aggregate.
-    Experiment &exp = experiment();
-    ResultSet rs;
-    for (const char *name : {"cnn", "ebay"}) {
-        const AppProfile &profile = appByName(name);
-        for (SchedulerKind kind :
-             {SchedulerKind::Interactive, SchedulerKind::Ebs,
-              SchedulerKind::Pes, SchedulerKind::Oracle}) {
-            const auto driver = exp.makeScheduler(kind);
-            exp.runAppUnder(profile, *driver, rs);
-        }
-    }
+    const ResultSet rs = evaluate("cnn,ebay", "interactive,ebs,pes,oracle");
     const auto apps = rs.apps();
     const double ebs = rs.meanNormalizedEnergy(apps, "EBS", "Interactive");
     const double pes = rs.meanNormalizedEnergy(apps, "PES", "Interactive");
@@ -402,27 +400,14 @@ TEST_F(DriverFixture, SchedulerEnergyOrdering)
 
 TEST_F(DriverFixture, PesReducesViolationsVersusEbs)
 {
-    Experiment &exp = experiment();
-    ResultSet rs;
-    for (const char *name : {"cnn", "google", "twitter"}) {
-        const AppProfile &profile = appByName(name);
-        for (SchedulerKind kind : {SchedulerKind::Ebs, SchedulerKind::Pes}) {
-            const auto driver = exp.makeScheduler(kind);
-            exp.runAppUnder(profile, *driver, rs);
-        }
-    }
+    const ResultSet rs = evaluate("cnn,google,twitter", "ebs,pes");
     EXPECT_LT(rs.summarizeScheduler("PES").violationRate,
               rs.summarizeScheduler("EBS").violationRate);
 }
 
 TEST_F(DriverFixture, PesPredictionAccuracyInPaperBand)
 {
-    Experiment &exp = experiment();
-    ResultSet rs;
-    for (const char *name : {"cnn", "ebay", "twitter"}) {
-        const auto driver = exp.makeScheduler(SchedulerKind::Pes);
-        exp.runAppUnder(appByName(name), *driver, rs);
-    }
+    const ResultSet rs = evaluate("cnn,ebay,twitter", "pes");
     const double acc = rs.summarizeScheduler("PES").predictionAccuracy;
     EXPECT_GT(acc, 0.80);
     EXPECT_LE(acc, 1.0);
@@ -430,11 +415,7 @@ TEST_F(DriverFixture, PesPredictionAccuracyInPaperBand)
 
 TEST_F(DriverFixture, PesSpeculatesMostEvents)
 {
-    Experiment &exp = experiment();
-    const AppProfile &profile = appByName("twitter");
-    const auto driver = exp.makeScheduler(SchedulerKind::Pes);
-    ResultSet rs;
-    exp.runAppUnder(profile, *driver, rs);
+    const ResultSet rs = evaluate("twitter", "pes");
     int speculative = 0;
     int total = 0;
     for (const SimResult &r : rs.results()) {
@@ -449,11 +430,7 @@ TEST_F(DriverFixture, PesSpeculatesMostEvents)
 TEST_F(DriverFixture, PfbTraceShowsSawtooth)
 {
     // Fig. 9: frames pushed then committed one by one.
-    Experiment &exp = experiment();
-    const AppProfile &profile = appByName("ebay");
-    const auto driver = exp.makeScheduler(SchedulerKind::Pes);
-    ResultSet rs;
-    exp.runAppUnder(profile, *driver, rs);
+    const ResultSet rs = evaluate("ebay", "pes");
     bool saw_growth = false;
     bool saw_drain = false;
     for (const SimResult &r : rs.results()) {
@@ -472,15 +449,7 @@ TEST_F(DriverFixture, GovernorsAreQosAgnosticallyDifferent)
 {
     // Interactive ramps faster than Ondemand: fewer violations, more
     // energy (aggregate over two bursty apps).
-    Experiment &exp = experiment();
-    ResultSet rs;
-    for (const char *name : {"cnn", "twitter"}) {
-        for (SchedulerKind kind :
-             {SchedulerKind::Interactive, SchedulerKind::Ondemand}) {
-            const auto driver = exp.makeScheduler(kind);
-            exp.runAppUnder(appByName(name), *driver, rs);
-        }
-    }
+    const ResultSet rs = evaluate("cnn,twitter", "interactive,ondemand");
     EXPECT_LE(rs.summarizeScheduler("Interactive").violationRate,
               rs.summarizeScheduler("Ondemand").violationRate + 1e-9);
     EXPECT_GE(rs.summarizeScheduler("Interactive").meanEnergy,
@@ -491,28 +460,51 @@ TEST_F(DriverFixture, PesFallsBackAfterConsecutiveMispredicts)
 {
     // With an adversarial (untrained, zero) model and strict matching,
     // speculation keeps missing; the control unit must disable it.
-    Experiment &exp = experiment();
+    DeviceContext &device = trainedDevice();
     LogisticModel zero_model;
     PesScheduler::Config config;
     config.matchPolicy = MatchPolicy::Strict;
     PesScheduler pes(zero_model, config);
     const AppProfile &profile = appByName("google");
-    const auto trace = exp.generator().evaluationSet(profile, 1).front();
-    const SimResult r = exp.runTrace(profile, trace, pes);
+    const auto trace = device.generator().evaluationSet(profile, 1).front();
+    const SimResult r = device.replay(profile, trace, pes);
     EXPECT_TRUE(r.fellBackToReactive || r.mispredictions == 0);
     // All events still get served.
     for (const EventRecord &e : r.events)
         EXPECT_GT(e.displayed, 0.0);
 }
 
+TEST_F(DriverFixture, PesStampsItsMatchPolicyOnSpeculativeWork)
+{
+    // The simulator resolves a speculative frame's workload under the
+    // rule on its work item, so PES must carry its own rule there.
+    struct Recorder : PesScheduler
+    {
+        using PesScheduler::PesScheduler;
+        std::optional<WorkItem> nextWork(SimulatorApi &api) override
+        {
+            auto work = PesScheduler::nextWork(api);
+            if (work && work->kind == WorkItem::Kind::Speculative)
+                stamps.push_back(work->matchPolicy);
+            return work;
+        }
+        std::vector<MatchPolicy> stamps;
+    };
+    DeviceContext &device = trainedDevice();
+    PesScheduler::Config config;
+    config.matchPolicy = MatchPolicy::Strict;
+    Recorder pes(device.model(), config);
+    const AppProfile &profile = appByName("amazon");
+    device.replay(profile, device.generator().generate(profile, 9000), pes);
+    ASSERT_FALSE(pes.stamps.empty());
+    for (const MatchPolicy stamp : pes.stamps)
+        EXPECT_EQ(stamp, MatchPolicy::Strict);
+}
+
 TEST_F(DriverFixture, NetworkRequestsSuppressedDuringSpeculation)
 {
     // Speculated submits are commit-gated; count them on a form app.
-    Experiment &exp = experiment();
-    const AppProfile &profile = appByName("amazon");
-    const auto driver = exp.makeScheduler(SchedulerKind::Pes);
-    ResultSet rs;
-    exp.runAppUnder(profile, *driver, rs);
+    const ResultSet rs = evaluate("amazon", "pes");
     int suppressed = 0;
     for (const SimResult &r : rs.results())
         suppressed += r.suppressedNetworkRequests;
@@ -525,13 +517,13 @@ TEST_F(DriverFixture, DisabledPredictionEqualsReactiveBehavior)
 {
     // enablePrediction=false turns PES into a reactive scheduler: no
     // speculative serves, no waste.
-    Experiment &exp = experiment();
+    DeviceContext &device = trainedDevice();
     PesScheduler::Config config;
     config.enablePrediction = false;
-    PesScheduler pes(exp.trainedModel(), config);
+    PesScheduler pes(device.model(), config);
     const AppProfile &profile = appByName("bbc");
-    const auto trace = exp.generator().evaluationSet(profile, 1).front();
-    const SimResult r = exp.runTrace(profile, trace, pes);
+    const auto trace = device.generator().evaluationSet(profile, 1).front();
+    const SimResult r = device.replay(profile, trace, pes);
     EXPECT_EQ(r.predictionsMade, 0);
     EXPECT_EQ(r.wasteEnergy, 0.0);
     for (const EventRecord &e : r.events)

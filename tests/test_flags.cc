@@ -9,7 +9,6 @@
 #include <climits>
 #include <sstream>
 
-#include "core/experiment.hh"
 #include "runner/fleet_config.hh"
 #include "util/flags.hh"
 
@@ -164,7 +163,7 @@ TEST(SweepFlags, DefaultsSubsetsAndHelp)
     EXPECT_EQ(config.apps[2].name, "social_feed");
     EXPECT_TRUE(config.devices.empty());
     EXPECT_EQ(config.users, 100);
-    EXPECT_EQ(config.threads, Experiment::defaultSweepThreads());
+    EXPECT_EQ(config.threads, defaultSweepThreads());
     EXPECT_EQ(config.baseSeed, FleetConfig::kDefaultBaseSeed);
     EXPECT_EQ(config.checkpointEvery, 1024);
 

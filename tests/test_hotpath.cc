@@ -17,8 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/device_context.hh"
 #include "core/ebs_scheduler.hh"
-#include "core/experiment.hh"
 #include "corpus/corpus_store.hh"
 #include "corpus/trace_cache.hh"
 #include "results/result_format.hh"
@@ -75,33 +75,30 @@ TEST(HotPath, ResetFreshPooledDriverMatchesFreshEngineAndDriver)
     // replay a session, the driver resets to as-constructed state, and
     // both replay the next session. That second session must reduce
     // bit-identically to the same trace on a new engine and driver.
-    Experiment exp;
+    DeviceContext device;
+    device.model();
     const AppProfile &profile = appByName("social_feed");
-    const WebApp &app = exp.generator().appFor(profile);
-    const InteractionTrace first = exp.generator().generate(profile, 1);
-    const InteractionTrace second = exp.generator().generate(profile, 2);
-    SimConfig sim_config;
-    sim_config.renderScale = profile.renderScale;
+    TraceGenerator &generator = device.generator();
+    const InteractionTrace first = generator.generate(profile, 1);
+    const InteractionTrace second = generator.generate(profile, 2);
     const uint64_t second_noise = hashCombine(2, 0x5eed);
 
     for (const SchedulerKind kind :
          {SchedulerKind::Interactive, SchedulerKind::Ondemand,
           SchedulerKind::Ebs, SchedulerKind::Pes, SchedulerKind::Oracle}) {
         SCOPED_TRACE(schedulerKindName(kind));
-        RuntimeSimulator pooled_engine(exp.platform(), exp.power(), app,
-                                       sim_config);
-        const auto pooled = exp.makeScheduler(kind);
-        pooled_engine.setSpecNoiseSeed(hashCombine(1, 0x5eed));
-        const SessionStats warmup = pooled_engine.runStats(first, *pooled);
+        const auto pooled_engine = device.makeEngine(profile, generator);
+        const auto pooled = device.makeDriver(kind);
+        pooled_engine->setSpecNoiseSeed(hashCombine(1, 0x5eed));
+        const SessionStats warmup = pooled_engine->runStats(first, *pooled);
         ASSERT_TRUE(pooled->resetFresh());
-        pooled_engine.setSpecNoiseSeed(second_noise);
-        const SessionStats reused = pooled_engine.runStats(second, *pooled);
+        pooled_engine->setSpecNoiseSeed(second_noise);
+        const SessionStats reused = pooled_engine->runStats(second, *pooled);
 
-        RuntimeSimulator fresh_engine(exp.platform(), exp.power(), app,
-                                      sim_config);
-        const auto fresh = exp.makeScheduler(kind);
-        fresh_engine.setSpecNoiseSeed(second_noise);
-        const SessionStats expected = fresh_engine.runStats(second, *fresh);
+        const auto fresh_engine = device.makeEngine(profile, generator);
+        const auto fresh = device.makeDriver(kind);
+        fresh_engine->setSpecNoiseSeed(second_noise);
+        const SessionStats expected = fresh_engine->runStats(second, *fresh);
 
         EXPECT_TRUE(sessionStatsEqual(reused, expected));
         if (kind == SchedulerKind::Pes) {

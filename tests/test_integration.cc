@@ -8,41 +8,56 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
+#include "core/pes_scheduler.hh"
 #include "core/predictor_training.hh"
+#include "runner/fleet_runner.hh"
 #include "sim/classifier.hh"
 #include "util/logging.hh"
 
 namespace pes {
 namespace {
 
-/** Shared harness: train once for the whole test binary. */
-Experiment &
-experiment()
+/** Shared device: train once for the whole test binary. */
+DeviceContext &
+trainedDevice()
 {
-    static Experiment exp;
+    static DeviceContext device;
     static bool trained = false;
     if (!trained) {
         setQuiet(true);
-        exp.trainedModel();
+        device.model();
         trained = true;
     }
-    return exp;
+    return device;
+}
+
+/** The Sec.-6.1 evaluation of @p apps under @p schedulers (a fleet). */
+ResultSet
+evaluate(DeviceContext &device, const std::string &apps,
+         const std::string &schedulers)
+{
+    FleetOutcome outcome =
+        FleetRunner(evaluationFleet(device, parseAppList(apps),
+                                    parseSchedulerList(schedulers)))
+            .run();
+    EXPECT_TRUE(outcome.diagnostics.empty());
+    return std::move(outcome.results);
 }
 
 TEST(Integration, TrainedPredictorAccuracyBands)
 {
     // Paper Fig. 8: ~91% on seen apps, ~89% on unseen, with apps ranging
     // roughly 80..97%. Verified on a subset for test speed.
-    Experiment &exp = experiment();
-    const LogisticModel &model = exp.trainedModel();
+    DeviceContext &device = trainedDevice();
+    const LogisticModel &model = device.model();
     double sum = 0.0;
     int n = 0;
     for (const char *name : {"cnn", "ebay", "espn", "tmall", "yahoo"}) {
         const AppProfile &profile = appByName(name);
-        const WebApp &app = exp.generator().appFor(profile);
+        const WebApp &app = device.generator().appFor(profile);
         for (const auto &trace :
-             exp.generator().evaluationSet(profile, 2)) {
+             device.generator().evaluationSet(profile, 2)) {
             const PredictorEval eval =
                 evaluatePredictor(model, app, trace);
             sum += eval.accuracy();
@@ -59,18 +74,18 @@ TEST(Integration, DomAnalysisAblationCostsAccuracy)
     // Sec. 6.5: without DOM analysis the predictor cannot roll the
     // hypothetical state through predicted events (no SemanticTree), so
     // the *runtime* (multi-step) prediction accuracy drops.
-    Experiment &exp = experiment();
+    DeviceContext &device = trainedDevice();
     PesScheduler::Config without;
     without.predictor.useDomAnalysis = false;
     without.nameOverride = "PES-noDOM";
 
-    ResultSet rs;
-    for (const char *name : {"cnn", "ebay", "twitter", "google"}) {
-        const AppProfile &profile = appByName(name);
-        const auto with_driver = exp.makeScheduler(SchedulerKind::Pes);
-        exp.runAppUnder(profile, *with_driver, rs);
-        PesScheduler without_driver(exp.trainedModel(), without);
-        exp.runAppUnder(profile, without_driver, rs);
+    const std::string apps = "cnn,ebay,twitter,google";
+    ResultSet rs = evaluate(device, apps, "pes");
+    for (const AppProfile &profile : parseAppList(apps)) {
+        PesScheduler without_driver(device.model(), without);
+        for (const InteractionTrace &trace : device.generator().evaluationSet(
+                 profile, TraceGenerator::kEvalTracesPerApp))
+            rs.add(device.replay(profile, trace, without_driver));
     }
     const double acc_with =
         rs.summarizeScheduler("PES").predictionAccuracy;
@@ -84,12 +99,8 @@ TEST(Integration, QueueLengthsStaySmall)
     // Sec. 4.2: "the average event queue length is below 2" — humans
     // generate interactions slowly. Holds on aggregate (the burstiest
     // app can exceed it on individual traces).
-    Experiment &exp = experiment();
-    ResultSet rs;
-    for (const char *name : {"cnn", "twitter", "google"}) {
-        const auto driver = exp.makeScheduler(SchedulerKind::Ebs);
-        exp.runAppUnder(appByName(name), *driver, rs);
-    }
+    const ResultSet rs =
+        evaluate(trainedDevice(), "cnn,twitter,google", "ebs");
     EXPECT_LT(rs.summarizeScheduler("EBS").avgQueueLength, 2.0);
     for (const SimResult &r : rs.results())
         EXPECT_LT(r.avgQueueLength, 3.0) << r.appName;
@@ -99,15 +110,15 @@ TEST(Integration, EventTypeDistributionUnderEbs)
 {
     // Fig. 3's structure: all four categories appear; Type IV dominates;
     // a meaningful share of events is non-benign.
-    Experiment &exp = experiment();
-    EventClassifier classifier(exp.platform(), exp.power());
+    DeviceContext &device = trainedDevice();
+    EventClassifier classifier(device.platform(), device.power());
     CategoryDistribution dist;
     for (const char *name : {"cnn", "youtube", "twitter", "google"}) {
         const AppProfile &profile = appByName(name);
-        const auto driver = exp.makeScheduler(SchedulerKind::Ebs);
+        const auto driver = device.makeDriver(SchedulerKind::Ebs);
         for (const auto &trace :
-             exp.generator().evaluationSet(profile, 2)) {
-            const SimResult r = exp.runTrace(profile, trace, *driver);
+             device.generator().evaluationSet(profile, 2)) {
+            const SimResult r = device.replay(profile, trace, *driver);
             dist.merge(classifier.classifyRun(trace, r));
         }
     }
@@ -123,17 +134,8 @@ TEST(Integration, ParetoDominanceOfPes)
 {
     // Fig. 13: PES must Pareto-dominate EBS (less energy, fewer
     // violations) and beat the governors on both axes.
-    Experiment &exp = experiment();
-    ResultSet rs;
-    for (const char *name : {"cnn", "ebay", "twitter", "google"}) {
-        const AppProfile &profile = appByName(name);
-        for (SchedulerKind kind :
-             {SchedulerKind::Interactive, SchedulerKind::Ondemand,
-              SchedulerKind::Ebs, SchedulerKind::Pes}) {
-            const auto driver = exp.makeScheduler(kind);
-            exp.runAppUnder(profile, *driver, rs);
-        }
-    }
+    const ResultSet rs = evaluate(trainedDevice(), "cnn,ebay,twitter,google",
+                                  "interactive,ondemand,ebs,pes");
     const auto apps = rs.apps();
     const double pes_energy =
         rs.meanNormalizedEnergy(apps, "PES", "Interactive");
@@ -153,12 +155,7 @@ TEST(Integration, MispredictWasteIsSmallAmortized)
 {
     // Sec. 6.3: waste amortizes to a few ms per event and a small
     // fraction of total energy.
-    Experiment &exp = experiment();
-    ResultSet rs;
-    for (const char *name : {"cnn", "ebay", "google"}) {
-        const auto driver = exp.makeScheduler(SchedulerKind::Pes);
-        exp.runAppUnder(appByName(name), *driver, rs);
-    }
+    const ResultSet rs = evaluate(trainedDevice(), "cnn,ebay,google", "pes");
     for (const SimResult &r : rs.results()) {
         const double waste_fraction =
             r.totalEnergy > 0.0 ? r.wasteEnergy / r.totalEnergy : 0.0;
@@ -171,16 +168,18 @@ TEST(Integration, DeterministicEndToEnd)
     // Same seeds, fresh harness -> identical results (the property every
     // figure bench relies on).
     setQuiet(true);
-    Experiment a, b;
+    DeviceContext a, b;
     const AppProfile &profile = appByName("bbc");
     const auto trace_a = a.generator().evaluationSet(profile, 1).front();
     const auto trace_b = b.generator().evaluationSet(profile, 1).front();
     ASSERT_EQ(trace_a.serialize(), trace_b.serialize());
 
-    const auto da = a.makeScheduler(SchedulerKind::Pes);
-    const auto db = b.makeScheduler(SchedulerKind::Pes);
-    const SimResult ra = a.runTrace(profile, trace_a, *da);
-    const SimResult rb = b.runTrace(profile, trace_b, *db);
+    a.model();
+    b.model();
+    const SimResult ra =
+        a.replay(profile, trace_a, *a.makeDriver(SchedulerKind::Pes));
+    const SimResult rb =
+        b.replay(profile, trace_b, *b.makeDriver(SchedulerKind::Pes));
     EXPECT_DOUBLE_EQ(ra.totalEnergy, rb.totalEnergy);
     EXPECT_EQ(ra.predictionsMade, rb.predictionsMade);
     ASSERT_EQ(ra.events.size(), rb.events.size());
@@ -193,17 +192,8 @@ TEST(Integration, TegraParkerPortability)
     // Sec. 6.5 "other devices": the same machinery produces savings on
     // the TX2 model as well.
     setQuiet(true);
-    Experiment exp(AcmpPlatform::tegraParker());
-    exp.trainedModel();
-    ResultSet rs;
-    for (const char *name : {"cnn", "ebay"}) {
-        const AppProfile &profile = appByName(name);
-        for (SchedulerKind kind :
-             {SchedulerKind::Interactive, SchedulerKind::Pes}) {
-            const auto driver = exp.makeScheduler(kind);
-            exp.runAppUnder(profile, *driver, rs);
-        }
-    }
+    DeviceContext device(AcmpPlatform::tegraParker());
+    const ResultSet rs = evaluate(device, "cnn,ebay", "interactive,pes");
     EXPECT_LT(rs.meanNormalizedEnergy(rs.apps(), "PES", "Interactive"),
               1.0);
 }

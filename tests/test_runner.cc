@@ -13,7 +13,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
 #include "runner/fleet_config.hh"
 #include "runner/fleet_runner.hh"
 #include "runner/metrics_aggregator.hh"
@@ -372,38 +372,46 @@ TEST(FleetRunner, CollectedResultsFollowJobOrder)
     EXPECT_EQ(outcome.metrics.sessions(), static_cast<int>(jobs.size()));
 }
 
-TEST(FleetRunner, WarmEvaluationMatchesExperimentSweep)
+TEST(FleetRunner, WarmEvaluationMatchesSerialReplay)
 {
-    // The fleet's warm evaluation mode must reproduce the classic
-    // serial protocol bit-for-bit (cell-sequential warmed drivers over
-    // the Sec.-6.1 evaluation users).
-    const std::vector<AppProfile> profiles{appByName("bbc")};
-    const std::vector<SchedulerKind> kinds{SchedulerKind::Ebs};
+    // The evaluation fleet must reproduce the serial protocol exactly:
+    // per (app, scheduler) cell, one warmed driver replays the Sec.-6.1
+    // evaluation users in order. Every scheduler, the paper's included.
+    setQuiet(true);
+    const std::vector<AppProfile> profiles = parseAppList("bbc,ebay");
+    const std::vector<SchedulerKind> kinds =
+        parseSchedulerList("interactive,ondemand,ebs,pes,oracle");
 
-    Experiment exp;
-    ResultSet manual;
-    {
-        const auto traces = exp.generator().evaluationSet(
-            profiles[0], Experiment::kEvalTracesPerApp);
-        const auto driver = exp.makeScheduler(kinds[0]);
-        for (const InteractionTrace &trace : traces)
-            manual.add(exp.runTrace(profiles[0], trace, *driver));
+    DeviceContext device;
+    device.model();
+    ResultSet serial;
+    for (const AppProfile &profile : profiles) {
+        const auto traces = device.generator().evaluationSet(
+            profile, TraceGenerator::kEvalTracesPerApp);
+        for (const SchedulerKind kind : kinds) {
+            const auto driver = device.makeDriver(kind);
+            for (const InteractionTrace &trace : traces)
+                serial.add(device.replay(profile, trace, *driver));
+        }
     }
 
-    Experiment exp2;
-    exp2.setSweepThreads(3);
-    const ResultSet fleet = exp2.runFleetSweep(profiles, kinds).results;
+    FleetConfig config = evaluationFleet(device, profiles, kinds);
+    config.threads = 3;
+    const ResultSet fleet = FleetRunner(std::move(config)).run().results;
 
-    ASSERT_EQ(fleet.results().size(), manual.results().size());
-    for (size_t i = 0; i < manual.results().size(); ++i) {
-        const SimResult &m = manual.results()[i];
+    ASSERT_EQ(fleet.results().size(), serial.results().size());
+    for (size_t i = 0; i < serial.results().size(); ++i) {
+        const SimResult &s = serial.results()[i];
         const SimResult &f = fleet.results()[i];
-        EXPECT_EQ(f.appName, m.appName);
-        EXPECT_EQ(f.schedulerName, m.schedulerName);
-        EXPECT_EQ(f.events.size(), m.events.size());
-        EXPECT_DOUBLE_EQ(f.totalEnergy, m.totalEnergy);
-        EXPECT_DOUBLE_EQ(f.duration, m.duration);
-        EXPECT_DOUBLE_EQ(f.violationRate(), m.violationRate());
+        SCOPED_TRACE(s.appName + "/" + s.schedulerName + " session " +
+                     std::to_string(i));
+        EXPECT_EQ(f.appName, s.appName);
+        EXPECT_EQ(f.schedulerName, s.schedulerName);
+        EXPECT_EQ(f.totalEnergy, s.totalEnergy);
+        EXPECT_EQ(f.predictionsMade, s.predictionsMade);
+        ASSERT_EQ(f.events.size(), s.events.size());
+        for (size_t e = 0; e < s.events.size(); ++e)
+            EXPECT_EQ(f.events[e].displayed, s.events[e].displayed);
     }
 }
 

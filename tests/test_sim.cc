@@ -101,8 +101,9 @@ class FixedConfigDriver : public SchedulerDriver
 class OneShotSpeculator : public SchedulerDriver
 {
   public:
-    OneShotSpeculator(PredictedEvent predicted, bool matches)
-        : predicted_(predicted), matches_(matches)
+    OneShotSpeculator(PredictedEvent predicted, bool matches,
+                      MatchPolicy policy = MatchPolicy::TypeLevel)
+        : predicted_(predicted), matches_(matches), policy_(policy)
     {
     }
     std::string name() const override { return "OneShot"; }
@@ -116,6 +117,7 @@ class OneShotSpeculator : public SchedulerDriver
             item.kind = WorkItem::Kind::Speculative;
             item.targetPosition = 0;
             item.predicted = predicted_;
+            item.matchPolicy = policy_;
             item.config = api.platform().minConfig();
             return item;
         }
@@ -155,6 +157,7 @@ class OneShotSpeculator : public SchedulerDriver
   private:
     PredictedEvent predicted_;
     bool matches_;
+    MatchPolicy policy_;
     bool dispatched_ = false;
     bool served_ = false;
     std::optional<uint64_t> frameId_;
@@ -307,6 +310,23 @@ TEST_F(SimFixture, SpeculativeTruthUsesActualWorkloadOnMatch)
     const TimeMs expected =
         model.latency(work, soc.minConfig());
     EXPECT_NEAR(result.events[0].execMs, expected, 1.0);
+}
+
+TEST_F(SimFixture, SpeculativeTruthFollowsTheItemsMatchPolicy)
+{
+    // A frame predicting the right type on the wrong node computed the
+    // actual event's workload under type-level matching. Under the
+    // strict rule on its work item it computed a stand-in: here the
+    // no-op frame, as the root has no click handler.
+    const Workload work{0.0, 360.0};  // little@350: 2160 ms
+    const auto trace = makeTrace({clickEvent(5000.0, work)});
+    const PredictedEvent wrong_node{DomEventType::Click, 0, 0, 1.0};
+    RuntimeSimulator sim(soc, power, app);
+    OneShotSpeculator type_level(wrong_node, false);
+    OneShotSpeculator strict(wrong_node, false, MatchPolicy::Strict);
+    const TimeMs actual = model.latency(work, soc.minConfig());
+    EXPECT_NEAR(sim.run(trace, type_level).mispredictWasteMs, actual, 1.0);
+    EXPECT_LT(sim.run(trace, strict).mispredictWasteMs, actual / 10);
 }
 
 TEST_F(SimFixture, SquashedSpeculationBecomesWaste)

@@ -225,6 +225,16 @@ TEST(TraceFormat, DeserializeRejectsGarbage)
         InteractionTrace::deserialize("pes-trace-v1\napp x\nuser 1\n"
                                       "events 5\n1 2 3")
             .has_value());
+    // A header count far beyond the data must not size an allocation.
+    EXPECT_FALSE(
+        InteractionTrace::deserialize("pes-trace-v1\napp x\nuser 1\n"
+                                      "events 999999999999\n")
+            .has_value());
+    // A session without events cannot be replayed.
+    EXPECT_FALSE(
+        InteractionTrace::deserialize("pes-trace-v1\napp x\nuser 1\n"
+                                      "events 0\n")
+            .has_value());
 }
 
 // --------------------------------------------------------- User model

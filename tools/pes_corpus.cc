@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hh"
 #include "corpus/corpus_store.hh"
 #include "corpus/trace_mutator.hh"
 #include "util/integrity.hh"

@@ -36,7 +36,6 @@
 #include <utility>
 
 #include "coordinator/lease_queue.hh"
-#include "core/experiment.hh"
 #include "corpus/corpus_store.hh"
 #include "population/population_spec.hh"
 #include "results/report_diff.hh"
@@ -526,7 +525,7 @@ cmdWork(const Command &cmd)
 {
     std::string queue_dir;
     std::string worker_id;
-    int threads = Experiment::defaultSweepThreads();
+    int threads = defaultSweepThreads();
     long max_ranges = 0;
     long stall_ms = 0;
     long idle_timeout_ms = 120000;

@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-#include "core/experiment.hh"
+#include "core/device_context.hh"
 #include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -51,9 +51,9 @@ cmdGen(const Command &cmd)
     fatal_if(!parseUint64(args.operands[1], seed),
              "bad seed '%s' (expected an unsigned integer)",
              args.operands[1].c_str());
-    Experiment exp;
+    DeviceContext device;
     const InteractionTrace trace =
-        exp.generator().generate(appByName(app), seed);
+        device.generator().generate(appByName(app), seed);
     fatal_if(!trace.saveToFile(path), "cannot write '%s'", path.c_str());
     std::cout << "wrote " << trace.size() << " events ("
               << formatDouble(trace.duration() / 1000.0, 1) << " s) to "
@@ -108,12 +108,12 @@ cmdReplay(const Command &cmd)
     fatal_if(!kind, "unknown scheduler '%s' (interactive, ondemand, ebs, "
              "pes, oracle)", args.operands[1].c_str());
     const InteractionTrace trace = loadOrDie(args.operands[0]);
-    Experiment exp;
+    DeviceContext device;
     if (*kind == SchedulerKind::Pes)
-        exp.trainedModel();
+        device.model();
     const AppProfile &profile = appByName(trace.appName);
-    const auto driver = exp.makeScheduler(*kind);
-    printResult(exp.runTrace(profile, trace, *driver));
+    printResult(
+        device.replay(profile, trace, *device.makeDriver(*kind)));
     return 0;
 }
 
@@ -121,16 +121,14 @@ int
 cmdCompare(const Command &cmd)
 {
     const InteractionTrace trace = loadOrDie(cmd.parse({}).operands[0]);
-    Experiment exp;
-    exp.trainedModel();
+    DeviceContext device;
+    device.model();
     const AppProfile &profile = appByName(trace.appName);
     for (SchedulerKind kind :
          {SchedulerKind::Interactive, SchedulerKind::Ondemand,
           SchedulerKind::Ebs, SchedulerKind::Pes,
-          SchedulerKind::Oracle}) {
-        const auto driver = exp.makeScheduler(kind);
-        printResult(exp.runTrace(profile, trace, *driver));
-    }
+          SchedulerKind::Oracle})
+        printResult(device.replay(profile, trace, *device.makeDriver(kind)));
     return 0;
 }
 

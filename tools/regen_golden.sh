@@ -1,5 +1,6 @@
 #!/bin/sh
-# Regenerate (or reproduce) the golden mini-sweep baselines.
+# Regenerate (or reproduce) the golden mini-sweep baselines and the
+# figure-bench CSVs.
 #
 # The golden baselines are the committed reports of small, fully
 # deterministic sweeps: the reactive schedulers (EBS, Interactive) and
@@ -9,15 +10,29 @@
 # those sweeps — tests/test_diff.cc (GoldenBaseline.*) replicates the
 # same parameters in-process, so keep the two in sync.
 #
+# The figure goldens are the CSVs of the 12 deterministic figure/table
+# benches (every bench except sec63_overheads and the bench_*
+# harnesses); CI's figure-output gate compares fresh runs with `cmp`.
+#
 # Usage: tools/regen_golden.sh [OUT_JSON [OUT_CSV [OUT_TRACE
-#                                [OUT_PES_JSON [OUT_PES_CSV]]]]]
-#   PES_FLEET=path/to/pes_fleet   binary to use [build/pes_fleet]
+#                                [OUT_PES_JSON [OUT_PES_CSV
+#                                [OUT_FIGURE_DIR]]]]]]
+#   PES_FLEET=path/to/pes_fleet   binary to use [build/pes_fleet];
+#                                 the figure benches are built beside it
 #
 # Run with no arguments (e.g. `cmake --build build --target
-# regen-golden`) to overwrite the committed baseline after an
+# regen-golden`) to overwrite every committed golden after an
 # INTENTIONAL result change; commit the new files with the change that
-# caused them.
+# caused them. With arguments, the figure CSVs are written only when
+# OUT_FIGURE_DIR is given.
 set -eu
+
+# Figures run when refreshing everything (no arguments) or when a
+# figure directory is named.
+figure_dir=""
+if [ $# -eq 0 ] || [ $# -ge 6 ]; then
+    figure_dir="${6:-tests/data/golden/figures}"
+fi
 
 out_json="${1:-tests/data/golden/mini_sweep.json}"
 out_csv="${2:-tests/data/golden/mini_sweep.csv}"
@@ -63,3 +78,20 @@ fleet="${PES_FLEET:-build/pes_fleet}"
     --out="$out_pes_json" \
     --csv="$out_pes_csv" \
     --quiet >/dev/null
+
+# The figure benches write <name>.csv into the current directory, so
+# each runs in its own scratch directory.
+if [ -n "$figure_dir" ]; then
+    bench_dir=$(cd "$(dirname "$fleet")" && pwd)
+    mkdir -p "$figure_dir"
+    scratch=$(mktemp -d)
+    trap 'rm -rf "$scratch"' EXIT
+    for bench in fig02_case_study fig03_event_types \
+        fig08_prediction_accuracy fig09_pfb_dynamics fig10_mispred_waste \
+        fig11_energy fig12_qos_violation fig13_pareto fig14_sensitivity \
+        sec65_ablation sec65_other_devices tab01_features; do
+        mkdir "$scratch/$bench"
+        (cd "$scratch/$bench" && "$bench_dir/$bench" >/dev/null)
+        cp "$scratch/$bench/$bench.csv" "$figure_dir/$bench.csv"
+    done
+fi
