@@ -38,21 +38,6 @@ emitTable(const Table &table, const std::string &csv_name)
     std::cout << "\n[csv: " << csv_name << "]\n";
 }
 
-/**
- * Run @p config to completion. A figure has no partial mode: the pool
- * turns worker exceptions into diagnostics so batch tools can report
- * partial sweeps, but numbers from an incomplete sweep must never look
- * like results.
- */
-inline FleetOutcome
-runComplete(FleetConfig config)
-{
-    FleetOutcome outcome = FleetRunner(std::move(config)).run();
-    panic_if(!outcome.diagnostics.empty(), "fleet sweep failed: %s",
-             outcome.diagnostics.front().c_str());
-    return outcome;
-}
-
 /** Names of all apps in a profile list. */
 inline std::vector<std::string>
 namesOf(const std::vector<AppProfile> &profiles)

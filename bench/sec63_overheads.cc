@@ -26,12 +26,8 @@ DeviceContext &
 trainedDevice()
 {
     static DeviceContext device;
-    static bool init = false;
-    if (!init) {
-        setQuiet(true);
-        device.model();
-        init = true;
-    }
+    setQuiet(true);
+    device.model();  // trains on the first call only
     return device;
 }
 

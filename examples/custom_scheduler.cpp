@@ -13,9 +13,11 @@
  */
 
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "core/device_context.hh"
-#include "runner/fleet_runner.hh"
+#include "sim/metrics.hh"
 #include "sim/scheduler_driver.hh"
 #include "sim/simulator_api.hh"
 #include "util/logging.hh"
@@ -56,25 +58,25 @@ main()
 {
     setQuiet(true);
     DeviceContext device;
+    device.model();
 
-    std::vector<AppProfile> profiles;
-    for (const char *name : {"cnn", "ebay", "twitter"})
-        profiles.push_back(appByName(name));
-
-    // The built-in schedulers run the paper's evaluation protocol as a
-    // fleet; a custom driver replays the same evaluation traces itself.
-    ResultSet rs =
-        FleetRunner(evaluationFleet(device, profiles,
-                                    {SchedulerKind::Interactive,
-                                     SchedulerKind::Ebs,
-                                     SchedulerKind::Pes}))
-            .run()
-            .results;
-    for (const AppProfile &p : profiles) {
-        RaceToIdleScheduler race;
-        for (const InteractionTrace &trace : device.generator().evaluationSet(
-                 p, TraceGenerator::kEvalTracesPerApp))
-            rs.add(device.replay(p, trace, race));
+    // The paper's evaluation protocol: each app's evaluation traces, in
+    // order, on one driver per (app, scheduler).
+    ResultSet rs;
+    for (const char *app : {"cnn", "ebay", "twitter"}) {
+        const AppProfile &p = appByName(app);
+        const auto traces = device.generator().evaluationSet(
+            p, TraceGenerator::kEvalTracesPerApp);
+        std::vector<std::unique_ptr<SchedulerDriver>> drivers;
+        drivers.push_back(std::make_unique<RaceToIdleScheduler>());
+        for (SchedulerKind kind :
+             {SchedulerKind::Interactive, SchedulerKind::Ebs,
+              SchedulerKind::Pes})
+            drivers.push_back(device.makeDriver(kind));
+        for (const auto &driver : drivers) {
+            for (const InteractionTrace &trace : traces)
+                rs.add(device.replay(p, trace, *driver));
+        }
     }
 
     const auto apps = rs.apps();

@@ -72,19 +72,6 @@ PesScheduler::classKeyFor(SimulatorApi &api,
                          predicted.type);
 }
 
-bool
-PesScheduler::matches(const PredictedEvent &predicted,
-                      const TraceEvent &actual) const
-{
-    if (predicted.type != actual.type)
-        return false;
-    if (config_.matchPolicy == MatchPolicy::Strict) {
-        return predicted.node == actual.node &&
-            predicted.pageId == actual.pageId;
-    }
-    return true;
-}
-
 void
 PesScheduler::recordMeasurement(SimulatorApi &api, uint64_t class_key,
                                 DomEventType type,
@@ -145,12 +132,11 @@ PesScheduler::onArrival(SimulatorApi &api, int trace_index)
         panic_if(head->position != trace_index,
                  "PFB head position %d does not match arrival %d",
                  head->position, trace_index);
-        if (matches(head->predicted, ev)) {
+        if (matchesUnder(config_.matchPolicy, head->predicted, ev)) {
             api.notePrediction(true);
             consecutiveMispredicts_ = 0;
             api.serveFromSpeculation(trace_index, head->workId);
-            if (head->predicted.node == ev.node &&
-                head->predicted.pageId == ev.pageId) {
+            if (matchesUnder(MatchPolicy::Strict, head->predicted, ev)) {
                 ebs_->recordMeasurement(
                     ev.classKey, ev.type,
                     api.platform().configAt(head->configIndex),
@@ -167,15 +153,14 @@ PesScheduler::onArrival(SimulatorApi &api, int trace_index)
     // 2. The in-flight speculative item anticipates this position.
     if (inflight_ && !inflight_->adopted &&
         inflight_->position == trace_index) {
-        if (matches(inflight_->predicted, ev)) {
+        if (matchesUnder(config_.matchPolicy, inflight_->predicted, ev)) {
             api.notePrediction(true);
             consecutiveMispredicts_ = 0;
             api.adoptInFlight(trace_index);
             inflight_->adopted = true;
             inflight_->adoptedIndex = trace_index;
             inflight_->nodeExact =
-                inflight_->predicted.node == ev.node &&
-                inflight_->predicted.pageId == ev.pageId;
+                matchesUnder(MatchPolicy::Strict, inflight_->predicted, ev);
             // QoS safety net: the user arrived while the frame is still
             // being generated (possibly on a deep-sleep configuration);
             // raise DVFS so the frame still meets the event's deadline.
@@ -196,7 +181,7 @@ PesScheduler::onArrival(SimulatorApi &api, int trace_index)
             continue;
         if (item.real)
             return;  // outstanding at plan time; dispatches from queue
-        if (matches(item.predicted, ev)) {
+        if (matchesUnder(config_.matchPolicy, item.predicted, ev)) {
             api.notePrediction(true);
             consecutiveMispredicts_ = 0;
             item.real = true;  // dispatch as real work later

@@ -131,10 +131,6 @@ class PesScheduler : public SchedulerDriver
         bool boosted = false;
     };
 
-    /** Does the predicted event match the actual one? */
-    bool matches(const PredictedEvent &predicted,
-                 const TraceEvent &actual) const;
-
     /** Estimator class key of a predicted event (loads key by
      *  destination page, mirroring the trace's per-URL classes). */
     uint64_t classKeyFor(SimulatorApi &api,

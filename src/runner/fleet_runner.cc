@@ -989,6 +989,15 @@ FleetRunner::run()
     return pipeline.takeOutcome();
 }
 
+FleetOutcome
+runComplete(FleetConfig config)
+{
+    FleetOutcome outcome = FleetRunner(std::move(config)).run();
+    panic_if(!outcome.diagnostics.empty(), "fleet sweep failed: %s",
+             outcome.diagnostics.front().c_str());
+    return outcome;
+}
+
 RunTelemetry
 makeRunTelemetry(const FleetConfig &config, const FleetOutcome &outcome)
 {

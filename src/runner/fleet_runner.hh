@@ -149,6 +149,15 @@ class FleetRunner
 };
 
 /**
+ * Run @p config to completion (e.g. an evaluationFleet), panicking on
+ * the first worker diagnostic. The pool turns worker exceptions into
+ * diagnostics so batch tools can report partial sweeps; figures,
+ * examples and tests have no partial mode, and numbers from an
+ * incomplete sweep must never look like results.
+ */
+FleetOutcome runComplete(FleetConfig config);
+
+/**
  * Build the RunTelemetry summary of one finished run (tool = "run"):
  * the armed registry's snapshot, with the run's sessions and events
  * lifted into the header, plus the outcome's stage times. Under a

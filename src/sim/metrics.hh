@@ -54,14 +54,6 @@ class ResultSet
     /** All results. */
     const std::vector<SimResult> &results() const { return results_; }
 
-    /** Move all results out, leaving the set empty. */
-    std::vector<SimResult> takeAll()
-    {
-        std::vector<SimResult> out = std::move(results_);
-        results_.clear();
-        return out;
-    }
-
     /** Distinct app names, in insertion order. */
     std::vector<std::string> apps() const;
 

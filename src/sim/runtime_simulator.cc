@@ -253,12 +253,7 @@ RuntimeSimulator::resolveTruth(const WorkItem &item, bool &matched) const
     if (pos >= 0 && pos < static_cast<int>(trace_->events.size())) {
         const TraceEvent &actual =
             trace_->events[static_cast<size_t>(pos)];
-        bool match = actual.type == item.predicted.type;
-        if (item.matchPolicy == MatchPolicy::Strict) {
-            match = match && actual.node == item.predicted.node &&
-                actual.pageId == item.predicted.pageId;
-        }
-        if (match) {
+        if (matchesUnder(item.matchPolicy, item.predicted, actual)) {
             matched = true;
             return actual.totalWork();
         }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "hw/acmp.hh"
+#include "trace/trace.hh"
 #include "web/dom.hh"
 #include "web/event_types.hh"
 
@@ -40,6 +41,22 @@ enum class MatchPolicy
     /** Commit only when both type and target node match. */
     Strict,
 };
+
+/**
+ * Does @p predicted match @p actual under @p policy? The one rule both
+ * sides apply: PES commits a speculative frame on a match, and the
+ * simulator treats a matching frame as having computed the actual
+ * event's workload.
+ */
+inline bool
+matchesUnder(MatchPolicy policy, const PredictedEvent &predicted,
+             const TraceEvent &actual)
+{
+    if (predicted.type != actual.type)
+        return false;
+    return policy == MatchPolicy::TypeLevel ||
+        (predicted.node == actual.node && predicted.pageId == actual.pageId);
+}
 
 /**
  * One unit of main-thread work handed to the simulator by a scheduler.

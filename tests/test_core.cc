@@ -352,12 +352,8 @@ class DriverFixture : public ::testing::Test
     trainedDevice()
     {
         static DeviceContext device;
-        static bool trained = false;
-        if (!trained) {
-            setQuiet(true);
-            device.model();
-            trained = true;
-        }
+        setQuiet(true);
+        device.model();  // trains on the first call only
         return device;
     }
 
@@ -370,9 +366,7 @@ class DriverFixture : public ::testing::Test
             evaluationFleet(trainedDevice(), parseAppList(apps),
                             parseSchedulerList(schedulers));
         config.users = users;
-        FleetOutcome outcome = FleetRunner(std::move(config)).run();
-        EXPECT_TRUE(outcome.diagnostics.empty());
-        return std::move(outcome.results);
+        return runComplete(std::move(config)).results;
     }
 };
 

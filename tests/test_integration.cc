@@ -23,12 +23,8 @@ DeviceContext &
 trainedDevice()
 {
     static DeviceContext device;
-    static bool trained = false;
-    if (!trained) {
-        setQuiet(true);
-        device.model();
-        trained = true;
-    }
+    setQuiet(true);
+    device.model();  // trains on the first call only
     return device;
 }
 
@@ -37,12 +33,9 @@ ResultSet
 evaluate(DeviceContext &device, const std::string &apps,
          const std::string &schedulers)
 {
-    FleetOutcome outcome =
-        FleetRunner(evaluationFleet(device, parseAppList(apps),
-                                    parseSchedulerList(schedulers)))
-            .run();
-    EXPECT_TRUE(outcome.diagnostics.empty());
-    return std::move(outcome.results);
+    return runComplete(evaluationFleet(device, parseAppList(apps),
+                                       parseSchedulerList(schedulers)))
+        .results;
 }
 
 TEST(Integration, TrainedPredictorAccuracyBands)

@@ -408,6 +408,7 @@ TEST(FleetRunner, WarmEvaluationMatchesSerialReplay)
         EXPECT_EQ(f.appName, s.appName);
         EXPECT_EQ(f.schedulerName, s.schedulerName);
         EXPECT_EQ(f.totalEnergy, s.totalEnergy);
+        EXPECT_EQ(f.duration, s.duration);
         EXPECT_EQ(f.predictionsMade, s.predictionsMade);
         ASSERT_EQ(f.events.size(), s.events.size());
         for (size_t e = 0; e < s.events.size(); ++e)

@@ -312,6 +312,28 @@ TEST_F(SimFixture, SpeculativeTruthUsesActualWorkloadOnMatch)
     EXPECT_NEAR(result.events[0].execMs, expected, 1.0);
 }
 
+TEST(MatchPolicy, StrictAlsoNeedsTheNodeAndPage)
+{
+    TraceEvent actual;
+    actual.type = DomEventType::Click;
+    actual.node = 3;
+    actual.pageId = 1;
+    for (const MatchPolicy policy :
+         {MatchPolicy::TypeLevel, MatchPolicy::Strict}) {
+        EXPECT_TRUE(matchesUnder(policy, {DomEventType::Click, 3, 1, 1.0},
+                                 actual));
+        EXPECT_FALSE(matchesUnder(policy, {DomEventType::Scroll, 3, 1, 1.0},
+                                  actual));
+    }
+    for (const PredictedEvent wrong_target :
+         {PredictedEvent{DomEventType::Click, 4, 1, 1.0},
+          PredictedEvent{DomEventType::Click, 3, 0, 1.0}}) {
+        EXPECT_TRUE(
+            matchesUnder(MatchPolicy::TypeLevel, wrong_target, actual));
+        EXPECT_FALSE(matchesUnder(MatchPolicy::Strict, wrong_target, actual));
+    }
+}
+
 TEST_F(SimFixture, SpeculativeTruthFollowsTheItemsMatchPolicy)
 {
     // A frame predicting the right type on the wrong node computed the

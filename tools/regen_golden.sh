@@ -12,7 +12,9 @@
 #
 # The figure goldens are the CSVs of the 12 deterministic figure/table
 # benches (every bench except sec63_overheads and the bench_*
-# harnesses); CI's figure-output gate compares fresh runs with `cmp`.
+# harnesses; the figure-benches CMake target builds them). The CI
+# regression gate writes fresh ones into OUT_FIGURE_DIR and compares the
+# two directories with `diff -r`.
 #
 # Usage: tools/regen_golden.sh [OUT_JSON [OUT_CSV [OUT_TRACE
 #                                [OUT_PES_JSON [OUT_PES_CSV
