@@ -433,6 +433,11 @@ CorpusStore::load(const CorpusEntry &entry, std::string *error) const
         setError(error, entry.file + ": " + reader.error());
         return std::nullopt;
     }
+    std::string why;
+    if (!replayableTrace(*trace, &why)) {
+        setError(error, entry.file + ": invalid trace: " + why);
+        return std::nullopt;
+    }
     return trace;
 }
 
@@ -506,6 +511,12 @@ CorpusStore::validate(std::vector<CorpusProblem> &problems) const
         if (!trace) {
             problems.push_back({CorpusProblem::Kind::Corrupt,
                                 entry.file + ": " + reader.error()});
+            continue;
+        }
+        std::string why;
+        if (!replayableTrace(*trace, &why)) {
+            problems.push_back({CorpusProblem::Kind::Corrupt,
+                                entry.file + ": invalid trace: " + why});
             continue;
         }
         if (trace->events.size() != entry.eventCount) {

@@ -138,7 +138,8 @@ class CorpusStore
     /** Persist the manifest (atomically via a temp file + rename). */
     bool save(std::string *error) const;
 
-    /** Load one entry's trace; header must match the manifest row. */
+    /** Load one entry's trace; header must match the manifest row and
+     *  the trace must pass replayableTrace(). */
     std::optional<InteractionTrace> load(const CorpusEntry &entry,
                                          std::string *error) const;
 
@@ -163,7 +164,8 @@ class CorpusStore
     /**
      * Full integrity pass: every manifest row's file must exist, parse,
      * match the row (app/device/seed/count/checksum), and decode with a
-     * valid checksum. Appends one classified problem per finding —
+     * valid checksum into a replayable trace (an unreplayable one is
+     * Corrupt). Appends one classified problem per finding —
      * missing files, corrupt content, and manifest mismatches are told
      * apart so CI can gate on distinct exit codes. Returns true when
      * the corpus is clean.

@@ -78,7 +78,7 @@ struct PerfSample
     /** Workload identity digest (see perfDigest()); a changed workload
      *  is a different experiment, not a regression. */
     std::string config;
-    /** Ledger series name (e.g. "bench_sim"). */
+    /** Ledger series name (e.g. "sim_pes"). */
     std::string label;
 
     uint64_t sessions = 0;
@@ -105,7 +105,7 @@ std::string machineFingerprint();
 
 /** The point metrics one RunTelemetry replicate contributes to a
  *  sample — the single source of the telemetry -> ledger mapping
- *  (bench_sim_throughput and `pes_perf record` both use it). */
+ *  (`pes_perf record` uses it). */
 std::vector<std::pair<std::string, double>>
 perfPointMetrics(const RunTelemetry &t);
 

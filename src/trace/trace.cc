@@ -1,5 +1,6 @@
 #include "trace/trace.hh"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -38,6 +39,52 @@ eventClassKeyFor(const std::string &app_name, int page_id, NodeId node,
                              handler.type);
     }
     return eventClassKey(app_name, page_id, node, handler.type);
+}
+
+namespace {
+
+bool
+finiteNonNegative(double value)
+{
+    return std::isfinite(value) && value >= 0.0;
+}
+
+bool
+validWork(const Workload &work)
+{
+    return finiteNonNegative(work.tmemMs) && finiteNonNegative(work.ndep);
+}
+
+} // namespace
+
+bool
+replayableTrace(const InteractionTrace &trace, std::string *why)
+{
+    if (trace.events.empty()) {
+        if (why)
+            *why = "trace has no events";
+        return false;
+    }
+    for (size_t i = 0; i < trace.events.size(); ++i) {
+        const TraceEvent &e = trace.events[i];
+        const char *defect = nullptr;
+        if (!finiteNonNegative(e.arrival))
+            defect = "arrival is not a finite non-negative time";
+        else if (i > 0 && e.arrival < trace.events[i - 1].arrival)
+            defect = "arrival precedes the previous event's";
+        else if (!validWork(e.callbackWork))
+            defect = "callback work is not finite and non-negative";
+        for (const Workload &stage : e.renderWork.stages) {
+            if (!defect && !validWork(stage))
+                defect = "render work is not finite and non-negative";
+        }
+        if (defect) {
+            if (why)
+                *why = "event " + std::to_string(i) + ": " + defect;
+            return false;
+        }
+    }
+    return true;
 }
 
 bool
@@ -97,11 +144,9 @@ InteractionTrace::deserialize(const std::string &blob)
         if (!(in >> key) || key != "events" || !(in >> count))
             return std::nullopt;
     }
-    // A session has at least one event. The header count only bounds
-    // the loop: events are appended as they parse, so a huge count in a
-    // short file fails at its end instead of sizing an allocation.
-    if (count == 0)
-        return std::nullopt;
+    // The header count only bounds the loop: events are appended as
+    // they parse, so a huge count in a short file fails at its end
+    // instead of sizing an allocation.
     for (size_t i = 0; i < count; ++i) {
         TraceEvent e;
         std::string type_name;
@@ -121,6 +166,8 @@ InteractionTrace::deserialize(const std::string &blob)
         e.issuesNetwork = network != 0;
         trace.events.push_back(e);
     }
+    if (!replayableTrace(trace, nullptr))
+        return std::nullopt;
     return trace;
 }
 

@@ -80,8 +80,8 @@ struct InteractionTrace
     /** Serialize to the text trace format. */
     std::string serialize() const;
 
-    /** Parse a serialized trace; nullopt on malformed input or on an
-     *  empty event list. */
+    /** Parse a serialized trace; nullopt on malformed input or on a
+     *  trace that fails replayableTrace(). */
     static std::optional<InteractionTrace>
     deserialize(const std::string &blob);
 
@@ -92,6 +92,15 @@ struct InteractionTrace
     static std::optional<InteractionTrace>
     loadFromFile(const std::string &path);
 };
+
+/**
+ * Whether the simulator can replay @p trace: at least one event;
+ * finite, non-negative, non-decreasing arrivals; finite, non-negative
+ * tmemMs and ndep for the callback and every render stage. On false,
+ * @p why (nullable) names the first offending event. Every trace read
+ * from outside the program passes through this check.
+ */
+bool replayableTrace(const InteractionTrace &trace, std::string *why);
 
 /** Exact field-wise equality (corpus round-trip checks). */
 bool operator==(const TraceEvent &a, const TraceEvent &b);

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "corpus/corpus_store.hh"
 #include "corpus/trace_cache.hh"
@@ -323,6 +325,51 @@ TEST(CorpusStore, ValidateCatchesCorruptTraceFile)
     std::vector<std::string> problems;
     EXPECT_FALSE(store->validate(problems));
     ASSERT_GE(problems.size(), 1u);
+}
+
+TEST(CorpusStore, SealedButUnreplayableTracesAreCorrupt)
+{
+    // Each trace is written through add(), so its checksums are valid:
+    // only the semantic check can refuse it.
+    const std::vector<
+        std::pair<const char *, std::function<void(InteractionTrace &)>>>
+        defects = {
+            {"trace has no events",
+             [](InteractionTrace &t) { t.events.clear(); }},
+            {"event 1: arrival",
+             [](InteractionTrace &t) {
+                 t.events[1].arrival = std::nan("");
+             }},
+            {"event 2: arrival precedes",
+             [](InteractionTrace &t) {
+                 std::swap(t.events[1].arrival, t.events[2].arrival);
+             }},
+            {"event 1: callback work",
+             [](InteractionTrace &t) {
+                 t.events[1].callbackWork.tmemMs = -5.0;
+             }},
+        };
+    for (const auto &[message, defect] : defects) {
+        const TempDir dir("unreplayable");
+        InteractionTrace trace = makeTrace();
+        ASSERT_LT(trace.events[1].arrival, trace.events[2].arrival);
+        defect(trace);
+        std::string error;
+        auto store = CorpusStore::create(dir.str(), &error);
+        ASSERT_TRUE(store.has_value()) << error;
+        ASSERT_TRUE(store->add(trace, exynosProvenance(), &error)) << error;
+        ASSERT_TRUE(store->save(&error)) << error;
+
+        std::vector<CorpusProblem> problems;
+        EXPECT_FALSE(store->validate(problems));
+        ASSERT_EQ(problems.size(), 1u) << message;
+        EXPECT_EQ(problems[0].kind, CorpusProblem::Kind::Corrupt);
+        EXPECT_NE(problems[0].message.find(message), std::string::npos)
+            << problems[0].message;
+
+        EXPECT_FALSE(store->load(store->entries()[0], &error).has_value());
+        EXPECT_NE(error.find(message), std::string::npos) << error;
+    }
 }
 
 TEST(CorpusStore, OpenRejectsMissingDirectoryAndManifest)

@@ -235,6 +235,27 @@ TEST(TraceFormat, DeserializeRejectsGarbage)
         InteractionTrace::deserialize("pes-trace-v1\napp x\nuser 1\n"
                                       "events 0\n")
             .has_value());
+    // Neither can one whose arrivals decrease, or whose work is
+    // negative (fields: arrival type node page x y, callback tmem ndep,
+    // four render stages, network, class key).
+    EXPECT_FALSE(
+        InteractionTrace::deserialize(
+            "pes-trace-v1\napp x\nuser 1\nevents 2\n"
+            "5 load 0 0 0 0 1 1 1 1 1 1 1 1 1 1 0 7\n"
+            "4 click 0 0 0 0 1 1 1 1 1 1 1 1 1 1 0 7\n")
+            .has_value());
+    EXPECT_FALSE(
+        InteractionTrace::deserialize(
+            "pes-trace-v1\napp x\nuser 1\nevents 1\n"
+            "5 load 0 0 0 0 1 -1 1 1 1 1 1 1 1 1 0 7\n")
+            .has_value());
+    // The same lines in order and with non-negative work parse.
+    EXPECT_TRUE(
+        InteractionTrace::deserialize(
+            "pes-trace-v1\napp x\nuser 1\nevents 2\n"
+            "4 load 0 0 0 0 1 1 1 1 1 1 1 1 1 1 0 7\n"
+            "5 click 0 0 0 0 1 1 1 1 1 1 1 1 1 1 0 7\n")
+            .has_value());
 }
 
 // --------------------------------------------------------- User model

@@ -449,7 +449,8 @@ main(int argc, char **argv)
              "replays it exactly."},
             {"inspect", cmdInspect, "list a corpus's traces"},
             {"validate", cmdValidate, "verify every trace of a corpus",
-             "exit: 0 clean, 3 missing files, 4 corrupt"},
+             "exit: 0 clean, 3 missing files, 4 corrupt (including a "
+             "sealed trace the\nsimulator cannot replay)"},
             {"shard", cmdShard, "split the manifest into segments"},
             {"replay", cmdReplay, "run a sweep over a corpus's own axes"},
             {"mutate", cmdMutate, "derive a mutated corpus",

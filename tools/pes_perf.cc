@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -101,34 +102,6 @@ cmdRecord(const Command &cmd)
     fatal_if(telemetry_paths.empty(),
              "record: at least one --telemetry input is required");
 
-    // Parse every replicate, grouped by thread count.
-    std::vector<IntegrityProblem> problems;
-    std::map<int, std::vector<RunTelemetry>> by_threads;
-    std::string scenario;
-    for (const std::string &path : telemetry_paths) {
-        std::string text;
-        if (!readFileBytes(path, text, nullptr)) {
-            IntegrityProblem p;
-            p.kind = IntegrityProblem::Kind::MissingFile;
-            p.message = "telemetry input not found: " + path;
-            problems.push_back(std::move(p));
-            continue;
-        }
-        auto t = parseRunTelemetry(text);
-        if (!t) {
-            IntegrityProblem p;
-            p.kind = IntegrityProblem::Kind::Corrupt;
-            p.message = "unparseable RunTelemetry (or version skew): " +
-                path;
-            problems.push_back(std::move(p));
-            continue;
-        }
-        scenario = t->scenario;
-        by_threads[std::max(1, t->threads)].push_back(std::move(*t));
-    }
-    if (!problems.empty())
-        return failProblems(problems);
-
     PerfSample sample;
     sample.label = label;
     if (!rev.empty()) {
@@ -138,6 +111,50 @@ cmdRecord(const Command &cmd)
     }
     sample.machine = machine.empty() ? machineFingerprint() : machine;
 
+    // Parse every replicate, grouped by thread count. All of them must
+    // measure the first one's sweep: a point that averages two
+    // workloads gates nothing.
+    std::vector<IntegrityProblem> problems;
+    std::map<int, std::vector<RunTelemetry>> by_threads;
+    std::string scenario;
+    const auto sweepOf = [](const RunTelemetry &t) {
+        return "sessions " + std::to_string(t.sessions) + ", events " +
+            std::to_string(t.events) + ", scenario \"" + t.scenario +
+            "\"";
+    };
+    std::string first_path, first_sweep;
+    for (const std::string &path : telemetry_paths) {
+        std::string text;
+        if (!readFileBytes(path, text, nullptr)) {
+            problems.push_back({IntegrityProblem::Kind::MissingFile,
+                                "telemetry input not found: " + path});
+            continue;
+        }
+        auto t = parseRunTelemetry(text);
+        if (!t) {
+            problems.push_back(
+                {IntegrityProblem::Kind::Corrupt,
+                 "unparseable RunTelemetry (or version skew): " + path});
+            continue;
+        }
+        if (first_path.empty()) {
+            first_path = path;
+            first_sweep = sweepOf(*t);
+            sample.sessions = t->sessions;
+            sample.events = t->events;
+            scenario = t->scenario;
+        } else if (sweepOf(*t) != first_sweep) {
+            problems.push_back({IntegrityProblem::Kind::Mismatch,
+                                path + " measures a different sweep (" +
+                                    sweepOf(*t) + ") than " + first_path +
+                                    " (" + first_sweep + ")"});
+            continue;
+        }
+        by_threads[std::max(1, t->threads)].push_back(std::move(*t));
+    }
+    if (!problems.empty())
+        return failProblems(problems);
+
     const std::vector<std::pair<std::string, double>> schema =
         perfPointMetrics(by_threads.begin()->second.front());
     for (const auto &group : by_threads) {
@@ -145,8 +162,6 @@ cmdRecord(const Command &cmd)
         point.threads = group.first;
         std::map<std::string, std::vector<double>> series;
         for (const RunTelemetry &t : group.second) {
-            sample.sessions = std::max(sample.sessions, t.sessions);
-            sample.events = std::max(sample.events, t.events);
             for (const auto &metric : perfPointMetrics(t))
                 series[metric.first].push_back(metric.second);
         }
@@ -347,25 +362,47 @@ cmdReport(const Command &cmd)
         }
     }
 
-    // The trajectory table: per metric x sample, replicate mean/spread.
-    std::ostringstream csv;
-    csv << "index,rev,machine,replicates,metric,mean,stddev,cv\n";
+    // One pass per metric feeds both views: the trajectory CSV (replicate
+    // mean/spread per sample) and the ASCII chart (one bar row per
+    // sample, scaled to the series max so trends read at a glance).
+    constexpr int kBarWidth = 40;
+    size_t label_width = 0;
+    for (const PerfSample *sample : samples)
+        label_width = std::max(label_width, sample->label.size());
+    std::ostringstream csv, chart;
+    csv << "index,label,rev,machine,replicates,metric,mean,stddev,cv\n";
     for (const std::string &name : names) {
+        std::vector<std::pair<size_t, PerfNoise>> series;
+        double peak = 0.0;
         for (size_t i = 0; i < samples.size(); ++i) {
             const PerfSample &sample = *samples[i];
-            const auto flat = flattenPerfSample(sample);
-            const std::vector<double> *values = nullptr;
-            for (const auto &entry : flat)
-                if (entry.first == name)
-                    values = &entry.second;
-            if (!values)
-                continue;
-            const PerfNoise noise = perfNoise(*values);
-            csv << i << "," << sample.rev << ","
-                << sample.machine << "," << values->size()
-                << "," << name << "," << csvNum(noise.mean)
-                << "," << csvNum(noise.stddev) << ","
-                << csvNum(noise.cv) << "\n";
+            for (const auto &entry : flattenPerfSample(sample)) {
+                if (entry.first != name)
+                    continue;
+                const PerfNoise noise = perfNoise(entry.second);
+                peak = std::max(peak, std::fabs(noise.mean));
+                series.emplace_back(i, noise);
+                csv << i << "," << sample.label << "," << sample.rev << ","
+                    << sample.machine << "," << entry.second.size() << ","
+                    << name << "," << csvNum(noise.mean) << ","
+                    << csvNum(noise.stddev) << "," << csvNum(noise.cv)
+                    << "\n";
+            }
+        }
+        if (series.empty())
+            continue;
+        chart << name << "\n";
+        for (const auto &[i, noise] : series) {
+            const int width = peak > 0.0
+                ? static_cast<int>(kBarWidth * std::fabs(noise.mean) / peak +
+                                   0.5)
+                : 0;
+            chart << "  [" << i << "] " << std::left
+                  << std::setw(static_cast<int>(label_width))
+                  << samples[i]->label << " "
+                  << std::string(static_cast<size_t>(width), '#') << " "
+                  << csvNum(noise.mean) << " (cv " << csvNum(noise.cv)
+                  << ", rev " << samples[i]->rev << ")\n";
         }
     }
     if (!csv_path.empty()) {
@@ -373,41 +410,8 @@ cmdReport(const Command &cmd)
         fatal_if(!os, "cannot open '%s'", csv_path.c_str());
         os << csv.str();
     }
-
-    if (!quiet) {
-        // ASCII trajectory: one bar row per sample, scaled to the
-        // series max so trends read at a glance.
-        constexpr int kBarWidth = 40;
-        for (const std::string &name : names) {
-            std::vector<std::pair<const PerfSample *, PerfNoise>> series;
-            double peak = 0.0;
-            for (const PerfSample *sample : samples) {
-                const auto flat = flattenPerfSample(*sample);
-                for (const auto &entry : flat) {
-                    if (entry.first != name)
-                        continue;
-                    const PerfNoise noise = perfNoise(entry.second);
-                    peak = std::max(peak, std::fabs(noise.mean));
-                    series.emplace_back(sample, noise);
-                }
-            }
-            if (series.empty())
-                continue;
-            std::cout << name << "\n";
-            for (size_t i = 0; i < series.size(); ++i) {
-                const int width = peak > 0.0
-                    ? static_cast<int>(kBarWidth *
-                                       std::fabs(series[i].second.mean) /
-                                       peak + 0.5)
-                    : 0;
-                std::cout << "  [" << i << "] "
-                          << std::string(static_cast<size_t>(width), '#')
-                          << " " << csvNum(series[i].second.mean)
-                          << " (cv " << csvNum(series[i].second.cv)
-                          << ", rev " << series[i].first->rev << ")\n";
-            }
-        }
-    }
+    if (!quiet)
+        std::cout << chart.str();
     return 0;
 }
 
@@ -421,7 +425,9 @@ main(int argc, char **argv)
         "perf-history ledger: record, gate and chart simulator speed",
         {
             {"record", cmdRecord, "append one replicated sample",
-             "exit: 0 appended, 3 missing inputs, 4 unparseable inputs"},
+             "Every replicate must measure the first one's sweep (sessions, "
+             "events,\nscenario).\nexit: 0 appended, 3 missing inputs, 4 "
+             "unparseable inputs or replicates\nof different sweeps"},
             {"compare", cmdCompare, "classify a sample against its baseline",
              "The candidate is the latest --sample (else --history) sample, "
              "the baseline\nthe latest earlier --history sample. Never "

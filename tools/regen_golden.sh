@@ -11,8 +11,8 @@
 # same parameters in-process, so keep the two in sync.
 #
 # The figure goldens are the CSVs of the 12 deterministic figure/table
-# benches (every bench except sec63_overheads and the bench_*
-# harnesses; the figure-benches CMake target builds them). The CI
+# benches (every bench except sec63_overheads; the figure-benches CMake
+# target builds them). The CI
 # regression gate writes fresh ones into OUT_FIGURE_DIR and compares the
 # two directories with `diff -r`.
 #
