@@ -49,7 +49,7 @@ struct RunTelemetry
 
     // ---- header ----
 
-    /** Producing verb: "run", "stress", "merge", "work", "bench",
+    /** Producing verb: "run", "stress", "merge", "work",
      *  "coordinator". */
     std::string tool = "run";
     /** Scenario identity ("<family>@<severity>"; empty = baseline). */
