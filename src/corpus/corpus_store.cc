@@ -102,6 +102,40 @@ headerProblem(const PtrcHeader &h, const CorpusEntry &entry)
     return std::nullopt;
 }
 
+/**
+ * The one trace read shared by load() and validate(): open the file,
+ * match its header to the manifest row, decode, and require a
+ * replayable trace. On failure @p problem says why, classified.
+ */
+std::optional<InteractionTrace>
+readEntryTrace(const std::string &path, const CorpusEntry &entry,
+               CorpusProblem &problem)
+{
+    TraceReader reader;
+    if (!reader.open(path)) {
+        problem = {CorpusProblem::Kind::Corrupt,
+                   entry.file + ": " + reader.error()};
+        return std::nullopt;
+    }
+    if (auto mismatch = headerProblem(reader.header(), entry)) {
+        problem = std::move(*mismatch);
+        return std::nullopt;
+    }
+    auto trace = reader.readTrace();
+    if (!trace) {
+        problem = {CorpusProblem::Kind::Corrupt,
+                   entry.file + ": " + reader.error()};
+        return std::nullopt;
+    }
+    std::string why;
+    if (!replayableTrace(*trace, &why)) {
+        problem = {CorpusProblem::Kind::Corrupt,
+                   entry.file + ": invalid trace: " + why};
+        return std::nullopt;
+    }
+    return trace;
+}
+
 } // namespace
 
 std::optional<CorpusStore>
@@ -419,25 +453,10 @@ CorpusStore::save(std::string *error) const
 std::optional<InteractionTrace>
 CorpusStore::load(const CorpusEntry &entry, std::string *error) const
 {
-    TraceReader reader;
-    if (!reader.open(pathOf(entry))) {
-        setError(error, entry.file + ": " + reader.error());
-        return std::nullopt;
-    }
-    if (const auto problem = headerProblem(reader.header(), entry)) {
-        setError(error, problem->message);
-        return std::nullopt;
-    }
-    auto trace = reader.readTrace();
-    if (!trace) {
-        setError(error, entry.file + ": " + reader.error());
-        return std::nullopt;
-    }
-    std::string why;
-    if (!replayableTrace(*trace, &why)) {
-        setError(error, entry.file + ": invalid trace: " + why);
-        return std::nullopt;
-    }
+    CorpusProblem problem;
+    auto trace = readEntryTrace(pathOf(entry), entry, problem);
+    if (!trace)
+        setError(error, problem.message);
     return trace;
 }
 
@@ -497,26 +516,10 @@ CorpusStore::validate(std::vector<CorpusProblem> &problems) const
                               "on disk"});
             continue;
         }
-        TraceReader reader;
-        if (!reader.open(pathOf(entry))) {
-            problems.push_back({CorpusProblem::Kind::Corrupt,
-                                entry.file + ": " + reader.error()});
-            continue;
-        }
-        if (auto problem = headerProblem(reader.header(), entry)) {
-            problems.push_back(std::move(*problem));
-            continue;
-        }
-        const auto trace = reader.readTrace();
+        CorpusProblem problem;
+        const auto trace = readEntryTrace(pathOf(entry), entry, problem);
         if (!trace) {
-            problems.push_back({CorpusProblem::Kind::Corrupt,
-                                entry.file + ": " + reader.error()});
-            continue;
-        }
-        std::string why;
-        if (!replayableTrace(*trace, &why)) {
-            problems.push_back({CorpusProblem::Kind::Corrupt,
-                                entry.file + ": invalid trace: " + why});
+            problems.push_back(std::move(problem));
             continue;
         }
         if (trace->events.size() != entry.eventCount) {

@@ -112,8 +112,10 @@ cmdRecord(const Command &cmd)
     sample.machine = machine.empty() ? machineFingerprint() : machine;
 
     // Parse every replicate, grouped by thread count. All of them must
-    // measure the first one's sweep: a point that averages two
-    // workloads gates nothing.
+    // match the first one's sessions, events and scenario: a point that
+    // averages two sweep sizes gates nothing. The telemetry header has
+    // no scheduler set, so runs that differ only in scheduler pass;
+    // the label is what names the scheduler.
     std::vector<IntegrityProblem> problems;
     std::map<int, std::vector<RunTelemetry>> by_threads;
     std::string scenario;
@@ -425,9 +427,10 @@ main(int argc, char **argv)
         "perf-history ledger: record, gate and chart simulator speed",
         {
             {"record", cmdRecord, "append one replicated sample",
-             "Every replicate must measure the first one's sweep (sessions, "
-             "events,\nscenario).\nexit: 0 appended, 3 missing inputs, 4 "
-             "unparseable inputs or replicates\nof different sweeps"},
+             "Every replicate must match the first one's sessions, events "
+             "and scenario.\nThe scheduler set is not checked: name it in "
+             "--label.\nexit: 0 appended, 3 missing inputs, 4 unparseable "
+             "inputs or replicates\nof different sizes or scenarios"},
             {"compare", cmdCompare, "classify a sample against its baseline",
              "The candidate is the latest --sample (else --history) sample, "
              "the baseline\nthe latest earlier --history sample. Never "
