@@ -79,6 +79,16 @@ InteractiveGovernor::onSampleTick(SimulatorApi &api,
     return configForCapacity(api, desired);
 }
 
+bool
+InteractiveGovernor::idleTicksAreNoOps(SimulatorApi &api)
+{
+    // At load 0 a tick below hispeed and past the hold asks for
+    // configForCapacity(0): a no-op once the platform sits there.
+    return params_.goHispeedLoad > 0.0 &&
+        api.now() - lastHighLoad_ >= params_.minSampleTimeMs &&
+        api.currentConfig() == configForCapacity(api, 0.0);
+}
+
 OndemandGovernor::OndemandGovernor()
     : OndemandGovernor(Params{})
 {
@@ -99,6 +109,15 @@ OndemandGovernor::onSampleTick(SimulatorApi &api,
     const double current = capacityOf(api, status.config);
     const double desired = current * load / params_.upThreshold;
     return configForCapacity(api, desired);
+}
+
+bool
+OndemandGovernor::idleTicksAreNoOps(SimulatorApi &api)
+{
+    // At load 0 (never above a non-negative up-threshold) a tick asks
+    // for configForCapacity(0): a no-op once the platform sits there.
+    return params_.upThreshold >= 0.0 &&
+        api.currentConfig() == configForCapacity(api, 0.0);
 }
 
 } // namespace pes

@@ -92,6 +92,9 @@ class InteractiveGovernor : public SamplingGovernor
     std::optional<AcmpConfig>
     onSampleTick(SimulatorApi &api, const ExecutionStatus &status) override;
 
+    /** True once the hold has expired at configForCapacity(0). */
+    bool idleTicksAreNoOps(SimulatorApi &api) override;
+
   private:
     Params params_;
     TimeMs lastHighLoad_ = -1e9;
@@ -123,6 +126,9 @@ class OndemandGovernor : public SamplingGovernor
     }
     std::optional<AcmpConfig>
     onSampleTick(SimulatorApi &api, const ExecutionStatus &status) override;
+
+    /** True at configForCapacity(0). */
+    bool idleTicksAreNoOps(SimulatorApi &api) override;
 
   private:
     Params params_;

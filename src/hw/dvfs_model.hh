@@ -57,6 +57,10 @@ class DvfsLatencyModel
   public:
     explicit DvfsLatencyModel(const AcmpPlatform &platform);
 
+    /** The model keeps a pointer to @p platform; a temporary would
+     *  dangle by the first latency() call. */
+    explicit DvfsLatencyModel(AcmpPlatform &&) = delete;
+
     /** Latency of @p work on configuration @p cfg (Eqn. 1). */
     TimeMs latency(const Workload &work, const AcmpConfig &cfg) const
     {

@@ -10,21 +10,13 @@ namespace pes {
 EnergyMj
 EnergyMeter::totalEnergy() const
 {
-    EnergyMj total = 0.0;
-    for (const Segment &s : segments_)
-        total += energyOf(s.power, s.t1 - s.t0);
-    return total;
+    return tagTotals().total;
 }
 
 EnergyMj
 EnergyMeter::energyOfTag(EnergyTag tag) const
 {
-    EnergyMj total = 0.0;
-    for (const Segment &s : segments_) {
-        if (s.tag == tag)
-            total += energyOf(s.power, s.t1 - s.t0);
-    }
-    return total;
+    return tagTotals().of(tag);
 }
 
 EnergyTotals
@@ -32,9 +24,12 @@ EnergyMeter::tagTotals() const
 {
     EnergyTotals totals;
     for (const Segment &s : segments_) {
-        const EnergyMj e = energyOf(s.power, s.t1 - s.t0);
-        totals.total += e;
-        totals.byTag[static_cast<int>(s.tag)] += e;
+        EnergyMj &of_tag = totals.byTag[static_cast<int>(s.tag)];
+        forEachPiece(s, [&](TimeMs t0, TimeMs t1) {
+            const EnergyMj e = energyOf(s.power, t1 - t0);
+            totals.total += e;
+            of_tag += e;
+        });
     }
     return totals;
 }
@@ -44,7 +39,11 @@ EnergyMeter::energyOfSegment(uint64_t id) const
 {
     panic_if(id >= segments_.size(), "energyOfSegment: unknown id");
     const Segment &s = segments_[id];
-    return energyOf(s.power, s.t1 - s.t0);
+    EnergyMj total = 0.0;
+    forEachPiece(s, [&](TimeMs t0, TimeMs t1) {
+        total += energyOf(s.power, t1 - t0);
+    });
+    return total;
 }
 
 PowerMw
@@ -63,13 +62,15 @@ EnergyMeter::sampleTrace(double rate_hz) const
     const auto samples = static_cast<size_t>(duration_ / step) + 1;
     std::vector<PowerMw> trace(samples, 0.0);
     for (const Segment &s : segments_) {
-        auto first = static_cast<size_t>(std::ceil(s.t0 / step));
-        for (size_t i = first; i < samples; ++i) {
-            const TimeMs t = static_cast<double>(i) * step;
-            if (t >= s.t1)
-                break;
-            trace[i] += s.power;
-        }
+        forEachPiece(s, [&](TimeMs t0, TimeMs t1) {
+            auto first = static_cast<size_t>(std::ceil(t0 / step));
+            for (size_t i = first; i < samples; ++i) {
+                const TimeMs t = static_cast<double>(i) * step;
+                if (t >= t1)
+                    break;
+                trace[i] += s.power;
+            }
+        });
     }
     return trace;
 }

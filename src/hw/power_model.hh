@@ -31,6 +31,10 @@ class PowerModel
     /** Build the table analytically from the platform's V/f curves. */
     explicit PowerModel(const AcmpPlatform &platform);
 
+    /** The table keeps a pointer to @p platform; a temporary would
+     *  dangle by the first busyPower() call. */
+    explicit PowerModel(AcmpPlatform &&) = delete;
+
     /**
      * Power while the web runtime executes on @p cfg: dynamic switching
      * power plus cluster leakage at the operating voltage.

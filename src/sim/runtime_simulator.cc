@@ -217,8 +217,12 @@ RuntimeSimulator::replay(const InteractionTrace &trace,
                      "scheduler deadlock: idle, %zu queued events, no "
                      "arrivals or ticks pending", queue_.length());
             advanceIdle(t_next);
-            if (t_tick < t_arr - kTimeEps)
-                fireTick();
+            if (t_tick < t_arr - kTimeEps) {
+                if (canSkipIdleTicks(t_arr))
+                    skipIdleTicks(t_arr);
+                else
+                    fireTick();
+            }
         }
     }
     finish();
@@ -349,7 +353,8 @@ RuntimeSimulator::advanceBusy(TimeMs until)
     // Switch/migration overhead first.
     if (exec_->switchRemaining > 0.0 && until > t) {
         const TimeMs sw = std::min(exec_->switchRemaining, until - t);
-        meter_.addSegment(t, t + sw, power_->busyPower(currentConfig_),
+        meter_.addSegment(t, t + sw,
+                          power_->busyPowerAt(configIndexOfCurrent()),
                           EnergyTag::Overhead);
         meter_.addSegment(t, t + sw, other_idle, EnergyTag::Idle);
         busyIntervals_.emplace_back(t, t + sw);
@@ -362,7 +367,7 @@ RuntimeSimulator::advanceBusy(TimeMs until)
         const TimeMs latency =
             latencyModel_.latency(exec_->truth, currentConfig_);
         exec_->remainingFrac -= dt / latency;
-        const PowerMw busy = power_->busyPower(currentConfig_);
+        const PowerMw busy = power_->busyPowerAt(configIndexOfCurrent());
         const uint64_t seg =
             meter_.addSegment(t, t + dt, busy, EnergyTag::Busy);
         meter_.addSegment(t, t + dt, other_idle, EnergyTag::Idle);
@@ -470,8 +475,56 @@ RuntimeSimulator::nextTickTime() const
     const TimeMs interval = driver_->sampleIntervalMs();
     if (interval <= 0.0)
         return kInf;
-    const double steps = std::floor(now_ / interval + kTimeEps);
-    return (steps + 1.0) * interval;
+    return (tickIndex(interval) + 1.0) * interval;
+}
+
+double
+RuntimeSimulator::tickIndex(TimeMs interval) const
+{
+    return std::floor(now_ / interval + kTimeEps);
+}
+
+bool
+RuntimeSimulator::canSkipIdleTicks(TimeMs t_arr)
+{
+    // now_ is an idle tick before the arrival. This tick and every later
+    // one sees utilization 0 once the last busy interval ended a whole
+    // window ago (busyFraction's cut-off); the driver says whether such
+    // ticks change anything.
+    if (!std::isfinite(t_arr))
+        return false;
+    if (!busyIntervals_.empty() &&
+        busyIntervals_.back().second > now_ - driver_->sampleIntervalMs())
+        return false;
+    SimulatorApi api(*this);
+    return driver_->idleTicksAreNoOps(api);
+}
+
+void
+RuntimeSimulator::skipIdleTicks(TimeMs t_arr)
+{
+    // now_ sits on tick k0. Per-tick replay would fire ticks k0..kn, the
+    // last one strictly before t_arr - kTimeEps, and meter one idle
+    // segment per whole tick in between. Every tick time is k * interval
+    // and the index grows by exactly one per tick (now_ / interval stays
+    // far within kTimeEps of k), so the meter records those segments as
+    // one run and the clock lands on kn without firing any tick.
+    const TimeMs interval = driver_->sampleIntervalMs();
+    const TimeMs limit = t_arr - kTimeEps;
+    const auto at = [interval](int64_t k) {
+        return static_cast<double>(k) * interval;
+    };
+    const auto k0 = static_cast<int64_t>(tickIndex(interval));
+    auto kn = std::max(k0, static_cast<int64_t>(limit / interval));
+    while (at(kn + 1) < limit)
+        ++kn;
+    while (kn > k0 && !(at(kn) < limit))
+        --kn;
+    if (kn == k0)
+        return;
+    meter_.addTickRun(interval, k0, kn, power_->platformIdlePower(),
+                      EnergyTag::Idle);
+    now_ = at(kn);
 }
 
 double
@@ -616,7 +669,7 @@ RuntimeSimulator::apiChargeSchedulerOverhead(TimeMs duration)
     panic_if(exec_.has_value(),
              "scheduler overhead can only be charged while idle");
     meter_.addSegment(now_, now_ + duration,
-                      power_->busyPower(currentConfig_),
+                      power_->busyPowerAt(configIndexOfCurrent()),
                       EnergyTag::Overhead);
     busyIntervals_.emplace_back(now_, now_ + duration);
     now_ += duration;

@@ -24,7 +24,10 @@
  * SessionAccumulator — the same one SessionStats::reduce() uses — so
  * runStats() returns the session's SessionStats without recording
  * anything per event; run() additionally records the per-event detail
- * (event records, PFB samples, prediction degrees).
+ * (event records, PFB samples, prediction degrees). Idle sampling ticks
+ * that the driver declares no-ops (SchedulerDriver::idleTicksAreNoOps)
+ * are skipped up to the next arrival and metered as one tick run, which
+ * the meter sums exactly as it would the per-tick segments.
  */
 
 #ifndef PES_SIM_RUNTIME_SIMULATOR_HH
@@ -122,8 +125,11 @@ class RuntimeSimulator
     void advanceIdle(TimeMs until);
     void completeExec();
     void fireTick();
+    bool canSkipIdleTicks(TimeMs t_arr);
+    void skipIdleTicks(TimeMs t_arr);
     TimeMs finishEstimate() const;
     TimeMs nextTickTime() const;
+    double tickIndex(TimeMs interval) const;
     double busyFraction(TimeMs window) const;
     void serveEvent(int trace_index, TimeMs frame_ready, int config_index,
                     EnergyMj busy_energy, TimeMs exec_ms, bool speculative);

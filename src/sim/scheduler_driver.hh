@@ -98,6 +98,24 @@ class SchedulerDriver
         (void)status;
         return std::nullopt;
     }
+
+    /**
+     * Are the idle ticks until the next arrival no-ops? Asked on an idle
+     * tick before the next arrival whose sampling window, like every
+     * later one before that arrival, holds no busy time. Return true only
+     * if, from now until the arrival, every nextWork() call would return
+     * nullopt and every onSampleTick() seen idle at utilization 0 would
+     * return nullopt or the current configuration, and none of those
+     * calls would change driver state. The simulator then skips those
+     * ticks: it jumps to the last one before the arrival without calling
+     * nextWork() or onSampleTick(), and meters the idle time exactly as
+     * per-tick replay would. The default (false) fires every tick.
+     */
+    virtual bool idleTicksAreNoOps(SimulatorApi &api)
+    {
+        (void)api;
+        return false;
+    }
 };
 
 } // namespace pes

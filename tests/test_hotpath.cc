@@ -4,8 +4,9 @@
  * to as-constructed state (bit-identical to fresh ones, for every
  * scheduler), the stats-only path (bit-identical to reducing full
  * results), single-flight trace synthesis (duplicate_synthesis pinned
- * to 0), and engine reuse across run() calls (no state leaks between
- * sessions).
+ * to 0), engine reuse across run() calls (no state leaks between
+ * sessions), and skipped idle governor ticks (bit-identical to firing
+ * every tick).
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +14,15 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/device_context.hh"
 #include "core/ebs_scheduler.hh"
+#include "core/governors.hh"
 #include "corpus/corpus_store.hh"
 #include "corpus/trace_cache.hh"
 #include "results/result_format.hh"
@@ -337,6 +341,147 @@ TEST(HotPath, RunStatsIsBitIdenticalToReducingTheFullResult)
     // bit for bit, sketch included (the report contract).
     EbsScheduler stats_driver;
     EXPECT_TRUE(sessionStatsEqual(sim.runStats(trace, stats_driver), full));
+}
+
+// ------------------------------------------------ governor idle ticks
+
+/**
+ * Forwards every call to @p inner and counts the sampling ticks it
+ * receives. Unless @p forward_idle_hook, it keeps the default
+ * idleTicksAreNoOps() (false), so a replay through it fires every tick:
+ * the reference the skipped ticks must match.
+ */
+class TickCountingDriver : public SchedulerDriver
+{
+  public:
+    TickCountingDriver(SchedulerDriver &inner, bool forward_idle_hook)
+        : inner_(inner), forwardIdleHook_(forward_idle_hook)
+    {
+    }
+
+    std::string name() const override { return inner_.name(); }
+    void begin(SimulatorApi &api) override { inner_.begin(api); }
+    void
+    onArrival(SimulatorApi &api, int trace_index) override
+    {
+        inner_.onArrival(api, trace_index);
+    }
+    std::optional<WorkItem>
+    nextWork(SimulatorApi &api) override
+    {
+        return inner_.nextWork(api);
+    }
+    void
+    onWorkFinished(SimulatorApi &api, const CompletedWork &work) override
+    {
+        inner_.onWorkFinished(api, work);
+    }
+    bool resetFresh() override { return inner_.resetFresh(); }
+    TimeMs sampleIntervalMs() const override
+    {
+        return inner_.sampleIntervalMs();
+    }
+    std::optional<AcmpConfig>
+    onSampleTick(SimulatorApi &api, const ExecutionStatus &status) override
+    {
+        ++ticks;
+        return inner_.onSampleTick(api, status);
+    }
+    bool
+    idleTicksAreNoOps(SimulatorApi &api) override
+    {
+        return forwardIdleHook_ && inner_.idleTicksAreNoOps(api);
+    }
+
+    long ticks = 0;
+
+  private:
+    SchedulerDriver &inner_;
+    bool forwardIdleHook_;
+};
+
+using GovernorFactory = std::function<std::unique_ptr<SchedulerDriver>()>;
+
+/**
+ * Both governors at their defaults, and at non-integer intervals that
+ * pin the tick-grid arithmetic (k * interval is inexact there).
+ */
+std::vector<std::pair<std::string, GovernorFactory>>
+governorVariants()
+{
+    InteractiveGovernor::Params interactive_60hz;
+    interactive_60hz.timerRateMs = 1000.0 / 60.0;
+    OndemandGovernor::Params ondemand_33ms;
+    ondemand_33ms.samplingRateMs = 33.3;
+    return {
+        {"interactive",
+         [] { return std::make_unique<InteractiveGovernor>(); }},
+        {"ondemand", [] { return std::make_unique<OndemandGovernor>(); }},
+        {"interactive@60Hz",
+         [=] {
+             return std::make_unique<InteractiveGovernor>(interactive_60hz);
+         }},
+        {"ondemand@33.3ms",
+         [=] { return std::make_unique<OndemandGovernor>(ondemand_33ms); }},
+    };
+}
+
+TEST(HotPath, SkippedIdleTicksMatchFiringEveryTick)
+{
+    // Every paper app x 3 fleet users (seed 1): replaying through the
+    // governor itself (idle ticks skipped) must equal replaying through
+    // a wrapper that fires every tick, on both engine entry points.
+    TraceGenerator generator(exynos());
+    const PowerModel power(exynos());
+    FleetConfig fleet;
+    fleet.baseSeed = 1;
+    for (const AppProfile &profile : appRegistry()) {
+        SCOPED_TRACE(profile.name);
+        RuntimeSimulator sim(exynos(), power, generator.appFor(profile));
+        for (int u = 0; u < 3; ++u) {
+            const InteractionTrace trace =
+                generator.generate(profile, fleetUserSeed(fleet, u));
+            for (const auto &[label, make] : governorVariants()) {
+                SCOPED_TRACE(label + " user " + std::to_string(u));
+                const auto skipping = make();
+                const auto inner = make();
+                TickCountingDriver every_tick(*inner, false);
+                const SessionStats skipped = sim.runStats(trace, *skipping);
+                const SessionStats fired = sim.runStats(trace, every_tick);
+                EXPECT_TRUE(sessionStatsEqual(skipped, fired));
+
+                ASSERT_TRUE(skipping->resetFresh());
+                ASSERT_TRUE(every_tick.resetFresh());
+                const SimResult skipped_run = sim.run(trace, *skipping);
+                const SimResult fired_run = sim.run(trace, every_tick);
+                expectSameResult(skipped_run, fired_run);
+            }
+        }
+    }
+}
+
+TEST(HotPath, IdleGovernorsReceiveFewTicks)
+{
+    // The point of skipping: on a cnn session most ticks fall in idle
+    // gaps at the load-0 configuration, where they change nothing.
+    TraceGenerator generator(exynos());
+    const PowerModel power(exynos());
+    const AppProfile &profile = appByName("cnn");
+    const InteractionTrace trace = generator.generate(profile, 1);
+    RuntimeSimulator sim(exynos(), power, generator.appFor(profile));
+    for (const auto &[label, make] : governorVariants()) {
+        SCOPED_TRACE(label);
+        const auto a = make();
+        const auto b = make();
+        TickCountingDriver skipping(*a, true);
+        TickCountingDriver every_tick(*b, false);
+        const SessionStats skipped = sim.runStats(trace, skipping);
+        const SessionStats fired = sim.runStats(trace, every_tick);
+        EXPECT_TRUE(sessionStatsEqual(skipped, fired));
+        EXPECT_GT(skipping.ticks, 0);
+        EXPECT_LE(skipping.ticks * 5, every_tick.ticks)
+            << skipping.ticks << " of " << every_tick.ticks << " ticks";
+    }
 }
 
 } // namespace

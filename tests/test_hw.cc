@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "hw/acmp.hh"
 #include "hw/dvfs_model.hh"
@@ -406,6 +407,66 @@ TEST(EnergyMeter, ZeroLengthSegmentContributesNothing)
     EnergyMeter meter;
     meter.addSegment(5.0, 5.0, 1000.0, EnergyTag::Busy);
     EXPECT_NEAR(meter.totalEnergy(), 0.0, 1e-12);
+}
+
+TEST(EnergyMeter, TickRunReadsExactlyLikeOneSegmentPerTick)
+{
+    // An idle governor's skipped ticks are metered as one run; every
+    // reading must be bit-identical to one addSegment() per tick. With
+    // non-integer intervals the ticks differ in their last bits, so a
+    // closed-form N * energy would not match.
+    for (const TimeMs interval : {20.0, 1000.0 / 60.0, 33.3}) {
+        SCOPED_TRACE(interval);
+        const int64_t first = 7;
+        const int64_t end = 419;
+        const TimeMs run_start = static_cast<double>(first) * interval;
+        const TimeMs run_end = static_cast<double>(end) * interval;
+        EnergyMeter per_tick;
+        EnergyMeter run;
+        std::vector<uint64_t> tick_ids;
+        uint64_t run_id = 0;
+        for (EnergyMeter *m : {&per_tick, &run}) {
+            m->addSegment(0.0, 100.0, 900.0, EnergyTag::Busy);
+            m->addSegment(0.0, 100.0, 45.0, EnergyTag::Idle);
+            m->addSegment(100.0, run_start, 150.0, EnergyTag::Idle);
+            if (m == &run) {
+                run_id = m->addTickRun(interval, first, end, 137.3,
+                                       EnergyTag::Idle);
+            } else {
+                for (int64_t k = first; k < end; ++k) {
+                    tick_ids.push_back(m->addSegment(
+                        static_cast<double>(k) * interval,
+                        static_cast<double>(k + 1) * interval, 137.3,
+                        EnergyTag::Idle));
+                }
+            }
+            m->addSegment(run_end, run_end + 3.7, 640.0,
+                          EnergyTag::Overhead);
+            m->addSegment(run_end, run_end + 3.7, 45.0, EnergyTag::Idle);
+        }
+        EXPECT_EQ(run.segmentCount() + tick_ids.size() - 1,
+                  per_tick.segmentCount());
+
+        const EnergyTotals a = per_tick.tagTotals();
+        const EnergyTotals b = run.tagTotals();
+        EXPECT_EQ(a.total, b.total);
+        EXPECT_EQ(per_tick.totalEnergy(), run.totalEnergy());
+        EXPECT_EQ(run.totalEnergy(), b.total);
+        for (int t = 0; t < kNumEnergyTags; ++t) {
+            const auto tag = static_cast<EnergyTag>(t);
+            EXPECT_EQ(a.of(tag), b.of(tag)) << "tag " << t;
+            EXPECT_EQ(per_tick.energyOfTag(tag), run.energyOfTag(tag));
+        }
+        EXPECT_EQ(per_tick.duration(), run.duration());
+        EXPECT_EQ(per_tick.averagePower(), run.averagePower());
+        EXPECT_EQ(per_tick.sampleTrace(1000.0), run.sampleTrace(1000.0));
+        EXPECT_EQ(per_tick.sampleTrace(60.0), run.sampleTrace(60.0));
+
+        EnergyMj tick_sum = 0.0;
+        for (const uint64_t id : tick_ids)
+            tick_sum += per_tick.energyOfSegment(id);
+        EXPECT_EQ(tick_sum, run.energyOfSegment(run_id));
+    }
 }
 
 } // namespace

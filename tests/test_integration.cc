@@ -144,6 +144,46 @@ TEST(Integration, ParetoDominanceOfPes)
     EXPECT_LT(pes_viol, interactive_viol);
 }
 
+TEST(Integration, PaperClaimsHoldInEveryCellOfAFleet)
+{
+    // The paper's qualitative claims, per (app, scheduler) cell of one
+    // fixed fleet: every paper app x 3 users, seed 1, all five
+    // schedulers. Oracle meets every QoS target and spends no more than
+    // PES (Sec. 6.1's upper bound on savings), PES violates no more
+    // often than EBS (Fig. 12), and every cell's energy closes.
+    DeviceContext &device = trainedDevice();
+    FleetConfig config;
+    config.devices = {device.platform()};
+    config.apps = appRegistry();
+    config.schedulers =
+        parseSchedulerList("interactive,ondemand,ebs,pes,oracle");
+    config.users = 3;
+    config.threads = 4;
+    config.baseSeed = 1;
+    config.pretrainedModel = &device.model();
+    config.pretrainedModelDevice = device.platform().name();
+    const MetricsAggregator metrics = runComplete(config).metrics;
+    ASSERT_EQ(metrics.cells().size(), config.apps.size() * 5);
+
+    const std::string soc = device.platform().name();
+    for (const AppProfile &app : config.apps) {
+        SCOPED_TRACE(app.name);
+        const CellSummary oracle = metrics.cell(soc, app.name, "Oracle");
+        const CellSummary pes = metrics.cell(soc, app.name, "PES");
+        const CellSummary ebs = metrics.cell(soc, app.name, "EBS");
+        EXPECT_EQ(oracle.violations, 0);
+        EXPECT_LE(oracle.meanEnergyMj, pes.meanEnergyMj);
+        EXPECT_LE(pes.violationRate, ebs.violationRate);
+    }
+    for (const CellSummary &cell : metrics.cells()) {
+        SCOPED_TRACE(cell.app + " / " + cell.scheduler);
+        EXPECT_EQ(cell.sessions, config.users);
+        const double parts = cell.meanBusyEnergyMj + cell.meanIdleEnergyMj +
+            cell.meanOverheadEnergyMj + cell.meanWasteEnergyMj;
+        EXPECT_NEAR(parts, cell.meanEnergyMj, 1e-9 * cell.meanEnergyMj);
+    }
+}
+
 TEST(Integration, MispredictWasteIsSmallAmortized)
 {
     // Sec. 6.3: waste amortizes to a few ms per event and a small

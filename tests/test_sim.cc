@@ -630,6 +630,41 @@ TEST_F(SimFixture, GovernorsDecayAfterIdle)
                 result.events[0].execMs * 0.25);
 }
 
+TEST_F(SimFixture, IdleTickAfterABusyWindowStillFires)
+{
+    // A short event at the idle configuration ends just before a tick
+    // whose window it kept more than hispeed/up-threshold busy: that
+    // tick must still fire and jump to max, even though the governor
+    // sits at configForCapacity(0) and the main thread is idle. The
+    // next event then runs at max.
+    const int max_index = soc.configIndex(soc.maxConfig());
+    const auto event_lasting = [&](TimeMs arrival, TimeMs ms_at_min) {
+        const double ndep = (ms_at_min - 1.0) /
+            model.cycleCoeff(soc.minConfig());
+        return clickEvent(arrival, {1.0, ndep});
+    };
+    {
+        // 20 ms timer: busy over [1.5, 19], so the tick at 20 sees 87.5%.
+        InteractiveGovernor governor;
+        RuntimeSimulator sim(soc, power, app);
+        const SimResult result = sim.run(
+            makeTrace({event_lasting(1.5, 17.5), event_lasting(50.0, 5.0)}),
+            governor);
+        EXPECT_NE(result.events[0].configIndex, max_index);
+        EXPECT_EQ(result.events[1].configIndex, max_index);
+    }
+    {
+        // 100 ms sampling: busy over [10, 95], so the tick at 100 sees 85%.
+        OndemandGovernor governor;
+        RuntimeSimulator sim(soc, power, app);
+        const SimResult result = sim.run(
+            makeTrace({event_lasting(10.0, 85.0), event_lasting(150.0, 5.0)}),
+            governor);
+        EXPECT_NE(result.events[0].configIndex, max_index);
+        EXPECT_EQ(result.events[1].configIndex, max_index);
+    }
+}
+
 // --------------------------------------------------------- Oracle unit
 
 TEST_F(SimFixture, OraclePreExecutesAndMeetsEverything)

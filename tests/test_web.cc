@@ -435,7 +435,8 @@ TEST(RenderPipeline, TypicalTapFrameInPaperRegime)
     // A tap frame should cost on the order of 10-30 ms at the big
     // cluster's top frequency (the ~20 ms speculative frames of Fig. 10).
     RenderPipeline pipeline;
-    const DvfsLatencyModel model(AcmpPlatform::exynos5410());
+    const AcmpPlatform soc = AcmpPlatform::exynos5410();
+    const DvfsLatencyModel model(soc);
     const RenderWork work = pipeline.frameWork(150, 6);
     const TimeMs at_max =
         model.latency(work.total(), {CoreType::Big, 1800.0});
