@@ -487,17 +487,16 @@ RuntimeSimulator::tickIndex(TimeMs interval) const
 bool
 RuntimeSimulator::canSkipIdleTicks(TimeMs t_arr)
 {
-    // now_ is an idle tick before the arrival. This tick and every later
-    // one sees utilization 0 once the last busy interval ended a whole
-    // window ago (busyFraction's cut-off); the driver says whether such
-    // ticks change anything.
-    if (!std::isfinite(t_arr))
-        return false;
-    if (!busyIntervals_.empty() &&
-        busyIntervals_.back().second > now_ - driver_->sampleIntervalMs())
-        return false;
+    // now_ is an idle tick before the arrival. The driver says whether
+    // idle ticks at utilization 0 change anything; this tick and every
+    // later one sees 0 once the last busy interval ended a whole window
+    // ago (busyFraction's cut-off). Asking the driver first keeps the
+    // calls a driver that never skips receives exactly as they were.
     SimulatorApi api(*this);
-    return driver_->idleTicksAreNoOps(api);
+    if (!std::isfinite(t_arr) || !driver_->idleTicksAreNoOps(api))
+        return false;
+    return busyIntervals_.empty() ||
+        busyIntervals_.back().second <= now_ - driver_->sampleIntervalMs();
 }
 
 void

@@ -101,15 +101,16 @@ class SchedulerDriver
 
     /**
      * Are the idle ticks until the next arrival no-ops? Asked on an idle
-     * tick before the next arrival whose sampling window, like every
-     * later one before that arrival, holds no busy time. Return true only
-     * if, from now until the arrival, every nextWork() call would return
-     * nullopt and every onSampleTick() seen idle at utilization 0 would
-     * return nullopt or the current configuration, and none of those
-     * calls would change driver state. The simulator then skips those
-     * ticks: it jumps to the last one before the arrival without calling
-     * nextWork() or onSampleTick(), and meters the idle time exactly as
-     * per-tick replay would. The default (false) fires every tick.
+     * tick before the next arrival. Return true only if, from now until
+     * the arrival, every nextWork() call would return nullopt and every
+     * onSampleTick() seen idle at utilization 0 would return nullopt or
+     * the current configuration, and none of those calls would change
+     * driver state. When this tick's sampling window also holds no busy
+     * time (so no later tick before the arrival sees any), the simulator
+     * then skips those ticks: it jumps to the last one before the
+     * arrival without calling nextWork() or onSampleTick(), and meters
+     * the idle time exactly as per-tick replay would. The default
+     * (false) fires every tick.
      */
     virtual bool idleTicksAreNoOps(SimulatorApi &api)
     {
