@@ -217,12 +217,8 @@ RuntimeSimulator::replay(const InteractionTrace &trace,
                      "scheduler deadlock: idle, %zu queued events, no "
                      "arrivals or ticks pending", queue_.length());
             advanceIdle(t_next);
-            if (t_tick < t_arr - kTimeEps) {
-                if (canSkipIdleTicks(t_arr))
-                    skipIdleTicks(t_arr);
-                else
-                    fireTick();
-            }
+            if (t_tick < t_arr - kTimeEps && !skipIdleTicks(t_arr))
+                fireTick();
         }
     }
     finish();
@@ -485,7 +481,7 @@ RuntimeSimulator::tickIndex(TimeMs interval) const
 }
 
 bool
-RuntimeSimulator::canSkipIdleTicks(TimeMs t_arr)
+RuntimeSimulator::skipIdleTicks(TimeMs t_arr)
 {
     // now_ is an idle tick before the arrival. The driver says whether
     // idle ticks at utilization 0 change anything; this tick and every
@@ -495,20 +491,17 @@ RuntimeSimulator::canSkipIdleTicks(TimeMs t_arr)
     SimulatorApi api(*this);
     if (!std::isfinite(t_arr) || !driver_->idleTicksAreNoOps(api))
         return false;
-    return busyIntervals_.empty() ||
-        busyIntervals_.back().second <= now_ - driver_->sampleIntervalMs();
-}
+    const TimeMs interval = driver_->sampleIntervalMs();
+    if (!busyIntervals_.empty() &&
+        busyIntervals_.back().second > now_ - interval)
+        return false;
 
-void
-RuntimeSimulator::skipIdleTicks(TimeMs t_arr)
-{
     // now_ sits on tick k0. Per-tick replay would fire ticks k0..kn, the
     // last one strictly before t_arr - kTimeEps, and meter one idle
     // segment per whole tick in between. Every tick time is k * interval
     // and the index grows by exactly one per tick (now_ / interval stays
     // far within kTimeEps of k), so the meter records those segments as
     // one run and the clock lands on kn without firing any tick.
-    const TimeMs interval = driver_->sampleIntervalMs();
     const TimeMs limit = t_arr - kTimeEps;
     const auto at = [interval](int64_t k) {
         return static_cast<double>(k) * interval;
@@ -519,11 +512,12 @@ RuntimeSimulator::skipIdleTicks(TimeMs t_arr)
         ++kn;
     while (kn > k0 && !(at(kn) < limit))
         --kn;
-    if (kn == k0)
-        return;
-    meter_.addTickRun(interval, k0, kn, power_->platformIdlePower(),
-                      EnergyTag::Idle);
-    now_ = at(kn);
+    if (kn > k0) {
+        meter_.addTickRun(interval, k0, kn, power_->platformIdlePower(),
+                          EnergyTag::Idle);
+        now_ = at(kn);
+    }
+    return true;
 }
 
 double

@@ -125,8 +125,9 @@ class RuntimeSimulator
     void advanceIdle(TimeMs until);
     void completeExec();
     void fireTick();
-    bool canSkipIdleTicks(TimeMs t_arr);
-    void skipIdleTicks(TimeMs t_arr);
+    /** Skip this and later idle ticks before @p t_arr when they are
+     *  no-ops; false (nothing skipped) when they are not. */
+    bool skipIdleTicks(TimeMs t_arr);
     TimeMs finishEstimate() const;
     TimeMs nextTickTime() const;
     double tickIndex(TimeMs interval) const;
