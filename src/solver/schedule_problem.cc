@@ -186,6 +186,8 @@ struct Workspace
     /** Bucket b of the last finished stage is [prev[b], prev[b + 1]). */
     std::vector<int> prev;
     std::vector<int> cur;
+    /** The last finished stage's buckets that hold a state, ascending. */
+    std::vector<int> live;
     std::vector<Source> sources;
     std::vector<HeapEntry> heap;
     /** Latest finish of event i that can still meet every deadline. */
@@ -589,11 +591,42 @@ runDp(const ScheduleProblem &problem, Workspace &s, const Incumbent &inc,
             bounds.toGo = &s.toGo[si];
         }
 
+        // Only the last stage's buckets that hold a state are merge
+        // sources: an empty one adds no candidate. They stay in ascending
+        // order, so the merge's (finish, source) ties resolve as before.
+        s.live.clear();
+        for (int k = 0; k < buckets; ++k) {
+            if (s.prev[static_cast<size_t>(k)] <
+                s.prev[static_cast<size_t>(k) + 1])
+                s.live.push_back(k);
+        }
+        // With switch costs every candidate of bucket b adds ev.energy[b]
+        // to a last-stage state. When the energy test alone decides what
+        // is kept (no tie limit, no energy-to-go frontier) and it fails
+        // even from the least-energy state, summed in the keep test's
+        // order, the bucket keeps nothing: addition is monotone and
+        // dominance never crosses buckets, so it is skipped.
+        const bool energy_cut =
+            use_switch && bounds.tieLimit == -kInf && !bounds.toGo;
+        EnergyMj least = kInf;
+        if (energy_cut) {
+            for (int p = s.prev[0]; p < s.prev[static_cast<size_t>(buckets)];
+                 ++p)
+                least = std::min(least, arena[static_cast<size_t>(p)].energy);
+        }
+
         s.cur[0] = static_cast<int>(arena.size());
         for (int b = 0; b < buckets; ++b) {
             const size_t sb = static_cast<size_t>(b);
+            const size_t begin = arena.size();
+            if (energy_cut &&
+                least + ev.energy[sb] + bounds.energyTail >
+                    bounds.energyLimit) {
+                s.cur[sb + 1] = static_cast<int>(begin);
+                continue;
+            }
             s.sources.clear();
-            for (int k = 0; k < c; ++k) {
+            for (int k : s.live) {
                 const size_t sk = static_cast<size_t>(k);
                 if (use_switch) {
                     // Bucket b's candidates from bucket k's states.
@@ -602,12 +635,14 @@ runDp(const ScheduleProblem &problem, Workspace &s, const Incumbent &inc,
                          ev.latency[sb] + problem.switchCost[sk][sb],
                          ev.energy[sb], b});
                 } else {
-                    s.sources.push_back({s.prev[0], s.prev[1],
-                                         ev.latency[sk], ev.energy[sk],
-                                         k});
+                    for (int j = 0; j < c; ++j) {
+                        const size_t sj = static_cast<size_t>(j);
+                        s.sources.push_back({s.prev[sk], s.prev[sk + 1],
+                                             ev.latency[sj], ev.energy[sj],
+                                             j});
+                    }
                 }
             }
-            const size_t begin = arena.size();
             mergeBucket(s, bounds);
             if (thinBucket(arena, begin))
                 ++result.thinned;
