@@ -390,13 +390,14 @@ struct StageBounds
 };
 
 /**
- * One bucket's pass over s.sources. Candidates are merged in (finish,
- * cost, parent, config) order; one survives when its cost beats the last
- * survivor's by more than kDominanceMargin, so of equal finishes only
- * the first in that order can. Survivors within the bounds are appended
- * to the arena; the others still count for dominance. A candidate
- * finishing after the cut is never merged: every candidate after it in
- * the order finishes after the cut too, and none of them could be kept.
+ * One bucket's pass over s.sources, none of them empty. Candidates are
+ * merged in (finish, cost, parent, config) order; one survives when its
+ * cost beats the last survivor's by more than kDominanceMargin, so of
+ * equal finishes only the first in that order can. Survivors within the
+ * bounds are appended to the arena; the others still count for
+ * dominance. A candidate finishing after the cut is never merged: every
+ * candidate after it in the order finishes after the cut too, and none
+ * of them could be kept.
  */
 void
 mergeBucket(Workspace &s, const StageBounds &bounds)
@@ -406,8 +407,6 @@ mergeBucket(Workspace &s, const StageBounds &bounds)
     heap.clear();
     for (size_t k = 0; k < s.sources.size(); ++k) {
         const Source &src = s.sources[k];
-        if (src.begin == src.end)
-            continue;
         const TimeMs finish =
             arena[static_cast<size_t>(src.begin)].finish + src.shift;
         if (finish <= bounds.cut)
