@@ -27,10 +27,11 @@ PesScheduler::name() const
 void
 PesScheduler::begin(SimulatorApi &api)
 {
-    // predictor/optimizer bind to per-run simulator models; the EBS
-    // policy (Eqn.-1 measurements) and the inter-arrival model persist
-    // across sessions like a warmed device.
+    // predictor/analyzer/optimizer bind to the per-run session and
+    // simulator models; the EBS policy (Eqn.-1 measurements) and the
+    // inter-arrival model persist across sessions like a warmed device.
     predictor_.emplace(model_, config_.predictor);
+    analyzer_.emplace(api.session());
     optimizer_.emplace(api.latencyModel(), api.powerModel(), api.vsync(),
                        config_.latencyMargin);
     if (!ebs_) {
@@ -206,11 +207,10 @@ PesScheduler::buildPlan(SimulatorApi &api)
 
     // Roll the committed state through the outstanding events, then
     // predict beyond them.
-    DomAnalyzer analyzer(api.session());
     DomOverlay state = api.session().snapshotState();
     for (const QueuedEvent &qe : outstanding) {
         const TraceEvent &ev = api.arrivedEvent(qe.traceIndex);
-        analyzer.applyHypothetical({ev.type, ev.node}, state);
+        analyzer_->applyHypothetical({ev.type, ev.node}, state);
     }
 
     std::vector<PredictedEvent> predicted;
@@ -218,7 +218,7 @@ PesScheduler::buildPlan(SimulatorApi &api)
     // reactively.
     if (config_.enablePrediction && !fallback_ &&
         window_.eventsInWindow() > 0) {
-        predicted = predictor_->predictSequence(analyzer, state, window_);
+        predicted = predictor_->predictSequence(*analyzer_, state, window_);
     }
 
     if (outstanding.empty() && predicted.empty())

@@ -151,6 +151,8 @@ class PesScheduler : public SchedulerDriver
     Config config_;
 
     std::optional<EventPredictor> predictor_;
+    /** Bound to the session in begin(); its memo serves every plan. */
+    std::optional<DomAnalyzer> analyzer_;
     std::optional<GlobalOptimizer> optimizer_;
     std::optional<EbsPolicy> ebs_;
 

@@ -172,7 +172,7 @@ UserModel::generateSession() const
         // One batched DOM pass: LNES, viewport features and the
         // per-candidate geometry the target pick below scores with.
         const DomOverlay state = session.snapshotState();
-        const DomAnalysis analysis = analyzer.analyze(state);
+        const DomAnalysis &analysis = analyzer.analyze(state);
         const auto &lnes = analysis.candidates;
         if (lnes.empty())
             break;  // defensive; the root always carries handlers

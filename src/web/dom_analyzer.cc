@@ -1,6 +1,7 @@
 #include "web/dom_analyzer.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/logging.hh"
 
@@ -67,71 +68,41 @@ DomAnalyzer::nodeRole(const DomOverlay &state, NodeId node) const
 std::vector<CandidateEvent>
 DomAnalyzer::likelyNextEvents(const DomOverlay &state) const
 {
-    const DomTree &dom = domOf(state);
-    const Viewport viewport = viewportOf(state);
-    const Rect view_rect = viewport.rect();
-
+    const DomAnalysis &analysis = analyze(state);
     std::vector<CandidateEvent> out;
-    for (size_t i = 0; i < dom.size(); ++i) {
-        const NodeId id = static_cast<NodeId>(i);
-        const DomNode &node = dom.node(id);
-        if (node.handlers.empty())
-            continue;
-        if (!state.displayedOf(dom, id))
-            continue;
-        if (!node.rect.intersects(view_rect))
-            continue;
-        for (const HandlerSpec &spec : node.handlers)
-            out.push_back({spec.type, id});
-    }
-    std::sort(out.begin(), out.end(),
-              [](const CandidateEvent &a, const CandidateEvent &b) {
-                  if (a.node != b.node)
-                      return a.node < b.node;
-                  return static_cast<int>(a.type) < static_cast<int>(b.type);
-              });
+    out.reserve(analysis.candidates.size());
+    for (const AnalyzedCandidate &cand : analysis.candidates)
+        out.push_back(cand.event);
     return out;
 }
 
 ViewportStats
 DomAnalyzer::viewportStats(const DomOverlay &state) const
 {
-    const DomTree &dom = domOf(state);
-    const Viewport viewport = viewportOf(state);
-    const Rect view_rect = viewport.rect();
-    const double view_area = view_rect.area();
+    return analyze(state).stats;
+}
 
-    ViewportStats stats;
-    double clickable_area = 0.0;
-    double link_area = 0.0;
-    for (size_t i = 0; i < dom.size(); ++i) {
-        const NodeId id = static_cast<NodeId>(i);
-        const DomNode &node = dom.node(id);
-        if (!state.displayedOf(dom, id))
-            continue;
-        const double overlap = node.rect.intersectionArea(view_rect);
-        if (overlap <= 0.0)
-            continue;
-        ++stats.visibleNodes;
-        if (node.isClickable())
-            clickable_area += overlap;
-        // "Links" are navigation affordances: anchor elements and any
-        // clickable element whose handler triggers a page load (e.g. nav
-        // menu items). The document-level load handler does not count —
-        // it is not a visible affordance.
-        if (node.isLink() ||
-            (node.isClickable() && node.handlerFor(DomEventType::Load)))
-            link_area += overlap;
-    }
-    stats.clickableFrac = std::min(1.0, clickable_area / view_area);
-    stats.visibleLinkFrac = std::min(1.0, link_area / view_area);
-    stats.scrollable =
-        dom.pageHeight() > viewport.height + 1.0;
-    return stats;
+const DomAnalysis &
+DomAnalyzer::analyze(const DomOverlay &state) const
+{
+    // domOf() reads the session's live DOM only on the page it is on.
+    const uint64_t epoch = state.pageId == session_->currentPage()
+        ? session_->displayEpoch() : ~uint64_t{0};
+    uint64_t scroll_bits = 0;
+    static_assert(sizeof scroll_bits == sizeof state.scrollY);
+    std::memcpy(&scroll_bits, &state.scrollY, sizeof scroll_bits);
+    MemoKey key{state.pageId, epoch, scroll_bits,
+                {state.displayOverride.begin(), state.displayOverride.end()}};
+    std::sort(std::get<3>(key).begin(), std::get<3>(key).end());
+
+    auto it = memo_.lower_bound(key);
+    if (it == memo_.end() || key < it->first)
+        it = memo_.emplace_hint(it, std::move(key), traverse(state));
+    return it->second;
 }
 
 DomAnalysis
-DomAnalyzer::analyze(const DomOverlay &state) const
+DomAnalyzer::traverse(const DomOverlay &state) const
 {
     const DomTree &dom = domOf(state);
     const Viewport viewport = viewportOf(state);
@@ -147,25 +118,23 @@ DomAnalyzer::analyze(const DomOverlay &state) const
         const DomNode &node = dom.node(id);
         if (!state.displayedOf(dom, id))
             continue;
-        // Viewport features gate on positive overlap area...
+        // Visible = displayed with positive overlap (Rect::intersects),
+        // the gate of both the LNES and the viewport features.
         const double overlap = node.rect.intersectionArea(view_rect);
-        if (overlap > 0.0) {
-            ++out.stats.visibleNodes;
-            if (node.isClickable())
-                clickable_area += overlap;
-            if (node.isLink() ||
-                (node.isClickable() &&
-                 node.handlerFor(DomEventType::Load)))
-                link_area += overlap;
-        }
-        // ...while the LNES gates on intersection (boundary touch
-        // counts) — both evaluated independently, matching the
-        // individual methods.
-        if (!node.handlers.empty() && node.rect.intersects(view_rect)) {
-            for (const HandlerSpec &spec : node.handlers)
-                out.candidates.push_back(
-                    {{spec.type, id}, node.rect, node.role});
-        }
+        if (overlap <= 0.0)
+            continue;
+        ++out.stats.visibleNodes;
+        if (node.isClickable())
+            clickable_area += overlap;
+        // "Links" are navigation affordances: anchor elements and any
+        // clickable element whose handler triggers a page load (e.g. nav
+        // menu items). The document-level load handler does not count —
+        // it is not a visible affordance.
+        if (node.isLink() ||
+            (node.isClickable() && node.handlerFor(DomEventType::Load)))
+            link_area += overlap;
+        for (const HandlerSpec &spec : node.handlers)
+            out.candidates.push_back({{spec.type, id}, node.rect, node.role});
     }
     out.stats.clickableFrac = std::min(1.0, clickable_area / view_area);
     out.stats.visibleLinkFrac = std::min(1.0, link_area / view_area);

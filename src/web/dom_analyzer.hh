@@ -15,6 +15,10 @@
 #ifndef PES_WEB_DOM_ANALYZER_HH
 #define PES_WEB_DOM_ANALYZER_HH
 
+#include <cstdint>
+#include <map>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "web/web_app.hh"
@@ -74,13 +78,15 @@ struct DomAnalysis
 
 /**
  * Static analyzer over a WebAppSession's committed state plus an optional
- * hypothetical overlay.
+ * hypothetical overlay. It memoizes analyze() and is not synchronized:
+ * one analyzer serves one thread.
  */
 class DomAnalyzer
 {
   public:
     /**
-     * @param session Live session; the analyzer reads its committed DOMs.
+     * @param session Live session; the analyzer reads its committed DOMs
+     *                at every call, so commits between calls are seen.
      *
      * The analyzer holds a reference; the session must outlive it.
      */
@@ -88,23 +94,23 @@ class DomAnalyzer
 
     /**
      * Likely-Next-Event-Set for the state described by @p state
-     * (page + scroll + display overrides). Enumerates every (type, node)
-     * pair registered on a visible node, plus the document-level scroll
-     * candidates when the page is scrollable.
+     * (page + scroll + display overrides): the events of
+     * analyze(state).candidates, i.e. every (type, node) pair registered
+     * on a displayed node that overlaps the viewport. The root's
+     * document-level handlers (reload, scroll) are always among them.
      */
     std::vector<CandidateEvent>
     likelyNextEvents(const DomOverlay &state) const;
 
     /**
-     * Batched equivalent of likelyNextEvents + viewportStats + a
-     * nodeRect/nodeRole call per candidate, in ONE traversal of the
-     * page. Every per-node check matches the individual methods
-     * exactly (LNES gate: rect intersects the viewport; feature gate:
-     * positive overlap area), so consumers switching to analyze()
-     * observe identical candidates, features and geometry — this is
-     * the predictor's hot path, not a semantic change.
+     * The LNES with each candidate's rect and role, the Table-1
+     * viewport features and the viewport, from ONE traversal of the
+     * page. Memoized: a later call with the same page, scroll-offset
+     * bits, display overrides and, on the page the session is on, the
+     * same WebAppSession::displayEpoch() returns the stored result.
+     * The reference stays valid for the analyzer's lifetime.
      */
-    DomAnalysis analyze(const DomOverlay &state) const;
+    const DomAnalysis &analyze(const DomOverlay &state) const;
 
     /**
      * Every (type, node) pair registered anywhere on the current page of
@@ -139,11 +145,22 @@ class DomAnalyzer
     Rect nodeRect(const DomOverlay &state, NodeId node) const;
 
   private:
+    /** Everything traverse() reads: page, the epoch of the DOM it reads
+     *  (~0 for a pristine page), scroll-offset bits and the display
+     *  overrides sorted by node. */
+    using MemoKey = std::tuple<int, uint64_t, uint64_t,
+                               std::vector<std::pair<NodeId, bool>>>;
+
+    /** The one visibility traversal behind analyze(). */
+    DomAnalysis traverse(const DomOverlay &state) const;
+
     const DomTree &domOf(const DomOverlay &state) const;
     const SemanticTree &semanticsOf(const DomOverlay &state) const;
     Viewport viewportOf(const DomOverlay &state) const;
 
     const WebAppSession *session_;
+    /** Node-based, so handed-out references survive later inserts. */
+    mutable std::map<MemoKey, DomAnalysis> memo_;
 };
 
 } // namespace pes

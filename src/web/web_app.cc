@@ -41,22 +41,14 @@ WebAppSession::WebAppSession(const WebApp &app)
     : app_(&app), viewport_(app.viewportTemplate())
 {
     panic_if(app.numPages() == 0, "WebAppSession: app has no pages");
-    liveDoms_.reserve(static_cast<size_t>(app.numPages()));
-    for (int p = 0; p < app.numPages(); ++p)
-        liveDoms_.push_back(app.dom(p));
-    dirty_.assign(liveDoms_.size(), 0);
     viewport_.scrollY = 0.0;
 }
 
 void
 WebAppSession::reset()
 {
-    for (size_t p = 0; p < liveDoms_.size(); ++p) {
-        if (!dirty_[p])
-            continue;
-        liveDoms_[p] = app_->dom(static_cast<int>(p));
-        dirty_[p] = 0;
-    }
+    toggled_ = false;
+    ++displayEpoch_;
     pageId_ = 0;
     viewport_ = app_->viewportTemplate();
     viewport_.scrollY = 0.0;
@@ -66,7 +58,7 @@ WebAppSession::reset()
 const DomTree &
 WebAppSession::dom() const
 {
-    return liveDoms_[static_cast<size_t>(pageId_)];
+    return toggled_ ? toggledDom_ : app_->dom(pageId_);
 }
 
 const SemanticTree &
@@ -91,20 +83,23 @@ WebAppSession::commitEvent(NodeId node, DomEventType type)
 void
 WebAppSession::applyEffect(const HandlerEffect &effect)
 {
-    DomTree &tree = liveDoms_[static_cast<size_t>(pageId_)];
     switch (effect.kind) {
       case EffectKind::None:
         break;
       case EffectKind::ToggleDisplay:
         if (effect.target != kInvalidNode &&
-            effect.target < static_cast<NodeId>(tree.size())) {
-            tree.setDisplayed(effect.target,
-                              !tree.node(effect.target).displayed);
-            dirty_[static_cast<size_t>(pageId_)] = 1;
+            effect.target < static_cast<NodeId>(dom().size())) {
+            if (!toggled_) {
+                toggledDom_ = app_->dom(pageId_);
+                toggled_ = true;
+            }
+            toggledDom_.setDisplayed(
+                effect.target, !toggledDom_.node(effect.target).displayed);
+            ++displayEpoch_;
         }
         break;
       case EffectKind::ScrollBy: {
-        const double page_height = tree.pageHeight();
+        const double page_height = dom().pageHeight();
         const double max_scroll =
             std::max(0.0, page_height - viewport_.height);
         viewport_.scrollY = std::clamp(viewport_.scrollY +
@@ -113,15 +108,11 @@ WebAppSession::applyEffect(const HandlerEffect &effect)
       }
       case EffectKind::Navigate:
         if (effect.pageId >= 0 && effect.pageId < app_->numPages()) {
-            // Navigation resets the destination page to its pristine DOM
-            // (a fresh parse), like a real page load. A page that was
-            // never mutated is already pristine — no copy needed.
+            // Navigation loads the destination's pristine DOM (a fresh
+            // parse), like a real page load: the toggled copy is dropped.
             pageId_ = effect.pageId;
-            if (dirty_[static_cast<size_t>(pageId_)]) {
-                liveDoms_[static_cast<size_t>(pageId_)] =
-                    app_->dom(pageId_);
-                dirty_[static_cast<size_t>(pageId_)] = 0;
-            }
+            toggled_ = false;
+            ++displayEpoch_;
             viewport_.scrollY = 0.0;
         }
         break;

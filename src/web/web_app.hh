@@ -5,13 +5,15 @@
  * WebApp is the static application definition (every page's DOM plus its
  * parse-time SemanticTree). WebAppSession is one user-facing instance with
  * mutable state — current page, scroll position, committed DOM mutations —
- * the thing the runtime dispatches events into. Sessions copy the app's
- * DOM so concurrent simulations never alias state.
+ * the thing the runtime dispatches events into. A session reads the app's
+ * page DOMs and copies a page only when a committed toggle changes it, so
+ * concurrent simulations never alias mutable state.
  */
 
 #ifndef PES_WEB_WEB_APP_HH
 #define PES_WEB_WEB_APP_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -70,9 +72,8 @@ class WebAppSession
 
     /**
      * Return to the pristine start-of-session state (page 0, scroll 0,
-     * no committed events) without re-copying every page DOM: only the
-     * pages whose live DOM actually diverged from the app's pristine
-     * copy are restored. Equivalent to constructing a fresh session.
+     * no committed events). Equivalent to constructing a fresh session,
+     * except that displayEpoch() keeps counting.
      */
     void reset();
 
@@ -85,8 +86,16 @@ class WebAppSession
     /** Current viewport (device size + live scroll offset). */
     const Viewport &viewport() const { return viewport_; }
 
-    /** Live (committed-state) DOM of the current page. */
+    /**
+     * Live (committed-state) DOM of the current page: the app's pristine
+     * page until a toggle is committed on it, then the session's copy.
+     * The reference is valid until the next commitEvent() or reset().
+     */
     const DomTree &dom() const;
+
+    /** Counts up from 0 on every committed toggle, navigation and
+     *  reset(): equal epochs mean an unchanged dom() display state. */
+    uint64_t displayEpoch() const { return displayEpoch_; }
 
     /** Semantic table of the current page. */
     const SemanticTree &semantics() const;
@@ -111,13 +120,14 @@ class WebAppSession
     void applyEffect(const HandlerEffect &effect);
 
     const WebApp *app_;
-    /** Mutable copies of every page's DOM (committed display states). */
-    std::vector<DomTree> liveDoms_;
-    /** Pages whose live DOM may differ from the pristine copy. */
-    std::vector<char> dirty_;
+    /** While toggled_: the current page's DOM with the toggles
+     *  committed since it was loaded (navigation reloads pristine). */
+    DomTree toggledDom_;
+    bool toggled_ = false;
     int pageId_ = 0;
     Viewport viewport_;
     int committedEvents_ = 0;
+    uint64_t displayEpoch_ = 0;
 };
 
 } // namespace pes

@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/device_context.hh"
 #include "trace/dom_builder.hh"
 #include "trace/user_model.hh"
@@ -92,6 +97,101 @@ TEST_P(PerApp, LnesNeverEmptyDuringSession)
             analyzer.likelyNextEvents(session.snapshotState()).empty())
             << p.name;
         session.commitEvent(e.node, e.type);
+    }
+}
+
+/** Exact, field-by-field equality of two DOM analyses. */
+void
+expectSameAnalysis(const DomAnalysis &got, const DomAnalysis &want,
+                   const std::string &where)
+{
+    ASSERT_EQ(got.candidates.size(), want.candidates.size()) << where;
+    for (size_t i = 0; i < got.candidates.size(); ++i) {
+        const AnalyzedCandidate &g = got.candidates[i];
+        const AnalyzedCandidate &w = want.candidates[i];
+        EXPECT_EQ(g.event, w.event) << where << " candidate " << i;
+        EXPECT_EQ(g.rect.x, w.rect.x) << where << " candidate " << i;
+        EXPECT_EQ(g.rect.y, w.rect.y) << where << " candidate " << i;
+        EXPECT_EQ(g.rect.w, w.rect.w) << where << " candidate " << i;
+        EXPECT_EQ(g.rect.h, w.rect.h) << where << " candidate " << i;
+        EXPECT_EQ(g.role, w.role) << where << " candidate " << i;
+    }
+    EXPECT_EQ(got.stats.clickableFrac, want.stats.clickableFrac) << where;
+    EXPECT_EQ(got.stats.visibleLinkFrac, want.stats.visibleLinkFrac)
+        << where;
+    EXPECT_EQ(got.stats.visibleNodes, want.stats.visibleNodes) << where;
+    EXPECT_EQ(got.stats.scrollable, want.stats.scrollable) << where;
+    EXPECT_EQ(got.viewport.width, want.viewport.width) << where;
+    EXPECT_EQ(got.viewport.height, want.viewport.height) << where;
+    EXPECT_EQ(got.viewport.scrollY, want.viewport.scrollY) << where;
+}
+
+TEST_P(PerApp, MemoizedAnalysisMatchesFreshAnalyzer)
+{
+    // One analyzer lives through a whole committed session, as in trace
+    // synthesis and PES; at every committed state and along a short
+    // hypothetical rollout from it, its memoized analyze() must equal
+    // what a fresh analyzer computes for the same session and state.
+    const AppProfile &p = profile();
+    const WebApp &app = trainedDevice().generator().appFor(p);
+    const InteractionTrace trace =
+        trainedDevice().generator().generate(p, 5050);
+    WebAppSession session(app);
+    const DomAnalyzer live(session);
+
+    // Every reference handed out, with a copy of what it must still say.
+    std::vector<std::pair<const DomAnalysis *, DomAnalysis>> taken;
+    std::string where;
+    const auto check = [&](const DomOverlay &state) {
+        const DomAnalysis &got = live.analyze(state);
+        const DomAnalysis want = DomAnalyzer(session).analyze(state);
+        expectSameAnalysis(got, want, where);
+        taken.emplace_back(&got, want);
+    };
+
+    // A toggle, a scroll, then a navigation to the page the session is
+    // on (the root's reload), each applied on top of the previous one.
+    const auto rolls = [&](const CandidateEvent &event, EffectKind kind,
+                           const DomOverlay &state) {
+        const auto effect =
+            app.semantics(state.pageId).effectOf(event.node, event.type);
+        return effect && effect->kind == kind &&
+            (kind != EffectKind::Navigate ||
+             effect->pageId == session.currentPage());
+    };
+    std::array<int, 3> rolled{};
+    const std::array<EffectKind, 3> kinds = {EffectKind::ToggleDisplay,
+                                             EffectKind::ScrollBy,
+                                             EffectKind::Navigate};
+    for (size_t e = 0; e < trace.events.size(); ++e) {
+        DomOverlay state = session.snapshotState();
+        where = p.name + " event " + std::to_string(e);
+        check(state);
+        for (size_t k = 0; k < kinds.size(); ++k) {
+            const auto &cands = live.analyze(state).candidates;
+            const auto it = std::find_if(
+                cands.begin(), cands.end(),
+                [&](const AnalyzedCandidate &c) {
+                    return rolls(c.event, kinds[k], state);
+                });
+            if (it == cands.end())
+                continue;
+            live.applyHypothetical(it->event, state);
+            ++rolled[k];
+            where = p.name + " event " + std::to_string(e) + " rollout " +
+                std::to_string(k);
+            check(state);
+        }
+        session.commitEvent(trace.events[e].node, trace.events[e].type);
+    }
+    EXPECT_GT(rolled[0], 0) << p.name << ": no toggle rolled out";
+    EXPECT_GT(rolled[1], 0) << p.name << ": no scroll rolled out";
+    EXPECT_GT(rolled[2], 0) << p.name << ": no reload rolled out";
+
+    // References taken early still hold their analyses at session end.
+    for (size_t i = 0; i < taken.size(); ++i) {
+        expectSameAnalysis(*taken[i].first, taken[i].second,
+                           p.name + " reference " + std::to_string(i));
     }
 }
 

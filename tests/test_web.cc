@@ -299,6 +299,63 @@ TEST(WebAppSession, NavigationResetsDestinationDom)
     EXPECT_FALSE(session.dom().node(1).displayed);
 }
 
+TEST(WebAppSession, ToggledDomIsDroppedByNavigationAndReset)
+{
+    // One analyzer lives through every commit: each change to the live
+    // DOM must reach its memoized analyze().
+    const WebApp app = makeTwoPageApp();
+    WebAppSession session(app);
+    const DomAnalyzer analyzer(session);
+    const auto events = [](const DomAnalysis &analysis) {
+        std::vector<CandidateEvent> out;
+        for (const AnalyzedCandidate &c : analysis.candidates)
+            out.push_back(c.event);
+        return out;
+    };
+    const auto shows_menu_item = [&](const DomAnalysis &analysis) {
+        const auto lnes = events(analysis);
+        return std::any_of(lnes.begin(), lnes.end(),
+                           [](const CandidateEvent &c) {
+                               return c.node == 3;
+                           });
+    };
+    const WebAppSession fresh(app);
+    const DomAnalysis pristine =
+        DomAnalyzer(fresh).analyze(fresh.snapshotState());
+    const auto expect_pristine = [&](const char *when) {
+        EXPECT_FALSE(session.dom().node(1).displayed) << when;
+        const DomAnalysis &got = analyzer.analyze(session.snapshotState());
+        EXPECT_TRUE(events(got) == events(pristine)) << when;
+        EXPECT_EQ(got.stats.visibleNodes, pristine.stats.visibleNodes)
+            << when;
+        EXPECT_EQ(got.stats.clickableFrac, pristine.stats.clickableFrac)
+            << when;
+        EXPECT_EQ(got.stats.visibleLinkFrac, pristine.stats.visibleLinkFrac)
+            << when;
+    };
+    const auto toggle = [&] {
+        session.commitEvent(2, DomEventType::Click);  // open the menu
+        EXPECT_TRUE(session.dom().node(1).displayed);
+        EXPECT_FALSE(app.dom(0).node(1).displayed);   // app untouched
+        EXPECT_TRUE(shows_menu_item(
+            analyzer.analyze(session.snapshotState())));
+    };
+    expect_pristine("at start");
+
+    toggle();
+    session.commitEvent(3, DomEventType::Load);   // to page 1
+    EXPECT_EQ(session.currentPage(), 1);
+    EXPECT_FALSE(session.dom().node(1).displayed);
+    session.commitEvent(2, DomEventType::Click);
+    session.commitEvent(3, DomEventType::Load);   // back to page 0
+    EXPECT_EQ(session.currentPage(), 0);
+    expect_pristine("after navigating back");
+
+    toggle();
+    session.reset();
+    expect_pristine("after reset");
+}
+
 TEST(WebAppSession, ScrollCommitMovesViewport)
 {
     const WebApp app = makeTwoPageApp();
