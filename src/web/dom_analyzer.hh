@@ -96,8 +96,7 @@ class DomAnalyzer
      * Likely-Next-Event-Set for the state described by @p state
      * (page + scroll + display overrides): the events of
      * analyze(state).candidates, i.e. every (type, node) pair registered
-     * on a displayed node that overlaps the viewport. The root's
-     * document-level handlers (reload, scroll) are always among them.
+     * on a displayed node that overlaps the viewport.
      */
     std::vector<CandidateEvent>
     likelyNextEvents(const DomOverlay &state) const;
