@@ -24,10 +24,8 @@ defaultWorkload(Interaction interaction)
 
 } // namespace
 
-EbsPolicy::EbsPolicy(const AcmpPlatform &platform, const PowerModel &power,
-                     double feasibility_margin)
-    : model_(platform), margin_(feasibility_margin), power_(&power),
-      estimator_(model_)
+EbsPolicy::EbsPolicy(const AcmpPlatform &platform, const PowerModel &power)
+    : model_(platform), power_(&power), estimator_(model_)
 {
 }
 
@@ -124,10 +122,7 @@ EbsPolicy::chooseConfigFor(const Workload &work, TimeMs budget_ms) const
     EnergyMj best_energy = 0.0;
     for (int j = 0; j < platform.numConfigs(); ++j) {
         const TimeMs latency = model_.latencyAt(work, j);
-        // Headroom against per-instance workload noise: a choice whose
-        // estimate consumes the whole budget would miss whenever the
-        // instance runs long.
-        if (latency * margin_ > budget_ms)
+        if (latency > budget_ms)
             continue;
         const EnergyMj energy =
             energyOf(power_->busyPowerAt(j), latency);

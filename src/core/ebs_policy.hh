@@ -37,19 +37,12 @@ class EbsPolicy
     /**
      * @param platform The ACMP platform (must outlive the policy).
      * @param power The power table (must outlive the policy).
-     * @param feasibility_margin Multiplier on estimated latencies when
-     *        testing deadlines (1.0 = the paper's margin-free EBS; > 1
-     *        adds headroom against per-instance workload noise).
      *
      * The policy owns its latency model so its learned state can persist
      * across simulator instances (the device keeps its Eqn.-1
      * measurements across sessions, like the paper's warmed system).
      */
-    EbsPolicy(const AcmpPlatform &platform, const PowerModel &power,
-              double feasibility_margin = 1.0);
-
-    /** The configured feasibility margin. */
-    double feasibilityMargin() const { return margin_; }
+    EbsPolicy(const AcmpPlatform &platform, const PowerModel &power);
 
     EbsPolicy(const EbsPolicy &) = delete;
     EbsPolicy &operator=(const EbsPolicy &) = delete;
@@ -88,7 +81,6 @@ class EbsPolicy
 
   private:
     DvfsLatencyModel model_;
-    double margin_ = 1.0;
     const PowerModel *power_;
     TwoPointEstimator estimator_;
 

@@ -7,10 +7,8 @@ namespace pes {
 
 GlobalOptimizer::GlobalOptimizer(const DvfsLatencyModel &model,
                                  const PowerModel &power,
-                                 const VsyncClock &vsync,
-                                 double latency_margin)
-    : model_(&model), power_(&power), vsync_(&vsync),
-      margin_(latency_margin)
+                                 const VsyncClock &vsync)
+    : model_(&model), power_(&power), vsync_(&vsync)
 {
     const AcmpPlatform &platform = model_->platform();
     const size_t c = static_cast<size_t>(platform.numConfigs());
@@ -44,9 +42,7 @@ GlobalOptimizer::buildProblem(TimeMs now, const AcmpConfig &current_config,
         ev.energy.reserve(static_cast<size_t>(c));
         for (int j = 0; j < c; ++j) {
             const TimeMs latency = model_->latencyAt(spec.work, j);
-            // Chain timing uses margin-inflated latency (headroom against
-            // estimation noise); energy uses the unbiased estimate.
-            ev.latency.push_back(latency * margin_);
+            ev.latency.push_back(latency);
             ev.energy.push_back(
                 energyOf(power_->busyPowerAt(j), latency));
         }

@@ -51,13 +51,9 @@ struct PlanEventSpec
 class GlobalOptimizer
 {
   public:
-    /**
-     * @param latency_margin Multiplier on estimated latencies inside the
-     * chain constraints (1.0 = trust estimates; > 1 adds noise headroom).
-     * The platform's switch-cost matrix is built here, once.
-     */
+    /** The platform's switch-cost matrix is built here, once. */
     GlobalOptimizer(const DvfsLatencyModel &model, const PowerModel &power,
-                    const VsyncClock &vsync, double latency_margin = 1.0);
+                    const VsyncClock &vsync);
 
     /**
      * Build the Eqn. 2-5 problem for a chain starting at @p now on
@@ -80,7 +76,6 @@ class GlobalOptimizer
     const DvfsLatencyModel *model_;
     const PowerModel *power_;
     const VsyncClock *vsync_;
-    double margin_ = 1.0;
     /** The platform's C x C switch costs, built once. */
     std::vector<std::vector<TimeMs>> switchCost_;
     ParetoDpSolver solver_;

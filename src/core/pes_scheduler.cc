@@ -8,6 +8,20 @@
 
 namespace pes {
 
+namespace {
+
+/** Consecutive mispredictions tolerated before falling back to EBS. */
+constexpr int kMaxConsecutiveMispredicts = 3;
+
+/** Scheduler compute charged per planning round (Sec. 6.3). */
+constexpr TimeMs kPlanOverheadMs = 2.0;
+
+/** Fraction of the estimated inter-arrival gap a predicted event's
+ *  expected arrival relies on. */
+constexpr double kArrivalSafetyFactor = 0.35;
+
+} // namespace
+
 PesScheduler::PesScheduler(const LogisticModel &model)
     : PesScheduler(model, Config{})
 {
@@ -32,11 +46,9 @@ PesScheduler::begin(SimulatorApi &api)
     // inter-arrival model persist across sessions like a warmed device.
     predictor_.emplace(model_, config_.predictor);
     analyzer_.emplace(api.session());
-    optimizer_.emplace(api.latencyModel(), api.powerModel(), api.vsync(),
-                       config_.latencyMargin);
+    optimizer_.emplace(api.latencyModel(), api.powerModel(), api.vsync());
     if (!ebs_) {
-        ebs_.emplace(api.platform(), api.powerModel(),
-                     config_.latencyMargin);
+        ebs_.emplace(api.platform(), api.powerModel());
         ewmaGap_[static_cast<size_t>(Interaction::Load)] = 7000.0;
         ewmaGap_[static_cast<size_t>(Interaction::Tap)] = 4000.0;
         ewmaGap_[static_cast<size_t>(Interaction::Move)] = 2500.0;
@@ -101,7 +113,7 @@ PesScheduler::squash(SimulatorApi &api)
     plan_.clear();
     planNext_ = 0;
 
-    if (consecutiveMispredicts_ > config_.maxConsecutiveMispredicts &&
+    if (consecutiveMispredicts_ > kMaxConsecutiveMispredicts &&
         !fallback_) {
         fallback_ = true;
         api.noteFallback();
@@ -252,7 +264,7 @@ PesScheduler::buildPlan(SimulatorApi &api)
         const uint64_t key = classKeyFor(api, pred);
         spec.work = ebs_->estimateWorkload(key, pred.type);
         spec.qosTarget = qosTargetMs(pred.type);
-        expected += config_.arrivalSafetyFactor *
+        expected += kArrivalSafetyFactor *
             ewmaGap_[static_cast<size_t>(prev_interaction)];
         const bool relax =
             config_.deadlineModel == DeadlineModel::ExpectedGapAll ||
@@ -266,7 +278,7 @@ PesScheduler::buildPlan(SimulatorApi &api)
     }
 
     // Scheduler compute (prediction + constrained optimization).
-    api.chargeSchedulerOverhead(config_.planOverheadMs);
+    api.chargeSchedulerOverhead(kPlanOverheadMs);
     const ScheduleSolution solution = optimizer_->planSchedule(
         api.now(), api.currentConfig(), specs);
 
@@ -331,8 +343,7 @@ PesScheduler::nextWork(SimulatorApi &api)
                                               work.config);
                 const Workload est =
                     ebs_->estimateWorkload(ev.classKey, ev.type);
-                if (api.latencyModel().latency(est, work.config) *
-                        ebs_->feasibilityMargin() > budget) {
+                if (api.latencyModel().latency(est, work.config) > budget) {
                     work.config = ebs_->chooseConfig(
                         ev.classKey, ev.type, std::max(0.0, budget));
                 }

@@ -49,7 +49,7 @@ class PesScheduler : public SchedulerDriver
         Conservative = 0,
         /**
          * Relax only predicted *navigations* with the online
-         * inter-arrival estimate (scaled by arrivalSafetyFactor):
+         * inter-arrival estimate (scaled by kArrivalSafetyFactor):
          * loads carry most of the energy, and navigation gaps are long
          * and reliable, while tap/move gaps are bursty — relaxing those
          * trades QoS for little energy (see the sec65 ablation bench).
@@ -67,18 +67,10 @@ class PesScheduler : public SchedulerDriver
         /** Commit-match granularity (see MatchPolicy), also stamped on
          *  every speculative WorkItem for the simulator's ground truth. */
         MatchPolicy matchPolicy = MatchPolicy::TypeLevel;
-        /** Consecutive mispredictions before disabling prediction. */
-        int maxConsecutiveMispredicts = 3;
-        /** Scheduler compute charged per planning round (Sec. 6.3). */
-        TimeMs planOverheadMs = 2.0;
         /** Master switch: off = reactive only (for ablations). */
         bool enablePrediction = true;
         /** Deadline model for predicted events. */
         DeadlineModel deadlineModel = DeadlineModel::ExpectedGapLoads;
-        /** Fraction of the estimated inter-arrival gap to rely on. */
-        double arrivalSafetyFactor = 0.35;
-        /** Latency headroom in feasibility checks (1.0 = trust estimates) */
-        double latencyMargin = 1.0;
         /** Report name override (for sweeps). */
         std::string nameOverride;
     };
