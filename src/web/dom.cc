@@ -98,46 +98,6 @@ DomTree::setDisplayed(NodeId id, bool displayed)
     node(id).displayed = displayed;
 }
 
-bool
-DomTree::isDisplayed(NodeId id) const
-{
-    NodeId cur = id;
-    while (cur != kInvalidNode) {
-        const DomNode &n = node(cur);
-        if (!n.displayed)
-            return false;
-        cur = n.parent;
-    }
-    return true;
-}
-
-bool
-DomTree::isVisible(NodeId id, const Viewport &viewport) const
-{
-    return isDisplayed(id) && node(id).rect.intersects(viewport.rect());
-}
-
-std::vector<NodeId>
-DomTree::visibleNodes(const Viewport &viewport) const
-{
-    // Single DFS so ancestor display state is evaluated once per node.
-    std::vector<NodeId> out;
-    std::vector<NodeId> stack{root()};
-    while (!stack.empty()) {
-        const NodeId id = stack.back();
-        stack.pop_back();
-        const DomNode &n = node(id);
-        if (!n.displayed)
-            continue;
-        if (n.rect.intersects(viewport.rect()))
-            out.push_back(id);
-        for (NodeId child : n.children)
-            stack.push_back(child);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 double
 DomTree::pageHeight() const
 {

@@ -5,8 +5,11 @@
  * A slimmed-down DOM sufficient for PES: nodes carry geometry, display
  * state, a role (the semantic kind the Accessibility Tree would expose),
  * registered event listeners, and handler metadata (what the callback does
- * and how much work it is). Visibility — displayed and inside the viewport
- * — is what the DOM analyzer uses to compute the Likely-Next-Event-Set.
+ * and how much work it is). A tree is a page as parsed; the display state
+ * a session or a predicted rollout reaches lives in a DomOverlay over it
+ * (DomOverlay::displayedOf), and visibility — displayed and inside the
+ * viewport — is decided by the DOM analyzer's one traversal
+ * (DomAnalyzer::analyze), which computes the Likely-Next-Event-Set.
  */
 
 #ifndef PES_WEB_DOM_HH
@@ -198,21 +201,6 @@ class DomTree
 
     /** Set the CSS display state of @p id. */
     void setDisplayed(NodeId id, bool displayed);
-
-    /**
-     * True when @p id and all ancestors are displayed (style visibility
-     * only, ignoring the viewport).
-     */
-    bool isDisplayed(NodeId id) const;
-
-    /**
-     * True when the node is displayed and its rectangle intersects the
-     * viewport — the visibility test of the LNES analysis (Sec. 5.2).
-     */
-    bool isVisible(NodeId id, const Viewport &viewport) const;
-
-    /** Ids of all nodes visible in @p viewport. */
-    std::vector<NodeId> visibleNodes(const Viewport &viewport) const;
 
     /** Height of the page content (max bottom edge over displayed nodes). */
     double pageHeight() const;

@@ -3,44 +3,17 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/logging.hh"
-
 namespace pes {
 
 DomAnalyzer::DomAnalyzer(const WebAppSession &session)
-    : session_(&session)
+    : app_(&session.app())
 {
-}
-
-const DomTree &
-DomAnalyzer::domOf(const DomOverlay &state) const
-{
-    // The committed session DOM only applies to the page the session is
-    // on; a hypothetical navigation lands on a pristine page (navigation
-    // re-parses the destination, see WebAppSession::applyEffect).
-    if (state.pageId == session_->currentPage())
-        return session_->dom();
-    return session_->app().dom(state.pageId);
-}
-
-const SemanticTree &
-DomAnalyzer::semanticsOf(const DomOverlay &state) const
-{
-    return session_->app().semantics(state.pageId);
-}
-
-Viewport
-DomAnalyzer::viewportOf(const DomOverlay &state) const
-{
-    Viewport viewport = session_->app().viewportTemplate();
-    viewport.scrollY = state.scrollY;
-    return viewport;
 }
 
 std::vector<CandidateEvent>
 DomAnalyzer::allPageEvents(const DomOverlay &state) const
 {
-    const DomTree &dom = domOf(state);
+    const DomTree &dom = app_->dom(state.pageId);
     std::vector<CandidateEvent> out;
     for (size_t i = 0; i < dom.size(); ++i) {
         const DomNode &node = dom.node(static_cast<NodeId>(i));
@@ -53,13 +26,13 @@ DomAnalyzer::allPageEvents(const DomOverlay &state) const
 Viewport
 DomAnalyzer::viewportFor(const DomOverlay &state) const
 {
-    return viewportOf(state);
+    return app_->viewportOf(state);
 }
 
 NodeRole
 DomAnalyzer::nodeRole(const DomOverlay &state, NodeId node) const
 {
-    const DomTree &dom = domOf(state);
+    const DomTree &dom = app_->dom(state.pageId);
     if (node < 0 || node >= static_cast<NodeId>(dom.size()))
         return NodeRole::Container;
     return dom.node(node).role;
@@ -85,15 +58,12 @@ DomAnalyzer::viewportStats(const DomOverlay &state) const
 const DomAnalysis &
 DomAnalyzer::analyze(const DomOverlay &state) const
 {
-    // domOf() reads the session's live DOM only on the page it is on.
-    const uint64_t epoch = state.pageId == session_->currentPage()
-        ? session_->displayEpoch() : ~uint64_t{0};
     uint64_t scroll_bits = 0;
     static_assert(sizeof scroll_bits == sizeof state.scrollY);
     std::memcpy(&scroll_bits, &state.scrollY, sizeof scroll_bits);
-    MemoKey key{state.pageId, epoch, scroll_bits,
+    MemoKey key{state.pageId, scroll_bits,
                 {state.displayOverride.begin(), state.displayOverride.end()}};
-    std::sort(std::get<3>(key).begin(), std::get<3>(key).end());
+    std::sort(std::get<2>(key).begin(), std::get<2>(key).end());
 
     auto it = memo_.lower_bound(key);
     if (it == memo_.end() || key < it->first)
@@ -104,8 +74,8 @@ DomAnalyzer::analyze(const DomOverlay &state) const
 DomAnalysis
 DomAnalyzer::traverse(const DomOverlay &state) const
 {
-    const DomTree &dom = domOf(state);
-    const Viewport viewport = viewportOf(state);
+    const DomTree &dom = app_->dom(state.pageId);
+    const Viewport viewport = app_->viewportOf(state);
     const Rect view_rect = viewport.rect();
     const double view_area = view_rect.area();
 
@@ -153,22 +123,19 @@ void
 DomAnalyzer::applyHypothetical(const CandidateEvent &event,
                                DomOverlay &state) const
 {
-    const SemanticTree &semantics = semanticsOf(state);
-    const auto effect = semantics.effectOf(event.node, event.type);
-    if (!effect)
-        return;
-    state.apply(domOf(state), *effect);
+    const auto effect =
+        app_->semantics(state.pageId).effectOf(event.node, event.type);
+    if (effect)
+        app_->applyEffect(state, *effect);
 }
 
 Rect
 DomAnalyzer::nodeRect(const DomOverlay &state, NodeId node) const
 {
-    const DomTree &dom = domOf(state);
+    const DomTree &dom = app_->dom(state.pageId);
     if (node == kInvalidNode ||
-        node >= static_cast<NodeId>(dom.size())) {
-        const Viewport viewport = viewportOf(state);
-        return viewport.rect();
-    }
+        node >= static_cast<NodeId>(dom.size()))
+        return app_->viewportOf(state).rect();
     return dom.node(node).rect;
 }
 

@@ -7,9 +7,11 @@
  * visible nodes — the Likely-Next-Event-Set (LNES) the sequence learner
  * predicts from. Because one event's execution can mutate the visible DOM,
  * the analyzer supports *hypothetical* rollouts: applying an event's
- * statically memoized consequence (SemanticTree) to a DomOverlay so the
- * LNES of the state *after* a predicted event can be computed without
- * evaluating any callback.
+ * statically memoized consequence (SemanticTree) to a DomOverlay by the
+ * rule a commit uses (WebApp::applyEffect), so the LNES of the state
+ * *after* a predicted event can be computed without evaluating any
+ * callback. A state is a DomOverlay over the app's page DOMs as parsed,
+ * whether it is a session's committed state or a rollout of it.
  */
 
 #ifndef PES_WEB_DOM_ANALYZER_HH
@@ -77,18 +79,16 @@ struct DomAnalysis
 };
 
 /**
- * Static analyzer over a WebAppSession's committed state plus an optional
- * hypothetical overlay. It memoizes analyze() and is not synchronized:
- * one analyzer serves one thread.
+ * Static analyzer of the page states of one WebApp. Every call names the
+ * state it analyzes; the analyzer reads only the app. It memoizes
+ * analyze() and is not synchronized: one analyzer serves one thread.
  */
 class DomAnalyzer
 {
   public:
     /**
-     * @param session Live session; the analyzer reads its committed DOMs
-     *                at every call, so commits between calls are seen.
-     *
-     * The analyzer holds a reference; the session must outlive it.
+     * @param session A session of the app to analyze; the analyzer keeps
+     *                a reference to its app, which must outlive it.
      */
     explicit DomAnalyzer(const WebAppSession &session);
 
@@ -105,9 +105,8 @@ class DomAnalyzer
      * The LNES with each candidate's rect and role, the Table-1
      * viewport features and the viewport, from ONE traversal of the
      * page. Memoized: a later call with the same page, scroll-offset
-     * bits, display overrides and, on the page the session is on, the
-     * same WebAppSession::displayEpoch() returns the stored result.
-     * The reference stays valid for the analyzer's lifetime.
+     * bits and display overrides returns the stored result. The
+     * reference stays valid for the analyzer's lifetime.
      */
     const DomAnalysis &analyze(const DomOverlay &state) const;
 
@@ -129,9 +128,10 @@ class DomAnalyzer
     ViewportStats viewportStats(const DomOverlay &state) const;
 
     /**
-     * Statically roll @p state forward through @p event using the
-     * SemanticTree (no callback evaluation). Display toggles, scrolls and
-     * navigations all update the overlay in place.
+     * Statically roll @p state forward through @p event: its
+     * SemanticTree consequence (no callback evaluation), applied by
+     * WebApp::applyEffect, so @p state becomes what committing the
+     * event would make the session's state.
      */
     void applyHypothetical(const CandidateEvent &event,
                            DomOverlay &state) const;
@@ -144,20 +144,15 @@ class DomAnalyzer
     Rect nodeRect(const DomOverlay &state, NodeId node) const;
 
   private:
-    /** Everything traverse() reads: page, the epoch of the DOM it reads
-     *  (~0 for a pristine page), scroll-offset bits and the display
-     *  overrides sorted by node. */
-    using MemoKey = std::tuple<int, uint64_t, uint64_t,
-                               std::vector<std::pair<NodeId, bool>>>;
+    /** Everything traverse() reads: page, scroll-offset bits and the
+     *  display overrides sorted by node. */
+    using MemoKey =
+        std::tuple<int, uint64_t, std::vector<std::pair<NodeId, bool>>>;
 
     /** The one visibility traversal behind analyze(). */
     DomAnalysis traverse(const DomOverlay &state) const;
 
-    const DomTree &domOf(const DomOverlay &state) const;
-    const SemanticTree &semanticsOf(const DomOverlay &state) const;
-    Viewport viewportOf(const DomOverlay &state) const;
-
-    const WebAppSession *session_;
+    const WebApp *app_;
     /** Node-based, so handed-out references survive later inserts. */
     mutable std::map<MemoKey, DomAnalysis> memo_;
 };

@@ -58,8 +58,8 @@ SemanticTree::entries() const
 bool
 DomOverlay::displayedOf(const DomTree &dom, NodeId id) const
 {
-    // Committed-state snapshots dominate this call, and they carry no
-    // overrides: skip the per-ancestor map lookups entirely then.
+    // Most states have no menu open, so no overrides: skip the
+    // per-ancestor map lookups entirely then.
     if (displayOverride.empty()) {
         NodeId cur = id;
         while (cur != kInvalidNode) {
@@ -79,36 +79,6 @@ DomOverlay::displayedOf(const DomTree &dom, NodeId id) const
         if (!displayed)
             return false;
         cur = n.parent;
-    }
-    return true;
-}
-
-bool
-DomOverlay::apply(const DomTree &dom, const HandlerEffect &effect)
-{
-    switch (effect.kind) {
-      case EffectKind::None:
-        return true;
-      case EffectKind::ToggleDisplay: {
-        if (effect.target == kInvalidNode)
-            return true;
-        const auto it = displayOverride.find(effect.target);
-        const bool current = it != displayOverride.end()
-            ? it->second : dom.node(effect.target).displayed;
-        displayOverride[effect.target] = !current;
-        return true;
-      }
-      case EffectKind::ScrollBy: {
-        const double page_height = dom.pageHeight();
-        scrollY = std::clamp(scrollY + effect.scrollDelta, 0.0,
-                             std::max(0.0, page_height - 1.0));
-        return true;
-      }
-      case EffectKind::Navigate:
-        displayOverride.clear();
-        scrollY = 0.0;
-        pageId = effect.pageId;
-        return false;
     }
     return true;
 }

@@ -9,7 +9,9 @@
  * menu node. This class is that memo: a side table mapping (node, event
  * type) to the semantic consequence, populated at page-build ("parse")
  * time, and queried statically by the analyzer when rolling out
- * hypothetical multi-event futures.
+ * hypothetical multi-event futures. The page state those rollouts move
+ * is a DomOverlay, the same type a session keeps its committed state
+ * in, and WebApp::applyEffect moves both.
  */
 
 #ifndef PES_WEB_SEMANTIC_TREE_HH
@@ -66,29 +68,27 @@ class SemanticTree
 };
 
 /**
- * A lightweight overlay describing a *hypothetical* DOM state: the result
- * of applying zero or more predicted-but-unexecuted events on top of the
- * committed state. Used by the DOM analyzer to compute the LNES several
- * events ahead (prediction degree > 1) without mutating the real DOM.
+ * A page state over an app's immutable page DOMs: the page, its scroll
+ * offset and the display toggles applied since the page was loaded. A
+ * WebAppSession's committed state is one; the DOM analyzer rolls copies
+ * of it through predicted events to compute the LNES several events
+ * ahead (prediction degree > 1). WebApp::applyEffect is the one rule
+ * that moves either kind forward, so a predicted event reaches the state
+ * its commit would.
  */
 struct DomOverlay
 {
-    /** Display overrides (node -> displayed?) from hypothetical toggles. */
+    /** The nodes whose display a toggle has flipped away from the page
+     *  as parsed (node -> displayed?). */
     std::unordered_map<NodeId, bool> displayOverride;
-    /** Hypothetical scroll offset. */
+    /** Scroll offset. */
     double scrollY = 0.0;
-    /** Hypothetical current page (changes on Navigate). */
+    /** Current page. */
     int pageId = 0;
 
-    /** Displayed state of @p id under this overlay. */
+    /** Displayed state of @p id under this overlay: it and all its
+     *  ancestors are displayed. */
     bool displayedOf(const DomTree &dom, NodeId id) const;
-
-    /**
-     * Apply a statically inferred effect to this overlay (toggle, scroll,
-     * navigate). Returns false when the effect leaves the current page
-     * (Navigate) — the caller must re-anchor to the destination page.
-     */
-    bool apply(const DomTree &dom, const HandlerEffect &effect);
 };
 
 } // namespace pes

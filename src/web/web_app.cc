@@ -37,34 +37,60 @@ WebApp::semantics(int page_id) const
     return pages_[static_cast<size_t>(page_id)].semantics;
 }
 
-WebAppSession::WebAppSession(const WebApp &app)
-    : app_(&app), viewport_(app.viewportTemplate())
+Viewport
+WebApp::viewportOf(const DomOverlay &state) const
+{
+    Viewport viewport = viewport_;
+    viewport.scrollY = state.scrollY;
+    return viewport;
+}
+
+void
+WebApp::applyEffect(DomOverlay &state, const HandlerEffect &effect) const
+{
+    const DomTree &page = dom(state.pageId);
+    switch (effect.kind) {
+      case EffectKind::None:
+        break;
+      case EffectKind::ToggleDisplay:
+        if (effect.target >= 0 &&
+            effect.target < static_cast<NodeId>(page.size())) {
+            // An override only ever holds the flipped parsed display, so
+            // a second toggle removes it: equal displays, equal states.
+            const auto [it, added] = state.displayOverride.try_emplace(
+                effect.target, !page.node(effect.target).displayed);
+            if (!added)
+                state.displayOverride.erase(it);
+        }
+        break;
+      case EffectKind::ScrollBy: {
+        const double max_scroll =
+            std::max(0.0, page.pageHeight() - viewport_.height);
+        state.scrollY = std::clamp(state.scrollY + effect.scrollDelta,
+                                   0.0, max_scroll);
+        break;
+      }
+      case EffectKind::Navigate:
+        if (effect.pageId >= 0 && effect.pageId < numPages()) {
+            // A fresh parse, like a real page load: the toggles go.
+            state.pageId = effect.pageId;
+            state.scrollY = 0.0;
+            state.displayOverride.clear();
+        }
+        break;
+    }
+}
+
+WebAppSession::WebAppSession(const WebApp &app) : app_(&app)
 {
     panic_if(app.numPages() == 0, "WebAppSession: app has no pages");
-    viewport_.scrollY = 0.0;
 }
 
 void
 WebAppSession::reset()
 {
-    toggled_ = false;
-    ++displayEpoch_;
-    pageId_ = 0;
-    viewport_ = app_->viewportTemplate();
-    viewport_.scrollY = 0.0;
+    state_ = DomOverlay{};
     committedEvents_ = 0;
-}
-
-const DomTree &
-WebAppSession::dom() const
-{
-    return toggled_ ? toggledDom_ : app_->dom(pageId_);
-}
-
-const SemanticTree &
-WebAppSession::semantics() const
-{
-    return app_->semantics(pageId_);
 }
 
 void
@@ -76,56 +102,8 @@ WebAppSession::commitEvent(NodeId node, DomEventType type)
     const HandlerSpec *handler = tree.node(node).handlerFor(type);
     if (!handler)
         return;
-    applyEffect(handler->effect);
+    app_->applyEffect(state_, handler->effect);
     ++committedEvents_;
-}
-
-void
-WebAppSession::applyEffect(const HandlerEffect &effect)
-{
-    switch (effect.kind) {
-      case EffectKind::None:
-        break;
-      case EffectKind::ToggleDisplay:
-        if (effect.target != kInvalidNode &&
-            effect.target < static_cast<NodeId>(dom().size())) {
-            if (!toggled_) {
-                toggledDom_ = app_->dom(pageId_);
-                toggled_ = true;
-            }
-            toggledDom_.setDisplayed(
-                effect.target, !toggledDom_.node(effect.target).displayed);
-            ++displayEpoch_;
-        }
-        break;
-      case EffectKind::ScrollBy: {
-        const double page_height = dom().pageHeight();
-        const double max_scroll =
-            std::max(0.0, page_height - viewport_.height);
-        viewport_.scrollY = std::clamp(viewport_.scrollY +
-                                       effect.scrollDelta, 0.0, max_scroll);
-        break;
-      }
-      case EffectKind::Navigate:
-        if (effect.pageId >= 0 && effect.pageId < app_->numPages()) {
-            // Navigation loads the destination's pristine DOM (a fresh
-            // parse), like a real page load: the toggled copy is dropped.
-            pageId_ = effect.pageId;
-            toggled_ = false;
-            ++displayEpoch_;
-            viewport_.scrollY = 0.0;
-        }
-        break;
-    }
-}
-
-DomOverlay
-WebAppSession::snapshotState() const
-{
-    DomOverlay overlay;
-    overlay.pageId = pageId_;
-    overlay.scrollY = viewport_.scrollY;
-    return overlay;
 }
 
 } // namespace pes

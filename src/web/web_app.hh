@@ -3,17 +3,19 @@
  * A mobile Web application: pages, semantic side tables, and live state.
  *
  * WebApp is the static application definition (every page's DOM plus its
- * parse-time SemanticTree). WebAppSession is one user-facing instance with
- * mutable state — current page, scroll position, committed DOM mutations —
- * the thing the runtime dispatches events into. A session reads the app's
- * page DOMs and copies a page only when a committed toggle changes it, so
- * concurrent simulations never alias mutable state.
+ * parse-time SemanticTree) and owns the one transition rule,
+ * applyEffect(): how an event's effect moves a page state. WebAppSession
+ * is one user-facing instance, the thing the runtime dispatches events
+ * into. Its committed state (current page, scroll offset, display
+ * toggles) is a DomOverlay over the app's immutable page DOMs, so
+ * concurrent simulations share those DOMs and never alias mutable
+ * state, and the DOM analyzer's predicted rollouts move copies of it by
+ * the same rule.
  */
 
 #ifndef PES_WEB_WEB_APP_HH
 #define PES_WEB_WEB_APP_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,23 @@ class WebApp
     /** Device viewport template (width/height; scroll belongs to state). */
     const Viewport &viewportTemplate() const { return viewport_; }
 
+    /** The device viewport at @p state's scroll offset. */
+    Viewport viewportOf(const DomOverlay &state) const;
+
+    /**
+     * Apply @p effect to @p state: the one transition rule, for
+     * committed (WebAppSession::commitEvent) and predicted
+     * (DomAnalyzer::applyHypothetical) events alike.
+     *  - A toggle flips its target's display.
+     *  - A scroll moves the offset, clamped to [0, page height - viewport
+     *    height] of the page as parsed.
+     *  - A navigation loads the destination as parsed: scroll 0, no
+     *    toggles.
+     *  - An effect whose target node or page does not exist changes
+     *    nothing.
+     */
+    void applyEffect(DomOverlay &state, const HandlerEffect &effect) const;
+
   private:
     struct Page
     {
@@ -72,8 +91,7 @@ class WebAppSession
 
     /**
      * Return to the pristine start-of-session state (page 0, scroll 0,
-     * no committed events). Equivalent to constructing a fresh session,
-     * except that displayEpoch() keeps counting.
+     * no committed events), as a freshly constructed session.
      */
     void reset();
 
@@ -81,53 +99,38 @@ class WebAppSession
     const WebApp &app() const { return *app_; }
 
     /** Current page id. */
-    int currentPage() const { return pageId_; }
+    int currentPage() const { return state_.pageId; }
 
-    /** Current viewport (device size + live scroll offset). */
-    const Viewport &viewport() const { return viewport_; }
+    /** Current viewport (device size + committed scroll offset). */
+    Viewport viewport() const { return app_->viewportOf(state_); }
 
     /**
-     * Live (committed-state) DOM of the current page: the app's pristine
-     * page until a toggle is committed on it, then the session's copy.
-     * The reference is valid until the next commitEvent() or reset().
+     * The current page's DOM as parsed: structure, geometry and
+     * handlers. Committed toggles are not in it but in snapshotState()
+     * (DomOverlay::displayedOf).
      */
-    const DomTree &dom() const;
-
-    /** Counts up from 0 on every committed toggle, navigation and
-     *  reset(): equal epochs mean an unchanged dom() display state. */
-    uint64_t displayEpoch() const { return displayEpoch_; }
-
-    /** Semantic table of the current page. */
-    const SemanticTree &semantics() const;
+    const DomTree &dom() const { return app_->dom(state_.pageId); }
 
     /**
-     * Commit an event: run its handler's application-state effect
-     * (toggle / navigate / scroll). Events without a registered handler
-     * are ignored (the dispatch is a no-op, like real DOM).
+     * Commit an event: apply its handler's application-state effect
+     * (WebApp::applyEffect). Events without a registered handler are
+     * ignored (the dispatch is a no-op, like real DOM).
      */
     void commitEvent(NodeId node, DomEventType type);
 
     /**
-     * A DomOverlay snapshot anchored at the committed state — the seed
-     * for hypothetical rollouts by the DOM analyzer.
+     * The committed state (page, scroll offset, display toggles) — the
+     * seed for hypothetical rollouts by the DOM analyzer.
      */
-    DomOverlay snapshotState() const;
+    DomOverlay snapshotState() const { return state_; }
 
     /** Number of committed events so far. */
     int committedEvents() const { return committedEvents_; }
 
   private:
-    void applyEffect(const HandlerEffect &effect);
-
     const WebApp *app_;
-    /** While toggled_: the current page's DOM with the toggles
-     *  committed since it was loaded (navigation reloads pristine). */
-    DomTree toggledDom_;
-    bool toggled_ = false;
-    int pageId_ = 0;
-    Viewport viewport_;
+    DomOverlay state_;
     int committedEvents_ = 0;
-    uint64_t displayEpoch_ = 0;
 };
 
 } // namespace pes

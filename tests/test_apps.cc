@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <utility>
@@ -101,29 +102,25 @@ TEST_P(PerApp, LnesNeverEmptyDuringSession)
 }
 
 /** Exact, field-by-field equality of two DOM analyses. */
-void
-expectSameAnalysis(const DomAnalysis &got, const DomAnalysis &want,
-                   const std::string &where)
+bool
+sameAnalysis(const DomAnalysis &a, const DomAnalysis &b)
 {
-    ASSERT_EQ(got.candidates.size(), want.candidates.size()) << where;
-    for (size_t i = 0; i < got.candidates.size(); ++i) {
-        const AnalyzedCandidate &g = got.candidates[i];
-        const AnalyzedCandidate &w = want.candidates[i];
-        EXPECT_EQ(g.event, w.event) << where << " candidate " << i;
-        EXPECT_EQ(g.rect.x, w.rect.x) << where << " candidate " << i;
-        EXPECT_EQ(g.rect.y, w.rect.y) << where << " candidate " << i;
-        EXPECT_EQ(g.rect.w, w.rect.w) << where << " candidate " << i;
-        EXPECT_EQ(g.rect.h, w.rect.h) << where << " candidate " << i;
-        EXPECT_EQ(g.role, w.role) << where << " candidate " << i;
-    }
-    EXPECT_EQ(got.stats.clickableFrac, want.stats.clickableFrac) << where;
-    EXPECT_EQ(got.stats.visibleLinkFrac, want.stats.visibleLinkFrac)
-        << where;
-    EXPECT_EQ(got.stats.visibleNodes, want.stats.visibleNodes) << where;
-    EXPECT_EQ(got.stats.scrollable, want.stats.scrollable) << where;
-    EXPECT_EQ(got.viewport.width, want.viewport.width) << where;
-    EXPECT_EQ(got.viewport.height, want.viewport.height) << where;
-    EXPECT_EQ(got.viewport.scrollY, want.viewport.scrollY) << where;
+    const auto same_candidate = [](const AnalyzedCandidate &x,
+                                   const AnalyzedCandidate &y) {
+        return x.event == y.event && x.rect.x == y.rect.x &&
+            x.rect.y == y.rect.y && x.rect.w == y.rect.w &&
+            x.rect.h == y.rect.h && x.role == y.role;
+    };
+    return std::equal(a.candidates.begin(), a.candidates.end(),
+                      b.candidates.begin(), b.candidates.end(),
+                      same_candidate) &&
+        a.stats.clickableFrac == b.stats.clickableFrac &&
+        a.stats.visibleLinkFrac == b.stats.visibleLinkFrac &&
+        a.stats.visibleNodes == b.stats.visibleNodes &&
+        a.stats.scrollable == b.stats.scrollable &&
+        a.viewport.width == b.viewport.width &&
+        a.viewport.height == b.viewport.height &&
+        a.viewport.scrollY == b.viewport.scrollY;
 }
 
 TEST_P(PerApp, MemoizedAnalysisMatchesFreshAnalyzer)
@@ -145,7 +142,7 @@ TEST_P(PerApp, MemoizedAnalysisMatchesFreshAnalyzer)
     const auto check = [&](const DomOverlay &state) {
         const DomAnalysis &got = live.analyze(state);
         const DomAnalysis want = DomAnalyzer(session).analyze(state);
-        expectSameAnalysis(got, want, where);
+        EXPECT_TRUE(sameAnalysis(got, want)) << where;
         taken.emplace_back(&got, want);
     };
 
@@ -190,9 +187,50 @@ TEST_P(PerApp, MemoizedAnalysisMatchesFreshAnalyzer)
 
     // References taken early still hold their analyses at session end.
     for (size_t i = 0; i < taken.size(); ++i) {
-        expectSameAnalysis(*taken[i].first, taken[i].second,
-                           p.name + " reference " + std::to_string(i));
+        EXPECT_TRUE(sameAnalysis(*taken[i].first, taken[i].second))
+            << p.name << " reference " << i;
     }
+}
+
+TEST_P(PerApp, PredictedEventReachesTheCommittedState)
+{
+    // PES predicts from rollouts of the committed state (Sec. 5.2,
+    // Fig. 7). At every committed state of a session, each LNES
+    // candidate rolled out must be analyzed exactly as the same event
+    // committed on a copy of the session.
+    const AppProfile &p = profile();
+    const WebApp &app = trainedDevice().generator().appFor(p);
+    const InteractionTrace trace =
+        trainedDevice().generator().generate(p, 5050);
+    WebAppSession session(app);
+    const DomAnalyzer analyzer(session);
+    int compared = 0;
+    int differing = 0;
+    std::string first;
+    for (size_t e = 0; e < trace.events.size(); ++e) {
+        const DomOverlay committed = session.snapshotState();
+        for (const AnalyzedCandidate &cand :
+             analyzer.analyze(committed).candidates) {
+            DomOverlay predicted = committed;
+            analyzer.applyHypothetical(cand.event, predicted);
+            WebAppSession real = session;
+            real.commitEvent(cand.event.node, cand.event.type);
+            ++compared;
+            if (sameAnalysis(analyzer.analyze(predicted),
+                             DomAnalyzer(real).analyze(
+                                 real.snapshotState())))
+                continue;
+            if (differing++ == 0) {
+                first = "event " + std::to_string(e) + ", " +
+                    domEventTypeName(cand.event.type) + " on node " +
+                    std::to_string(cand.event.node);
+            }
+        }
+        session.commitEvent(trace.events[e].node, trace.events[e].type);
+    }
+    EXPECT_GT(compared, 0) << p.name;
+    EXPECT_EQ(differing, 0) << p.name << ": " << differing << " of "
+                            << compared << " differ, first at " << first;
 }
 
 TEST_P(PerApp, TraceInvariants)

@@ -94,6 +94,32 @@ class DomFixture : public ::testing::Test
                                    {0, 60, 360, 48});
     }
 
+    /** The page's analysis in @p state; every node but the containers
+     *  gets a click listener, so a visible one is a LNES candidate. */
+    DomAnalysis
+    analyze(const DomOverlay &state) const
+    {
+        DomTree page = dom;
+        HandlerSpec tap;
+        tap.type = DomEventType::Click;
+        for (NodeId id : {visible, below_fold, menu_item})
+            page.addHandler(id, tap);
+        WebApp app("fixture");
+        app.addPage(std::move(page));
+        return DomAnalyzer(WebAppSession(app)).analyze(state);
+    }
+
+    /** True when @p id is a LNES candidate of the page in @p state. */
+    bool
+    isVisible(NodeId id, const DomOverlay &state) const
+    {
+        const auto cands = analyze(state).candidates;
+        return std::any_of(cands.begin(), cands.end(),
+                           [id](const AnalyzedCandidate &c) {
+                               return c.event.node == id;
+                           });
+    }
+
     DomTree dom;
     NodeId visible = kInvalidNode;
     NodeId below_fold = kInvalidNode;
@@ -103,35 +129,39 @@ class DomFixture : public ::testing::Test
 
 TEST_F(DomFixture, VisibilityRequiresDisplayAndViewport)
 {
-    const Viewport view;  // scroll 0, 360x640
-    EXPECT_TRUE(dom.isVisible(visible, view));
-    EXPECT_FALSE(dom.isVisible(below_fold, view));   // outside viewport
-    EXPECT_FALSE(dom.isVisible(menu_item, view));    // ancestor hidden
+    const DomOverlay state;  // scroll 0, 360x640
+    EXPECT_TRUE(isVisible(visible, state));
+    EXPECT_FALSE(isVisible(below_fold, state));  // outside viewport
+    EXPECT_FALSE(isVisible(menu_item, state));   // ancestor hidden
 }
 
 TEST_F(DomFixture, AncestorDisplayGatesDescendants)
 {
-    EXPECT_FALSE(dom.isDisplayed(menu_item));
-    dom.setDisplayed(hidden_menu, true);
-    EXPECT_TRUE(dom.isDisplayed(menu_item));
+    DomOverlay state;
+    EXPECT_FALSE(state.displayedOf(dom, menu_item));
+    state.displayOverride[menu_item] = true;  // itself only: still hidden
+    EXPECT_FALSE(state.displayedOf(dom, menu_item));
+    state.displayOverride = {{hidden_menu, true}};
+    EXPECT_TRUE(state.displayedOf(dom, menu_item));
+    EXPECT_TRUE(isVisible(menu_item, state));
 }
 
 TEST_F(DomFixture, ScrollBringsNodesIntoView)
 {
-    Viewport view;
-    view.scrollY = 1400.0;
-    EXPECT_TRUE(dom.isVisible(below_fold, view));
-    EXPECT_FALSE(dom.isVisible(visible, view));
+    DomOverlay state;
+    state.scrollY = 1400.0;
+    EXPECT_TRUE(isVisible(below_fold, state));
+    EXPECT_FALSE(isVisible(visible, state));
 }
 
 TEST_F(DomFixture, VisibleNodesEnumerates)
 {
-    const Viewport view;
-    const auto nodes = dom.visibleNodes(view);
-    EXPECT_NE(std::find(nodes.begin(), nodes.end(), visible),
-              nodes.end());
-    EXPECT_EQ(std::find(nodes.begin(), nodes.end(), menu_item),
-              nodes.end());
+    // Displayed nodes overlapping the viewport: the root and the button,
+    // then the open menu and its item as well.
+    DomOverlay state;
+    EXPECT_EQ(analyze(state).stats.visibleNodes, 2);
+    state.displayOverride[hidden_menu] = true;
+    EXPECT_EQ(analyze(state).stats.visibleNodes, 4);
 }
 
 TEST_F(DomFixture, PageHeightIgnoresHiddenNodes)
@@ -189,8 +219,9 @@ TEST(SemanticTree, MemoizesToggleWithoutCallbackEvaluation)
     spec.effect = {EffectKind::ToggleDisplay, menu, -1, 0.0};
     dom.addHandler(button, spec);
 
-    const SemanticTree semantics = SemanticTree::fromDom(dom);
-    const auto effect = semantics.effectOf(button, DomEventType::Click);
+    WebApp app("fig7");
+    app.addPage(dom);
+    const auto effect = app.semantics(0).effectOf(button, DomEventType::Click);
     ASSERT_TRUE(effect.has_value());
     EXPECT_EQ(effect->kind, EffectKind::ToggleDisplay);
     EXPECT_EQ(effect->target, menu);
@@ -198,11 +229,13 @@ TEST(SemanticTree, MemoizesToggleWithoutCallbackEvaluation)
     // Static rollout: the overlay knows the menu is open after the click.
     DomOverlay overlay;
     EXPECT_FALSE(overlay.displayedOf(dom, menu));
-    overlay.apply(dom, *effect);
+    app.applyEffect(overlay, *effect);
     EXPECT_TRUE(overlay.displayedOf(dom, menu));
-    // And closed again after a second click (toggle semantics).
-    overlay.apply(dom, *effect);
+    // And closed again after a second click (toggle semantics), which
+    // leaves the state it started from.
+    app.applyEffect(overlay, *effect);
     EXPECT_FALSE(overlay.displayedOf(dom, menu));
+    EXPECT_TRUE(overlay.displayOverride.empty());
 }
 
 TEST(SemanticTree, UnknownNodeHasNoEntry)
@@ -210,32 +243,6 @@ TEST(SemanticTree, UnknownNodeHasNoEntry)
     DomTree dom;
     const SemanticTree semantics = SemanticTree::fromDom(dom);
     EXPECT_FALSE(semantics.effectOf(5, DomEventType::Click).has_value());
-}
-
-TEST(SemanticTree, NavigationResetsOverlay)
-{
-    DomTree dom;
-    DomOverlay overlay;
-    overlay.scrollY = 300.0;
-    overlay.displayOverride[3] = true;
-    HandlerEffect nav{EffectKind::Navigate, kInvalidNode, 2, 0.0};
-    EXPECT_FALSE(overlay.apply(dom, nav));  // leaves the page
-    EXPECT_EQ(overlay.pageId, 2);
-    EXPECT_DOUBLE_EQ(overlay.scrollY, 0.0);
-    EXPECT_TRUE(overlay.displayOverride.empty());
-}
-
-TEST(SemanticTree, ScrollClampsToPage)
-{
-    DomTree dom;
-    dom.node(dom.root()).rect = {0, 0, 360, 1000};
-    DomOverlay overlay;
-    HandlerEffect scroll{EffectKind::ScrollBy, kInvalidNode, -1, 5000.0};
-    overlay.apply(dom, scroll);
-    EXPECT_LE(overlay.scrollY, 1000.0);
-    HandlerEffect up{EffectKind::ScrollBy, kInvalidNode, -1, -9999.0};
-    overlay.apply(dom, up);
-    EXPECT_DOUBLE_EQ(overlay.scrollY, 0.0);
 }
 
 // --------------------------------------------------------- WebApp
@@ -273,15 +280,85 @@ makeTwoPageApp()
     return app;
 }
 
+TEST(WebApp, NavigationResetsOverlay)
+{
+    const WebApp app = makeTwoPageApp();
+    DomOverlay overlay;
+    overlay.scrollY = 300.0;
+    overlay.displayOverride[1] = true;
+    app.applyEffect(overlay, {EffectKind::Navigate, kInvalidNode, 1, 0.0});
+    EXPECT_EQ(overlay.pageId, 1);
+    EXPECT_DOUBLE_EQ(overlay.scrollY, 0.0);
+    EXPECT_TRUE(overlay.displayOverride.empty());
+
+    // A reload of the current page loads it as parsed, too.
+    overlay.scrollY = 300.0;
+    overlay.displayOverride[1] = true;
+    app.applyEffect(overlay, {EffectKind::Navigate, kInvalidNode, 1, 0.0});
+    EXPECT_EQ(overlay.pageId, 1);
+    EXPECT_DOUBLE_EQ(overlay.scrollY, 0.0);
+    EXPECT_TRUE(overlay.displayOverride.empty());
+}
+
+TEST(WebApp, ScrollClampsToPage)
+{
+    // Both pages are 1280 px tall: the last viewport starts at
+    // 1280 - 640.
+    const auto scroll = [](double dy) {
+        return HandlerEffect{EffectKind::ScrollBy, kInvalidNode, -1, dy};
+    };
+    const WebApp app = makeTwoPageApp();
+    ASSERT_DOUBLE_EQ(app.dom(0).pageHeight(), 1280.0);
+    DomOverlay overlay;
+    app.applyEffect(overlay, scroll(5000.0));
+    EXPECT_DOUBLE_EQ(overlay.scrollY, 1280.0 - 640.0);
+    app.applyEffect(overlay, scroll(-9999.0));
+    EXPECT_DOUBLE_EQ(overlay.scrollY, 0.0);
+
+    // A page shorter than the viewport does not scroll at all.
+    WebApp short_app("short");
+    DomTree page;
+    page.node(page.root()).rect = {0, 0, 360, 400};
+    short_app.addPage(std::move(page));
+    DomOverlay top;
+    short_app.applyEffect(top, scroll(50.0));
+    EXPECT_DOUBLE_EQ(top.scrollY, 0.0);
+}
+
+TEST(WebApp, OutOfRangeTargetsAreNoOps)
+{
+    const WebApp app = makeTwoPageApp();
+    DomOverlay overlay;
+    overlay.scrollY = 100.0;
+    for (const HandlerEffect &effect :
+         {HandlerEffect{EffectKind::ToggleDisplay, 99, -1, 0.0},
+          HandlerEffect{EffectKind::ToggleDisplay, kInvalidNode, -1, 0.0},
+          HandlerEffect{EffectKind::Navigate, kInvalidNode, 2, 0.0},
+          HandlerEffect{EffectKind::Navigate, kInvalidNode, -1, 0.0}}) {
+        app.applyEffect(overlay, effect);
+        EXPECT_EQ(overlay.pageId, 0);
+        EXPECT_DOUBLE_EQ(overlay.scrollY, 100.0);
+        EXPECT_TRUE(overlay.displayOverride.empty());
+    }
+}
+
+/** Whether the menu (node 1) of the session's page is displayed. */
+bool
+menuShown(const WebAppSession &session)
+{
+    return session.snapshotState().displayedOf(session.dom(), 1);
+}
+
 TEST(WebAppSession, CommitTogglesAndNavigates)
 {
     const WebApp app = makeTwoPageApp();
     WebAppSession session(app);
     EXPECT_EQ(session.currentPage(), 0);
-    EXPECT_FALSE(session.dom().node(1).displayed);  // menu hidden
+    EXPECT_FALSE(menuShown(session));
 
     session.commitEvent(2, DomEventType::Click);    // toggle
-    EXPECT_TRUE(session.dom().node(1).displayed);
+    EXPECT_TRUE(menuShown(session));
+    EXPECT_FALSE(session.dom().node(1).displayed);  // the page as parsed
 
     session.commitEvent(3, DomEventType::Load);     // navigate
     EXPECT_EQ(session.currentPage(), 1);
@@ -296,13 +373,13 @@ TEST(WebAppSession, NavigationResetsDestinationDom)
     session.commitEvent(3, DomEventType::Load);   // to page 1
     session.commitEvent(3, DomEventType::Load);   // back to page 0
     // Fresh parse: the menu is hidden again.
-    EXPECT_FALSE(session.dom().node(1).displayed);
+    EXPECT_FALSE(menuShown(session));
 }
 
-TEST(WebAppSession, ToggledDomIsDroppedByNavigationAndReset)
+TEST(WebAppSession, TogglesAreDroppedByNavigationAndReset)
 {
-    // One analyzer lives through every commit: each change to the live
-    // DOM must reach its memoized analyze().
+    // One analyzer lives through every commit: each change to the
+    // committed state must reach its memoized analyze().
     const WebApp app = makeTwoPageApp();
     WebAppSession session(app);
     const DomAnalyzer analyzer(session);
@@ -323,7 +400,7 @@ TEST(WebAppSession, ToggledDomIsDroppedByNavigationAndReset)
     const DomAnalysis pristine =
         DomAnalyzer(fresh).analyze(fresh.snapshotState());
     const auto expect_pristine = [&](const char *when) {
-        EXPECT_FALSE(session.dom().node(1).displayed) << when;
+        EXPECT_FALSE(menuShown(session)) << when;
         const DomAnalysis &got = analyzer.analyze(session.snapshotState());
         EXPECT_TRUE(events(got) == events(pristine)) << when;
         EXPECT_EQ(got.stats.visibleNodes, pristine.stats.visibleNodes)
@@ -335,7 +412,7 @@ TEST(WebAppSession, ToggledDomIsDroppedByNavigationAndReset)
     };
     const auto toggle = [&] {
         session.commitEvent(2, DomEventType::Click);  // open the menu
-        EXPECT_TRUE(session.dom().node(1).displayed);
+        EXPECT_TRUE(menuShown(session));
         EXPECT_FALSE(app.dom(0).node(1).displayed);   // app untouched
         EXPECT_TRUE(shows_menu_item(
             analyzer.analyze(session.snapshotState())));
@@ -345,7 +422,7 @@ TEST(WebAppSession, ToggledDomIsDroppedByNavigationAndReset)
     toggle();
     session.commitEvent(3, DomEventType::Load);   // to page 1
     EXPECT_EQ(session.currentPage(), 1);
-    EXPECT_FALSE(session.dom().node(1).displayed);
+    EXPECT_FALSE(menuShown(session));
     session.commitEvent(2, DomEventType::Click);
     session.commitEvent(3, DomEventType::Load);   // back to page 0
     EXPECT_EQ(session.currentPage(), 0);
@@ -413,7 +490,7 @@ TEST(DomAnalyzer, HypotheticalToggleEnlargesLnes)
         });
     EXPECT_TRUE(has_menu_item);
     // The committed session state is untouched.
-    EXPECT_FALSE(session.dom().node(1).displayed);
+    EXPECT_FALSE(menuShown(session));
 }
 
 TEST(DomAnalyzer, HypotheticalNavigationChangesPage)
