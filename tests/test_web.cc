@@ -282,22 +282,18 @@ makeTwoPageApp()
 
 TEST(WebApp, NavigationResetsOverlay)
 {
+    // To the other page, then a reload of it: each loads it as parsed.
     const WebApp app = makeTwoPageApp();
     DomOverlay overlay;
-    overlay.scrollY = 300.0;
-    overlay.displayOverride[1] = true;
-    app.applyEffect(overlay, {EffectKind::Navigate, kInvalidNode, 1, 0.0});
-    EXPECT_EQ(overlay.pageId, 1);
-    EXPECT_DOUBLE_EQ(overlay.scrollY, 0.0);
-    EXPECT_TRUE(overlay.displayOverride.empty());
-
-    // A reload of the current page loads it as parsed, too.
-    overlay.scrollY = 300.0;
-    overlay.displayOverride[1] = true;
-    app.applyEffect(overlay, {EffectKind::Navigate, kInvalidNode, 1, 0.0});
-    EXPECT_EQ(overlay.pageId, 1);
-    EXPECT_DOUBLE_EQ(overlay.scrollY, 0.0);
-    EXPECT_TRUE(overlay.displayOverride.empty());
+    for (int load = 0; load < 2; ++load) {
+        overlay.scrollY = 300.0;
+        overlay.displayOverride[1] = true;
+        app.applyEffect(overlay,
+                        {EffectKind::Navigate, kInvalidNode, 1, 0.0});
+        EXPECT_EQ(overlay.pageId, 1) << load;
+        EXPECT_DOUBLE_EQ(overlay.scrollY, 0.0) << load;
+        EXPECT_TRUE(overlay.displayOverride.empty()) << load;
+    }
 }
 
 TEST(WebApp, ScrollClampsToPage)
