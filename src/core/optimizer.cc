@@ -12,39 +12,40 @@ GlobalOptimizer::GlobalOptimizer(const DvfsLatencyModel &model,
 {
     const AcmpPlatform &platform = model_->platform();
     const size_t c = static_cast<size_t>(platform.numConfigs());
-    switchCost_.assign(c, std::vector<TimeMs>(c, 0.0));
+    std::vector<std::vector<TimeMs>> &switch_cost = problem_.switchCost;
+    switch_cost.assign(c, std::vector<TimeMs>(c, 0.0));
     for (size_t a = 0; a < c; ++a) {
         for (size_t b = 0; b < c; ++b) {
-            switchCost_[a][b] = platform.switchCost(
+            switch_cost[a][b] = platform.switchCost(
                 platform.configAt(static_cast<int>(a)),
                 platform.configAt(static_cast<int>(b)));
         }
     }
 }
 
-ScheduleProblem
-GlobalOptimizer::buildProblem(TimeMs now, const AcmpConfig &current_config,
-                              const std::vector<PlanEventSpec> &events)
-    const
+void
+GlobalOptimizer::fill(ScheduleProblem &problem, TimeMs now,
+                      const AcmpConfig &current_config,
+                      const std::vector<PlanEventSpec> &events) const
 {
     const AcmpPlatform &platform = model_->platform();
-    const int c = platform.numConfigs();
-
-    ScheduleProblem problem;
+    const size_t c = static_cast<size_t>(platform.numConfigs());
     problem.initialConfig = platform.configIndex(current_config);
-    problem.switchCost = switchCost_;
+    problem.events.resize(events.size());
 
     const TimeMs period = vsync_->periodMs();
     TimeMs prev_deadline = 0.0;
-    for (const PlanEventSpec &spec : events) {
-        ScheduleEvent ev;
-        ev.latency.reserve(static_cast<size_t>(c));
-        ev.energy.reserve(static_cast<size_t>(c));
-        for (int j = 0; j < c; ++j) {
-            const TimeMs latency = model_->latencyAt(spec.work, j);
-            ev.latency.push_back(latency);
-            ev.energy.push_back(
-                energyOf(power_->busyPowerAt(j), latency));
+    for (size_t i = 0; i < events.size(); ++i) {
+        const PlanEventSpec &spec = events[i];
+        ScheduleEvent &ev = problem.events[i];
+        ev.latency.resize(c);
+        ev.energy.resize(c);
+        for (size_t j = 0; j < c; ++j) {
+            const TimeMs latency =
+                model_->latencyAt(spec.work, static_cast<int>(j));
+            ev.latency[j] = latency;
+            ev.energy[j] = energyOf(
+                power_->busyPowerAt(static_cast<int>(j)), latency);
         }
         if (spec.arrival) {
             // Outstanding: display-floor of arrival + QoS.
@@ -68,8 +69,17 @@ GlobalOptimizer::buildProblem(TimeMs now, const AcmpConfig &current_config,
             ev.deadline = std::max(prev_deadline, 0.0) + spec.qosTarget;
         }
         prev_deadline = ev.deadline;
-        problem.events.push_back(std::move(ev));
     }
+}
+
+ScheduleProblem
+GlobalOptimizer::buildProblem(TimeMs now, const AcmpConfig &current_config,
+                              const std::vector<PlanEventSpec> &events)
+    const
+{
+    ScheduleProblem problem;
+    problem.switchCost = problem_.switchCost;
+    fill(problem, now, current_config, events);
     return problem;
 }
 
@@ -82,9 +92,9 @@ GlobalOptimizer::solve(const ScheduleProblem &problem) const
 ScheduleSolution
 GlobalOptimizer::planSchedule(TimeMs now, const AcmpConfig &current_config,
                               const std::vector<PlanEventSpec> &events)
-    const
 {
-    return solve(buildProblem(now, current_config, events));
+    fill(problem_, now, current_config, events);
+    return solve(problem_);
 }
 
 } // namespace pes

@@ -46,7 +46,9 @@ struct PlanEventSpec
 };
 
 /**
- * Builds and solves the global scheduling problem.
+ * Builds and solves the global scheduling problem. planSchedule() fills
+ * a problem the optimizer keeps, so one optimizer serves one thread, as
+ * a DomAnalyzer does.
  */
 class GlobalOptimizer
 {
@@ -57,7 +59,7 @@ class GlobalOptimizer
 
     /**
      * Build the Eqn. 2-5 problem for a chain starting at @p now on
-     * @p current_config (switch costs included).
+     * @p current_config (switch costs included), as a new copy.
      */
     ScheduleProblem buildProblem(TimeMs now,
                                  const AcmpConfig &current_config,
@@ -67,17 +69,28 @@ class GlobalOptimizer
     /** Solve with the Pareto DP; see ParetoDpSolver for the objective. */
     ScheduleSolution solve(const ScheduleProblem &problem) const;
 
-    /** Convenience: buildProblem + solve. */
+    /**
+     * solve(buildProblem(...)), answer for answer, without the copy: the
+     * kept problem's switch matrix stays and its event rows are
+     * overwritten in place.
+     */
     ScheduleSolution
     planSchedule(TimeMs now, const AcmpConfig &current_config,
-                 const std::vector<PlanEventSpec> &events) const;
+                 const std::vector<PlanEventSpec> &events);
 
   private:
+    /** Write the initial configuration and one row per event of
+     *  @p events into @p problem; its switch matrix is left as is. */
+    void fill(ScheduleProblem &problem, TimeMs now,
+              const AcmpConfig &current_config,
+              const std::vector<PlanEventSpec> &events) const;
+
     const DvfsLatencyModel *model_;
     const PowerModel *power_;
     const VsyncClock *vsync_;
-    /** The platform's C x C switch costs, built once. */
-    std::vector<std::vector<TimeMs>> switchCost_;
+    /** What planSchedule() solves: the platform's C x C switch costs,
+     *  built once, and the last plan's event rows. */
+    ScheduleProblem problem_;
     ParetoDpSolver solver_;
 };
 

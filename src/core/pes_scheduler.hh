@@ -143,7 +143,8 @@ class PesScheduler : public SchedulerDriver
     Config config_;
 
     std::optional<EventPredictor> predictor_;
-    /** Bound to the session in begin(); its memo serves every plan. */
+    /** Bound to the session in begin(); its app's memo serves every
+     *  plan and every session of that app on this thread. */
     std::optional<DomAnalyzer> analyzer_;
     std::optional<GlobalOptimizer> optimizer_;
     std::optional<EbsPolicy> ebs_;

@@ -196,6 +196,9 @@ struct Workspace
     std::vector<EnergyMj> energyTail;
     /** Latest finish of event i from which the greedy pass can finish. */
     std::vector<TimeMs> greedyCut;
+    /** Earliest finish of events 0..i, each at its fastest
+     *  configuration with free switches. */
+    std::vector<TimeMs> headFinish;
     /**
      * Per stage i, ascending: for each later event k, the finish of
      * event i after which k is late even at the fastest configurations
@@ -215,10 +218,70 @@ workspace()
 }
 
 /**
+ * Fill s.headFinish and s.lateAfter: per stage, the finishes after
+ * which each later event is late even at its fastest configuration
+ * with free switches.
+ */
+void
+prepareLateAfter(const ScheduleProblem &problem, Workspace &s)
+{
+    const size_t n = problem.events.size();
+    s.headFinish.resize(n);
+    TimeMs t = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+        const ScheduleEvent &ev = problem.events[i];
+        t += *std::min_element(ev.latency.begin(), ev.latency.end());
+        s.headFinish[i] = t;
+    }
+
+    s.lateAfter.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+        std::vector<TimeMs> &late = s.lateAfter[i];
+        late.clear();
+        for (size_t k = i + 1; k < n; ++k) {
+            late.push_back(problem.events[k].deadline -
+                           (s.headFinish[k] - s.headFinish[i]));
+        }
+        std::sort(late.begin(), late.end());
+    }
+}
+
+/**
+ * The schedule that runs every event at its fastest configuration, ties
+ * going to the least energy (then to the lower index), with the
+ * switches it makes; summed as the DP sums a path.
+ */
+Incumbent
+fastestIncumbent(const ScheduleProblem &problem)
+{
+    Incumbent inc{0.0, 0.0};
+    TimeMs finish = 0.0;
+    size_t last = static_cast<size_t>(problem.initialConfig);
+    for (const ScheduleEvent &ev : problem.events) {
+        size_t pick = 0;
+        for (size_t j = 1; j < ev.latency.size(); ++j) {
+            if (ev.latency[j] < ev.latency[pick] ||
+                (ev.latency[j] == ev.latency[pick] &&
+                 ev.energy[j] < ev.energy[pick]))
+                pick = j;
+        }
+        const TimeMs sw = problem.switchCost.empty()
+            ? 0.0 : problem.switchCost[last][pick];
+        finish += ev.latency[pick] + sw;
+        inc.tardiness += std::max(0.0, finish - ev.deadline);
+        inc.energy += ev.energy[pick];
+        last = pick;
+    }
+    return inc;
+}
+
+/**
  * Fill the first pass's bound tables and return a greedy incumbent:
  * event by event, the cheapest configuration after which every later
  * event still meets its deadline at its fastest configuration, paying
- * the costliest switch. Returns no incumbent when that pass fails.
+ * the costliest switch. When that pass fails (a late window), return
+ * fastestIncumbent() instead; when it is late too, also fill
+ * s.lateAfter, which the first pass then bounds tardiness with.
  */
 Incumbent
 prepareBounds(const ScheduleProblem &problem, Workspace &s)
@@ -267,8 +330,12 @@ prepareBounds(const ScheduleProblem &problem, Workspace &s)
                 pick_finish = f;
             }
         }
-        if (pick < 0)
-            return Incumbent{};
+        if (pick < 0) {
+            const Incumbent fastest = fastestIncumbent(problem);
+            if (fastest.tardiness > 0.0)
+                prepareLateAfter(problem, s);
+            return fastest;
+        }
         finish = pick_finish;
         inc.energy += ev.energy[static_cast<size_t>(pick)];
         last = pick;
@@ -288,8 +355,7 @@ prepareBounds(const ScheduleProblem &problem, Workspace &s)
  * coarsened: each run of neighbours becomes one point with the run's
  * latest finish and least energy, which keeps it a lower bound.
  *
- * s.lateAfter: per stage, the finishes after which each later event is
- * late even at its fastest configuration with free switches.
+ * s.lateAfter: see prepareLateAfter.
  */
 void
 prepareSecondPass(const ScheduleProblem &problem, Workspace &s,
@@ -300,28 +366,15 @@ prepareSecondPass(const ScheduleProblem &problem, Workspace &s,
     const TimeMs relax = on_time ? 0.0 : inc.tardiness + kBoundSlack;
     const EnergyMj energy_limit = on_time ? inc.energy + kBoundSlack : kInf;
 
-    // Least energy and earliest finish of events 0..i.
+    prepareLateAfter(problem, s);
+    const std::vector<TimeMs> &head_finish = s.headFinish;
+    // Least energy of events 0..i.
     std::vector<EnergyMj> head_energy(n, 0.0);
-    std::vector<TimeMs> head_finish(n, 0.0);
     EnergyMj e = 0.0;
-    TimeMs t = 0.0;
     for (size_t i = 0; i < n; ++i) {
         const ScheduleEvent &ev = problem.events[i];
         e += *std::min_element(ev.energy.begin(), ev.energy.end());
-        t += *std::min_element(ev.latency.begin(), ev.latency.end());
         head_energy[i] = e;
-        head_finish[i] = t;
-    }
-
-    s.lateAfter.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        std::vector<TimeMs> &late = s.lateAfter[i];
-        late.clear();
-        for (size_t k = i + 1; k < n; ++k) {
-            late.push_back(problem.events[k].deadline -
-                           (head_finish[k] - head_finish[i]));
-        }
-        std::sort(late.begin(), late.end());
     }
 
     s.toGo.resize(n);
@@ -563,10 +616,12 @@ runDp(const ScheduleProblem &problem, Workspace &s, const Incumbent &inc,
         // Bounds (exact). With an on-time incumbent a state is dropped
         // when it is already late, when even the fastest configurations
         // with free switches would miss a later deadline, or when its
-        // cheapest completion uses more energy than the incumbent. A
-        // tardy incumbent bounds only the second pass: a state is
-        // dropped when its least tardiness is above the incumbent's, or
-        // equal and its least energy above.
+        // cheapest completion uses more energy than the incumbent. With
+        // a tardy one a state is dropped when its least tardiness is
+        // above the incumbent's, or equal and its least energy above;
+        // the first pass takes the later events' least energy at any
+        // finish, the second their energy-to-go frontier. Without an
+        // incumbent nothing is dropped.
         StageBounds bounds;
         bounds.deadline = ev.deadline;
         if (inc.tardiness == 0.0) {
@@ -577,7 +632,7 @@ runDp(const ScheduleProblem &problem, Workspace &s, const Incumbent &inc,
             bounds.energyTail = s.energyTail[si];
             if (second_pass)
                 bounds.toGo = &s.toGo[si];
-        } else if (second_pass) {
+        } else if (inc.tardiness < kInf) {
             // The folded cost resolves energy only to a few of its ulps;
             // a tie within them is not dropped.
             const double cost = inc.tardiness * kTardinessWeight +
@@ -587,7 +642,10 @@ runDp(const ScheduleProblem &problem, Workspace &s, const Incumbent &inc,
             bounds.energyLimit = inc.energy + kBoundSlack +
                 16.0 * std::numeric_limits<double>::epsilon() * cost;
             bounds.lateAfter = &s.lateAfter[si];
-            bounds.toGo = &s.toGo[si];
+            if (second_pass)
+                bounds.toGo = &s.toGo[si];
+            else
+                bounds.energyTail = s.energyTail[si];
         }
 
         // Only the last stage's buckets that hold a state are merge

@@ -14,20 +14,25 @@
  * and, when a greedy incumbent meets every deadline, drops states that
  * provably cannot beat it (late, unable to meet a later deadline even at
  * the fastest configurations, or needing more energy than the
- * incumbent). Ties are broken by a total order, so answers never depend
- * on sort order. Two cuts save work without changing any answer bit. A
- * bucket merges only the previous stage's buckets that hold a state, in
- * ascending order: an empty one adds no candidate, and the tie order is
- * kept. With switch costs and an on-time incumbent, a pass without
- * energy-to-go bounds skips bucket b when the least energy of any
- * previous state, plus b's energy, plus the later events' least,
- * already exceeds the incumbent: floating-point addition is monotone,
- * so every candidate of b fails the same test, and dominance never
- * crosses buckets. A bucket's frontier above a fixed cap is thinned, and
- * the solver then runs once more against the capped answer with sharper
- * completion bounds. The answer is exact unless that run thins too;
- * ScheduleSolution::thinnedPrunes counts its thinned prunes. PES windows
- * stay under the cap; long whole-trace Oracle chains can exceed it.
+ * incumbent). When the greedy finds no on-time schedule (a late
+ * window), the incumbent is every event at its fastest configuration:
+ * if that is on time it bounds as the greedy would, and if it is late a
+ * state is dropped when its least tardiness is above the incumbent's,
+ * or equal and its least energy above. Ties are broken by a total
+ * order, so answers never depend on sort order. Two cuts save work
+ * without changing any answer bit. A bucket merges only the previous
+ * stage's buckets that hold a state, in ascending order: an empty one
+ * adds no candidate, and the tie order is kept. With switch costs and
+ * an on-time incumbent, a pass without energy-to-go bounds skips bucket
+ * b when the least energy of any previous state, plus b's energy, plus
+ * the later events' least, already exceeds the incumbent: floating-point
+ * addition is monotone, so every candidate of b fails the same test, and
+ * dominance never crosses buckets. A bucket's frontier above a fixed cap
+ * is thinned, and the solver then runs once more against the capped
+ * answer with sharper completion bounds. The answer is exact unless that
+ * run thins too; ScheduleSolution::thinnedPrunes counts its thinned
+ * prunes. PES windows stay under the cap; long whole-trace Oracle chains
+ * can exceed it.
  *
  * When no assignment can meet all deadlines (e.g. an inherently heavy
  * Type I event with an immediate conservative deadline), the solver

@@ -61,13 +61,16 @@ DomAnalyzer::analyze(const DomOverlay &state) const
     uint64_t scroll_bits = 0;
     static_assert(sizeof scroll_bits == sizeof state.scrollY);
     std::memcpy(&scroll_bits, &state.scrollY, sizeof scroll_bits);
-    MemoKey key{state.pageId, scroll_bits,
-                {state.displayOverride.begin(), state.displayOverride.end()}};
+    DomAnalysisMemo::Key key{
+        state.pageId, scroll_bits,
+        {state.displayOverride.begin(), state.displayOverride.end()}};
     std::sort(std::get<2>(key).begin(), std::get<2>(key).end());
 
-    auto it = memo_.lower_bound(key);
-    if (it == memo_.end() || key < it->first)
-        it = memo_.emplace_hint(it, std::move(key), traverse(state));
+    std::map<DomAnalysisMemo::Key, DomAnalysis> &memo =
+        app_->analyses_.entries;
+    auto it = memo.lower_bound(key);
+    if (it == memo.end() || key < it->first)
+        it = memo.emplace_hint(it, std::move(key), traverse(state));
     return it->second;
 }
 

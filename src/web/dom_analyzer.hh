@@ -17,71 +17,18 @@
 #ifndef PES_WEB_DOM_ANALYZER_HH
 #define PES_WEB_DOM_ANALYZER_HH
 
-#include <cstdint>
-#include <map>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "web/web_app.hh"
 
 namespace pes {
 
-/** One LNES entry: an event that could legally be triggered next. */
-struct CandidateEvent
-{
-    DomEventType type = DomEventType::Click;
-    NodeId node = kInvalidNode;
-
-    bool operator==(const CandidateEvent &other) const
-    {
-        return type == other.type && node == other.node;
-    }
-    bool operator!=(const CandidateEvent &other) const
-    {
-        return !(*this == other);
-    }
-};
-
-/** Application-inherent viewport features (paper Table 1). */
-struct ViewportStats
-{
-    /** Fraction of the viewport covered by clickable elements. */
-    double clickableFrac = 0.0;
-    /** Fraction of the viewport covered by visible links. */
-    double visibleLinkFrac = 0.0;
-    /** Number of visible nodes (diagnostic). */
-    int visibleNodes = 0;
-    /** Whether the page extends beyond the viewport (scrollable). */
-    bool scrollable = false;
-};
-
-/** One analyze() entry: a LNES candidate with precomputed geometry. */
-struct AnalyzedCandidate
-{
-    CandidateEvent event;
-    /** The candidate node's rect (what nodeRect() would return). */
-    Rect rect;
-    /** The candidate node's accessibility role. */
-    NodeRole role = NodeRole::Container;
-};
-
-/**
- * Everything one prediction step needs, produced by a single DOM
- * traversal: the LNES with per-candidate geometry and role, the Table-1
- * viewport features, and the resolved viewport.
- */
-struct DomAnalysis
-{
-    std::vector<AnalyzedCandidate> candidates;
-    ViewportStats stats;
-    Viewport viewport;
-};
-
 /**
  * Static analyzer of the page states of one WebApp. Every call names the
- * state it analyzes; the analyzer reads only the app. It memoizes
- * analyze() and is not synchronized: one analyzer serves one thread.
+ * state it analyzes; the analyzer reads only the app. analyze() is
+ * memoized in the app instance, so every analyzer of it, in any session,
+ * shares one memo; that memo is not synchronized, so an app and its
+ * analyzers serve one thread.
  */
 class DomAnalyzer
 {
@@ -104,9 +51,10 @@ class DomAnalyzer
     /**
      * The LNES with each candidate's rect and role, the Table-1
      * viewport features and the viewport, from ONE traversal of the
-     * page. Memoized: a later call with the same page, scroll-offset
-     * bits and display overrides returns the stored result. The
-     * reference stays valid for the analyzer's lifetime.
+     * page. Memoized in the app (DomAnalysisMemo): a later call by any
+     * analyzer of the same app instance with the same page,
+     * scroll-offset bits and display overrides returns the stored
+     * result. The reference stays valid for the app's lifetime.
      */
     const DomAnalysis &analyze(const DomOverlay &state) const;
 
@@ -144,17 +92,10 @@ class DomAnalyzer
     Rect nodeRect(const DomOverlay &state, NodeId node) const;
 
   private:
-    /** Everything traverse() reads: page, scroll-offset bits and the
-     *  display overrides sorted by node. */
-    using MemoKey =
-        std::tuple<int, uint64_t, std::vector<std::pair<NodeId, bool>>>;
-
     /** The one visibility traversal behind analyze(). */
     DomAnalysis traverse(const DomOverlay &state) const;
 
     const WebApp *app_;
-    /** Node-based, so handed-out references survive later inserts. */
-    mutable std::map<MemoKey, DomAnalysis> memo_;
 };
 
 } // namespace pes

@@ -2,15 +2,15 @@
  * @file
  * A mobile Web application: pages, semantic side tables, and live state.
  *
- * WebApp is the static application definition (every page's DOM plus its
- * parse-time SemanticTree) and owns the one transition rule,
- * applyEffect(): how an event's effect moves a page state. WebAppSession
- * is one user-facing instance, the thing the runtime dispatches events
- * into. Its committed state (current page, scroll offset, display
- * toggles) is a DomOverlay over the app's immutable page DOMs, so
- * concurrent simulations share those DOMs and never alias mutable
- * state, and the DOM analyzer's predicted rollouts move copies of it by
- * the same rule.
+ * WebApp is the application definition (every page's DOM plus its
+ * parse-time SemanticTree), owns the one transition rule, applyEffect():
+ * how an event's effect moves a page state, and holds the DOM analyzer's
+ * memo of analyzed states. WebAppSession is one user-facing instance,
+ * the thing the runtime dispatches events into. Its committed state
+ * (current page, scroll offset, display toggles) is a DomOverlay over
+ * the app's page DOMs, which never change once added, so sessions of
+ * one app never alias mutable page state, and the DOM analyzer's
+ * predicted rollouts move copies of it by the same rule.
  */
 
 #ifndef PES_WEB_WEB_APP_HH
@@ -20,12 +20,17 @@
 #include <vector>
 
 #include "web/dom.hh"
+#include "web/dom_analysis.hh"
 #include "web/semantic_tree.hh"
 
 namespace pes {
 
 /**
- * Immutable application definition.
+ * Application definition. Its pages never change once added, but every
+ * DomAnalyzer of the app fills one unsynchronized memo in it, so an app
+ * instance serves one thread: the fleet runner gives each worker its own
+ * TraceGenerator, which builds one app per profile. A copy starts with
+ * an empty memo.
  */
 class WebApp
 {
@@ -69,6 +74,8 @@ class WebApp
     void applyEffect(DomOverlay &state, const HandlerEffect &effect) const;
 
   private:
+    friend class DomAnalyzer;
+
     struct Page
     {
         DomTree dom;
@@ -78,6 +85,9 @@ class WebApp
     std::string name_;
     Viewport viewport_;
     std::vector<Page> pages_;
+    /** DomAnalyzer::analyze()'s results for this instance, shared by
+     *  every session and analyzer of it. */
+    mutable DomAnalysisMemo analyses_;
 };
 
 /**

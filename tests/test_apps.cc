@@ -123,69 +123,97 @@ sameAnalysis(const DomAnalysis &a, const DomAnalysis &b)
         a.viewport.scrollY == b.viewport.scrollY;
 }
 
+/** What an analyzer on a freshly built copy of @p app computes for
+ *  @p state: the copy starts with an empty memo, so this traverses. */
+DomAnalysis
+freshAnalysis(const WebApp &app, const DomOverlay &state)
+{
+    const WebApp copy = app;
+    return DomAnalyzer(WebAppSession(copy)).analyze(state);
+}
+
 TEST_P(PerApp, MemoizedAnalysisMatchesFreshAnalyzer)
 {
-    // One analyzer lives through a whole committed session, as in trace
-    // synthesis and PES; at every committed state and along a short
-    // hypothetical rollout from it, its memoized analyze() must equal
-    // what a fresh analyzer computes for the same session and state.
+    // Analyses are memoized in the app, so every session of it shares
+    // them, as in trace synthesis, training and PES. One session's
+    // committed states and short hypothetical rollouts from them fill
+    // the app's memo; a second session then walks the same states. At
+    // every state, each session's analyze() must equal what an analyzer
+    // on a fresh copy of the app computes, and the second session must
+    // be answered from the entries the first one filled.
     const AppProfile &p = profile();
     const WebApp &app = trainedDevice().generator().appFor(p);
     const InteractionTrace trace =
         trainedDevice().generator().generate(p, 5050);
-    WebAppSession session(app);
-    const DomAnalyzer live(session);
 
-    // Every reference handed out, with a copy of what it must still say.
+    // Every reference the first session took, with a copy of what it
+    // must still say.
     std::vector<std::pair<const DomAnalysis *, DomAnalysis>> taken;
-    std::string where;
-    const auto check = [&](const DomOverlay &state) {
-        const DomAnalysis &got = live.analyze(state);
-        const DomAnalysis want = DomAnalyzer(session).analyze(state);
-        EXPECT_TRUE(sameAnalysis(got, want)) << where;
-        taken.emplace_back(&got, want);
-    };
+    size_t revisited = 0;
+    const auto replay = [&](bool first) {
+        WebAppSession session(app);
+        const DomAnalyzer live(session);
+        std::string where;
+        const auto check = [&](const DomOverlay &state) {
+            const DomAnalysis &got = live.analyze(state);
+            const DomAnalysis want = freshAnalysis(app, state);
+            EXPECT_TRUE(sameAnalysis(got, want)) << where;
+            if (first) {
+                taken.emplace_back(&got, want);
+            } else {
+                ASSERT_LT(revisited, taken.size()) << where;
+                EXPECT_EQ(&got, taken[revisited++].first) << where;
+            }
+        };
 
-    // A toggle, a scroll, then a navigation to the page the session is
-    // on (the root's reload), each applied on top of the previous one.
-    const auto rolls = [&](const CandidateEvent &event, EffectKind kind,
-                           const DomOverlay &state) {
-        const auto effect =
-            app.semantics(state.pageId).effectOf(event.node, event.type);
-        return effect && effect->kind == kind &&
-            (kind != EffectKind::Navigate ||
-             effect->pageId == session.currentPage());
-    };
-    std::array<int, 3> rolled{};
-    const std::array<EffectKind, 3> kinds = {EffectKind::ToggleDisplay,
-                                             EffectKind::ScrollBy,
-                                             EffectKind::Navigate};
-    for (size_t e = 0; e < trace.events.size(); ++e) {
-        DomOverlay state = session.snapshotState();
-        where = p.name + " event " + std::to_string(e);
-        check(state);
-        for (size_t k = 0; k < kinds.size(); ++k) {
-            const auto &cands = live.analyze(state).candidates;
-            const auto it = std::find_if(
-                cands.begin(), cands.end(),
-                [&](const AnalyzedCandidate &c) {
-                    return rolls(c.event, kinds[k], state);
-                });
-            if (it == cands.end())
-                continue;
-            live.applyHypothetical(it->event, state);
-            ++rolled[k];
-            where = p.name + " event " + std::to_string(e) + " rollout " +
-                std::to_string(k);
+        // A toggle, a scroll, then a navigation to the page the session
+        // is on (the root's reload), each applied on top of the previous
+        // one.
+        const auto rolls = [&](const CandidateEvent &event, EffectKind kind,
+                               const DomOverlay &state) {
+            const auto effect =
+                app.semantics(state.pageId).effectOf(event.node, event.type);
+            return effect && effect->kind == kind &&
+                (kind != EffectKind::Navigate ||
+                 effect->pageId == session.currentPage());
+        };
+        std::array<int, 3> rolled{};
+        const std::array<EffectKind, 3> kinds = {EffectKind::ToggleDisplay,
+                                                 EffectKind::ScrollBy,
+                                                 EffectKind::Navigate};
+        const std::string name =
+            p.name + (first ? " first" : " second") + " session";
+        for (size_t e = 0; e < trace.events.size(); ++e) {
+            DomOverlay state = session.snapshotState();
+            where = name + " event " + std::to_string(e);
             check(state);
+            for (size_t k = 0; k < kinds.size(); ++k) {
+                const auto &cands = live.analyze(state).candidates;
+                const auto it = std::find_if(
+                    cands.begin(), cands.end(),
+                    [&](const AnalyzedCandidate &c) {
+                        return rolls(c.event, kinds[k], state);
+                    });
+                if (it == cands.end())
+                    continue;
+                live.applyHypothetical(it->event, state);
+                ++rolled[k];
+                where = name + " event " + std::to_string(e) +
+                    " rollout " + std::to_string(k);
+                check(state);
+            }
+            session.commitEvent(trace.events[e].node,
+                                trace.events[e].type);
         }
-        session.commitEvent(trace.events[e].node, trace.events[e].type);
-    }
-    EXPECT_GT(rolled[0], 0) << p.name << ": no toggle rolled out";
-    EXPECT_GT(rolled[1], 0) << p.name << ": no scroll rolled out";
-    EXPECT_GT(rolled[2], 0) << p.name << ": no reload rolled out";
+        EXPECT_GT(rolled[0], 0) << name << ": no toggle rolled out";
+        EXPECT_GT(rolled[1], 0) << name << ": no scroll rolled out";
+        EXPECT_GT(rolled[2], 0) << name << ": no reload rolled out";
+    };
+    replay(true);
+    replay(false);
+    EXPECT_EQ(revisited, taken.size()) << p.name;
 
-    // References taken early still hold their analyses at session end.
+    // References the first session took still hold their analyses.
     for (size_t i = 0; i < taken.size(); ++i) {
         EXPECT_TRUE(sameAnalysis(*taken[i].first, taken[i].second))
             << p.name << " reference " << i;

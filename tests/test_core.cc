@@ -210,6 +210,44 @@ TEST_F(CoreFixture, OptimizerDeeperChainGetsCheaperConfigs)
               power.busyPowerAt(sol.configOf.back()) - 1e-9);
 }
 
+TEST_F(CoreFixture, OptimizerKeptProblemCarriesNothingOver)
+{
+    // planSchedule overwrites one kept problem in place. Windows that
+    // shrink and grow, from different start configurations, on one
+    // optimizer must each plan exactly as a freshly built problem.
+    const VsyncClock vsync;
+    GlobalOptimizer optimizer(model, power, vsync);
+    const size_t sizes[] = {8, 2, 5, 1};
+    for (size_t w = 0; w < 4; ++w) {
+        std::vector<PlanEventSpec> specs(sizes[w]);
+        for (size_t i = 0; i < specs.size(); ++i) {
+            PlanEventSpec &spec = specs[i];
+            spec.work = {1.0 + 2.0 * static_cast<double>(w + i),
+                         40.0 + 35.0 * static_cast<double>((w * 3 + i) % 5)};
+            spec.qosTarget = i % 3 == 2 ? 33.0 : 300.0;
+            if (i == 0)
+                spec.arrival = 1000.0 + 17.0 * static_cast<double>(w);
+            else if (i % 2 == 1)
+                spec.expectedArrival = 1400.0 + 250.0 * static_cast<double>(i);
+        }
+        const TimeMs now = 1010.0 + 17.0 * static_cast<double>(w);
+        const AcmpConfig start =
+            soc.configAt(static_cast<int>(w) * 5 % soc.numConfigs());
+        const ScheduleSolution want =
+            optimizer.solve(optimizer.buildProblem(now, start, specs));
+        const ScheduleSolution got =
+            optimizer.planSchedule(now, start, specs);
+        const std::string where = "window " + std::to_string(w);
+        EXPECT_EQ(got.feasible, want.feasible) << where;
+        EXPECT_EQ(got.configOf, want.configOf) << where;
+        EXPECT_EQ(got.totalEnergy, want.totalEnergy) << where;
+        EXPECT_EQ(got.totalTardiness, want.totalTardiness) << where;
+        EXPECT_EQ(got.finishTime, want.finishTime) << where;
+        EXPECT_EQ(got.thinnedPrunes, want.thinnedPrunes) << where;
+        EXPECT_EQ(got.configOf.size(), specs.size()) << where;
+    }
+}
+
 // ------------------------------------------------------------ PFB
 
 TEST(Pfb, FifoCommitOrder)

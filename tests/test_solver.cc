@@ -548,15 +548,17 @@ TEST_F(ExynosSolverFixture, MatchesReferenceDpOnRandomChains)
     }
 }
 
-TEST_F(ExynosSolverFixture, MatchesReferenceDpOnPesWindows)
+/**
+ * Sliding PES plan windows over fixed-seed traces of three apps: the head
+ * has arrived, the rest are predicted, loads with an expected arrival and
+ * others chained (the default deadline model). Calls @p visit with each
+ * window's label, specs, head event and start configuration.
+ */
+template <typename Visit>
+void
+forEachPesWindow(const AcmpPlatform &soc, Visit visit)
 {
-    // Sliding PES plan windows over fixed-seed traces of three apps: the
-    // head has arrived, the rest are predicted, loads with an expected
-    // arrival and others chained (the default deadline model).
-    const VsyncClock vsync;
-    const GlobalOptimizer optimizer(model, power, vsync);
     TraceGenerator generator(soc);
-    int windows = 0;
     for (const char *app : {"cnn", "social_feed", "youtube"}) {
         const InteractionTrace trace = generator.generate(
             appByName(app), TraceGenerator::kEvaluationSeedBase);
@@ -576,17 +578,52 @@ TEST_F(ExynosSolverFixture, MatchesReferenceDpOnPesWindows)
                     spec.expectedArrival = ev.arrival;
                 specs.push_back(spec);
             }
-            const AcmpConfig start =
-                soc.configAt(first % soc.numConfigs());
-            expectSameAsReference(
-                optimizer.buildProblem(
-                    events[static_cast<size_t>(first)].arrival, start,
-                    specs),
-                std::string(app) + " window at " + std::to_string(first));
-            ++windows;
+            visit(std::string(app) + " window at " + std::to_string(first),
+                  specs, events[static_cast<size_t>(first)],
+                  soc.configAt(first % soc.numConfigs()));
         }
     }
+}
+
+TEST_F(ExynosSolverFixture, MatchesReferenceDpOnPesWindows)
+{
+    const VsyncClock vsync;
+    const GlobalOptimizer optimizer(model, power, vsync);
+    int windows = 0;
+    forEachPesWindow(soc, [&](const std::string &what,
+                              const std::vector<PlanEventSpec> &specs,
+                              const TraceEvent &head,
+                              const AcmpConfig &start) {
+        expectSameAsReference(
+            optimizer.buildProblem(head.arrival, start, specs), what);
+        ++windows;
+    });
     EXPECT_GT(windows, 50);
+}
+
+TEST_F(ExynosSolverFixture, MatchesReferenceDpOnLateWindows)
+{
+    // The same windows planned after the head's display deadline, as
+    // when a plan drains late: no schedule is on time, so the greedy
+    // incumbent fails and the late path runs against the all-fastest
+    // schedule.
+    const VsyncClock vsync;
+    const GlobalOptimizer optimizer(model, power, vsync);
+    int windows = 0;
+    int infeasible = 0;
+    forEachPesWindow(soc, [&](const std::string &what,
+                              const std::vector<PlanEventSpec> &specs,
+                              const TraceEvent &head,
+                              const AcmpConfig &start) {
+        const TimeMs late_by = 1.0 + static_cast<double>(windows % 40);
+        const ScheduleProblem problem = optimizer.buildProblem(
+            head.arrival + head.qosTarget() + late_by, start, specs);
+        expectSameAsReference(problem, what);
+        infeasible += ParetoDpSolver().solve(problem).feasible ? 0 : 1;
+        ++windows;
+    });
+    EXPECT_GT(windows, 50);
+    EXPECT_GE(infeasible, 50);
 }
 
 TEST_F(ExynosSolverFixture, WholeTraceChainCountsItsThinning)
@@ -595,7 +632,7 @@ TEST_F(ExynosSolverFixture, WholeTraceChainCountsItsThinning)
     // frontier cap even with the bounds: the plan is complete, and the
     // thinning that makes it approximate is counted.
     const VsyncClock vsync;
-    const GlobalOptimizer optimizer(model, power, vsync);
+    GlobalOptimizer optimizer(model, power, vsync);
     TraceGenerator generator(soc);
     const InteractionTrace trace = generator.generate(
         appByName("youtube"), TraceGenerator::kEvaluationSeedBase + 1);

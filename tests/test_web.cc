@@ -530,6 +530,29 @@ TEST(DomAnalyzer, AllPageEventsIgnoresVisibility)
     EXPECT_TRUE(has_menu_item);  // hidden but registered
 }
 
+TEST(DomAnalyzer, SessionsShareTheAppsMemoAndACopyFillsItsOwn)
+{
+    // analyze() is memoized in the app instance: another session's
+    // analyzer is answered by the entry the first one stored, which
+    // outlives both analyzers. A copy of the app starts with an empty
+    // memo and stores its own entry.
+    const WebApp app = makeTwoPageApp();
+    const WebAppSession first(app);
+    DomOverlay state = first.snapshotState();
+    state.displayOverride[1] = true;
+    const DomAnalysis &stored = DomAnalyzer(first).analyze(state);
+    const WebAppSession second(app);
+    EXPECT_EQ(&DomAnalyzer(second).analyze(state), &stored);
+
+    const WebApp copy = app;
+    const WebAppSession on_copy(copy);
+    const DomAnalysis &own = DomAnalyzer(on_copy).analyze(state);
+    EXPECT_NE(&own, &stored);
+    EXPECT_EQ(own.candidates.size(), stored.candidates.size());
+    EXPECT_EQ(own.stats.visibleNodes, stored.stats.visibleNodes);
+    EXPECT_EQ(own.stats.visibleLinkFrac, stored.stats.visibleLinkFrac);
+}
+
 // ------------------------------------------------------ Render pipeline
 
 TEST(RenderPipeline, StagesScaleWithDirtySize)
