@@ -61,10 +61,10 @@ while read -r workload schedulers users; do
     "$perf" record --history="$history" --label="sim_$workload" \
         --telemetry="$telemetry" --report="$work/$workload.json" </dev/null
 done <<EOF
-pes pes 150
+pes pes 350
 oracle oracle 2
-ebs ebs 700
-interactive interactive 200
-ondemand ondemand 550
-reactive_store ebs,interactive,ondemand 200
+ebs ebs 1200
+interactive interactive 950
+ondemand ondemand 1200
+reactive_store ebs,interactive,ondemand 400
 EOF
