@@ -66,8 +66,7 @@ DomAnalyzer::analyze(const DomOverlay &state) const
         {state.displayOverride.begin(), state.displayOverride.end()}};
     std::sort(std::get<2>(key).begin(), std::get<2>(key).end());
 
-    std::map<DomAnalysisMemo::Key, DomAnalysis> &memo =
-        app_->analyses_.entries;
+    auto &memo = app_->analyses_.entries;
     auto it = memo.lower_bound(key);
     if (it == memo.end() || key < it->first)
         it = memo.emplace_hint(it, std::move(key), traverse(state));

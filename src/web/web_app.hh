@@ -3,14 +3,15 @@
  * A mobile Web application: pages, semantic side tables, and live state.
  *
  * WebApp is the application definition (every page's DOM plus its
- * parse-time SemanticTree), owns the one transition rule, applyEffect():
- * how an event's effect moves a page state, and holds the DOM analyzer's
- * memo of analyzed states. WebAppSession is one user-facing instance,
- * the thing the runtime dispatches events into. Its committed state
- * (current page, scroll offset, display toggles) is a DomOverlay over
- * the app's page DOMs, which never change once added, so sessions of
- * one app never alias mutable page state, and the DOM analyzer's
- * predicted rollouts move copies of it by the same rule.
+ * parse-time SemanticTree). It owns the one transition rule,
+ * applyEffect(), which moves a page state through an event's effect,
+ * and holds the DOM analyzer's memo of analyzed states. WebAppSession
+ * is one user-facing instance, the thing the runtime dispatches events
+ * into. Its committed state (current page, scroll offset, display
+ * toggles) is a DomOverlay over the app's page DOMs, which never change
+ * once added, so sessions of one app never alias mutable page state,
+ * and the DOM analyzer's predicted rollouts move copies of it by the
+ * same rule.
  */
 
 #ifndef PES_WEB_WEB_APP_HH
