@@ -5,8 +5,11 @@
  * Translates a window of events — outstanding plus predicted — into the
  * Eqn. 2-5 scheduling problem (per-configuration latency from the Eqn.-1
  * estimate, per-configuration energy from the power table, chained
- * deadlines) and solves it with the specialized exact solver. Deadline
- * construction:
+ * deadlines) and solves it with the specialized solver. An answer is
+ * exact (the minimum-energy schedule of the lexicographic objective)
+ * when its ScheduleSolution::thinnedPrunes is 0. PES windows stay under
+ * the solver's frontier cap; long whole-trace Oracle chains can outgrow
+ * it and thin. Deadline construction:
  *
  *   outstanding event: the last VSync at or before (arrival + QoS),
  *                      relative to the chain start "now";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -110,55 +111,6 @@ struct DpState
     }
 };
 
-/**
- * A finish-sorted list of candidates: the states [begin, end) of one
- * bucket, each extended by one configuration. Adding the same latency
- * to every state keeps the list sorted.
- */
-struct Source
-{
-    int begin = 0;
-    int end = 0;
-    /** Latency of the extension, switch cost included. */
-    TimeMs shift = 0.0;
-    EnergyMj energy = 0.0;
-    int config = 0;
-};
-
-/** A source's next candidate in the merge heap. */
-struct HeapEntry
-{
-    TimeMs finish = 0.0;
-    int source = 0;
-    int pos = 0;
-};
-
-bool
-heapBefore(const HeapEntry &a, const HeapEntry &b)
-{
-    return a.finish < b.finish ||
-        (a.finish == b.finish && a.source < b.source);
-}
-
-void
-siftDown(std::vector<HeapEntry> &heap, size_t i)
-{
-    const HeapEntry entry = heap[i];
-    for (;;) {
-        size_t child = 2 * i + 1;
-        if (child >= heap.size())
-            break;
-        if (child + 1 < heap.size() && heapBefore(heap[child + 1],
-                                                  heap[child]))
-            ++child;
-        if (!heapBefore(heap[child], entry))
-            break;
-        heap[i] = heap[child];
-        i = child;
-    }
-    heap[i] = entry;
-}
-
 /** A complete assignment the answer must match or beat. */
 struct Incumbent
 {
@@ -183,13 +135,15 @@ struct Workspace
 {
     /** Every kept state of the solve; parent links index into it. */
     std::vector<DpState> arena;
-    /** Bucket b of the last finished stage is [prev[b], prev[b + 1]). */
-    std::vector<int> prev;
-    std::vector<int> cur;
-    /** The last finished stage's buckets that hold a state, ascending. */
-    std::vector<int> live;
-    std::vector<Source> sources;
-    std::vector<HeapEntry> heap;
+    /** Arena indices of the states a stage extends (see listStates). */
+    std::vector<int> list;
+    /** Tardiness and energy of the listed states listStates has passed,
+     *  none beaten by another. */
+    std::vector<DpState> stair;
+    /** One bucket's candidates. */
+    std::vector<DpState> cands;
+    /** The costliest switch; 0 without switch costs. */
+    TimeMs maxSwitch = 0.0;
     /** Latest finish of event i that can still meet every deadline. */
     std::vector<TimeMs> finishCut;
     /** Minimum energy of the events after event i. */
@@ -287,10 +241,10 @@ Incumbent
 prepareBounds(const ScheduleProblem &problem, Workspace &s)
 {
     const size_t n = problem.events.size();
-    TimeMs max_switch = 0.0;
+    s.maxSwitch = 0.0;
     for (const std::vector<TimeMs> &row : problem.switchCost)
-        max_switch = std::max(max_switch,
-                              *std::max_element(row.begin(), row.end()));
+        s.maxSwitch = std::max(s.maxSwitch,
+                               *std::max_element(row.begin(), row.end()));
 
     s.finishCut.resize(n);
     s.energyTail.resize(n);
@@ -308,7 +262,7 @@ prepareBounds(const ScheduleProblem &problem, Workspace &s)
         const TimeMs min_latency =
             *std::min_element(ev.latency.begin(), ev.latency.end());
         reach = limit - min_latency;
-        greedy_reach = greedy_limit - min_latency - max_switch;
+        greedy_reach = greedy_limit - min_latency - s.maxSwitch;
         tail += *std::min_element(ev.energy.begin(), ev.energy.end());
     }
 
@@ -443,30 +397,103 @@ struct StageBounds
 };
 
 /**
- * One bucket's pass over s.sources, none of them empty. Candidates are
- * merged in (finish, cost, parent, config) order; one survives when its
- * cost beats the last survivor's by more than kDominanceMargin, so of
- * equal finishes only the first in that order can. Survivors within the
- * bounds are appended to the arena; the others still count for
- * dominance. A candidate finishing after the cut is never merged: every
- * candidate after it in the order finishes after the cut too, and none
- * of them could be kept.
+ * List the last finished stage, arena[first, end()), in s.list by
+ * (finish, arena index). With @p filter, leave out each state q that
+ * some state p beats: p.finish + (maxSwitch + kBoundSlack) <= q.finish,
+ * p.tardiness <= q.tardiness and p.energy <= q.energy. q's candidates
+ * then never survive (see the file comment). The states passed so far
+ * that finish early enough form a (tardiness, energy) staircase, which
+ * decides it; a beaten state beats nothing its beater does not.
  */
 void
-mergeBucket(Workspace &s, const StageBounds &bounds)
+listStates(Workspace &s, size_t first, bool filter)
 {
-    std::vector<DpState> &arena = s.arena;
-    std::vector<HeapEntry> &heap = s.heap;
-    heap.clear();
-    for (size_t k = 0; k < s.sources.size(); ++k) {
-        const Source &src = s.sources[k];
-        const TimeMs finish =
-            arena[static_cast<size_t>(src.begin)].finish + src.shift;
-        if (finish <= bounds.cut)
-            heap.push_back({finish, static_cast<int>(k), src.begin});
+    const std::vector<DpState> &arena = s.arena;
+    std::vector<int> &list = s.list;
+    list.resize(arena.size() - first);
+    std::iota(list.begin(), list.end(), static_cast<int>(first));
+    std::sort(list.begin(), list.end(), [&arena](int a, int b) {
+        const TimeMs fa = arena[static_cast<size_t>(a)].finish;
+        const TimeMs fb = arena[static_cast<size_t>(b)].finish;
+        return fa < fb || (fa == fb && a < b);
+    });
+    if (!filter)
+        return;
+
+    std::vector<DpState> &stair = s.stair;
+    stair.clear();
+    auto beaten = [&stair](const DpState &q) {
+        for (const DpState &p : stair) {
+            if (p.tardiness <= q.tardiness && p.energy <= q.energy)
+                return true;
+        }
+        return false;
+    };
+    const TimeMs gap = s.maxSwitch + kBoundSlack;
+    size_t kept = 0;
+    size_t passed = 0;
+    for (size_t r = 0; r < list.size(); ++r) {
+        const DpState &q = arena[static_cast<size_t>(list[r])];
+        for (; passed < kept; ++passed) {
+            const DpState &p = arena[static_cast<size_t>(list[passed])];
+            if (p.finish + gap > q.finish)
+                break;
+            if (beaten(p))
+                continue;
+            stair.erase(std::remove_if(stair.begin(), stair.end(),
+                                       [&p](const DpState &x) {
+                                           return p.tardiness <= x.tardiness &&
+                                               p.energy <= x.energy;
+                                       }),
+                        stair.end());
+            stair.push_back(p);
+        }
+        if (!beaten(q))
+            list[kept++] = list[r];
     }
-    for (size_t i = heap.size() / 2; i-- > 0;)
-        siftDown(heap, i);
+    list.resize(kept);
+}
+
+/**
+ * Bucket @p b's pass over s.list at event @p i. Its candidates are the
+ * listed states run at configuration b (with switch costs) or at every
+ * configuration (without), less those finishing after the cut, which
+ * could not be kept. In finish order, one survives when its cost beats
+ * the last survivor's by more than kDominanceMargin; of equal finishes
+ * only the first in (cost, parent, config) order can, so their order in
+ * the sort never matters. Survivors within the bounds are appended to the
+ * arena; the others still count for dominance.
+ */
+void
+mergeBucket(const ScheduleProblem &problem, size_t i, int b, Workspace &s,
+            const StageBounds &bounds)
+{
+    const ScheduleEvent &ev = problem.events[i];
+    const bool use_switch = !problem.switchCost.empty();
+    std::vector<DpState> &arena = s.arena;
+    std::vector<DpState> &cands = s.cands;
+    cands.clear();
+    const int end = use_switch ? b + 1 : problem.numConfigs();
+    for (int j = use_switch ? b : 0; j < end; ++j) {
+        const size_t sj = static_cast<size_t>(j);
+        for (int k : s.list) {
+            const DpState &from = arena[static_cast<size_t>(k)];
+            const TimeMs finish = from.finish + (use_switch
+                ? ev.latency[sj] +
+                    problem.switchCost[static_cast<size_t>(from.config)][sj]
+                : ev.latency[sj]);
+            if (finish <= bounds.cut) {
+                cands.push_back(
+                    {finish,
+                     from.tardiness + std::max(0.0, finish - bounds.deadline),
+                     from.energy + ev.energy[sj], k, j});
+            }
+        }
+    }
+    std::sort(cands.begin(), cands.end(),
+              [](const DpState &x, const DpState &y) {
+                  return x.finish < y.finish;
+              });
 
     // Survivors come in finish order, so the energy-to-go lookup only
     // moves forward.
@@ -511,30 +538,7 @@ mergeBucket(Workspace &s, const StageBounds &bounds)
                 arena.push_back(best);
         }
     };
-    while (!heap.empty()) {
-        const HeapEntry top = heap.front();
-        const Source &src = s.sources[static_cast<size_t>(top.source)];
-        const DpState &from = arena[static_cast<size_t>(top.pos)];
-        DpState cand;
-        cand.finish = top.finish;
-        cand.tardiness =
-            from.tardiness + std::max(0.0, top.finish - bounds.deadline);
-        cand.energy = from.energy + src.energy;
-        cand.parent = top.pos;
-        cand.config = src.config;
-
-        const int next = top.pos + 1;
-        const TimeMs next_finish = next < src.end
-            ? arena[static_cast<size_t>(next)].finish + src.shift : 0.0;
-        if (next < src.end && next_finish <= bounds.cut) {
-            heap.front() = {next_finish, top.source, next};
-        } else {
-            heap.front() = heap.back();
-            heap.pop_back();
-        }
-        if (!heap.empty())
-            siftDown(heap, 0);
-
+    for (const DpState &cand : cands) {
         const double cost = cand.cost();
         if (open && cand.finish != best.finish) {
             close();
@@ -603,11 +607,8 @@ runDp(const ScheduleProblem &problem, Workspace &s, const Incumbent &inc,
     DpState start;
     start.config = problem.initialConfig;
     arena.push_back(start);
-    const int start_bucket = use_switch ? problem.initialConfig : 0;
-    s.prev.assign(static_cast<size_t>(buckets + 1), 0);
-    for (int b = start_bucket + 1; b <= buckets; ++b)
-        s.prev[static_cast<size_t>(b)] = 1;
-    s.cur.assign(static_cast<size_t>(buckets + 1), 0);
+    // The last finished stage is arena[first, end()), bucket by bucket.
+    size_t first = 0;
     PassResult result;
 
     for (int i = 0; i < n; ++i) {
@@ -648,80 +649,48 @@ runDp(const ScheduleProblem &problem, Workspace &s, const Incumbent &inc,
                 bounds.energyTail = s.energyTail[si];
         }
 
-        // Only the last stage's buckets that hold a state are merge
-        // sources: an empty one adds no candidate. They stay in ascending
-        // order, so the merge's (finish, source) ties resolve as before.
-        s.live.clear();
-        for (int k = 0; k < buckets; ++k) {
-            if (s.prev[static_cast<size_t>(k)] <
-                s.prev[static_cast<size_t>(k) + 1])
-                s.live.push_back(k);
-        }
+        listStates(s, first, buckets > 1);
         // With switch costs every candidate of bucket b adds ev.energy[b]
         // to a last-stage state. When the energy test alone decides what
         // is kept (no tie limit, no energy-to-go frontier) and it fails
         // even from the least-energy state, summed in the keep test's
-        // order, the bucket keeps nothing: addition is monotone and
-        // dominance never crosses buckets, so it is skipped.
+        // order, the bucket keeps nothing: addition is monotone and a
+        // bucket's survivors depend on its own candidates only, so it is
+        // skipped.
         const bool energy_cut =
             use_switch && bounds.tieLimit == -kInf && !bounds.toGo;
         EnergyMj least = kInf;
         if (energy_cut) {
-            for (int p = s.prev[0]; p < s.prev[static_cast<size_t>(buckets)];
-                 ++p)
-                least = std::min(least, arena[static_cast<size_t>(p)].energy);
+            for (size_t p = first; p < arena.size(); ++p)
+                least = std::min(least, arena[p].energy);
         }
 
-        s.cur[0] = static_cast<int>(arena.size());
+        first = arena.size();
         for (int b = 0; b < buckets; ++b) {
-            const size_t sb = static_cast<size_t>(b);
             const size_t begin = arena.size();
             if (energy_cut &&
-                least + ev.energy[sb] + bounds.energyTail >
-                    bounds.energyLimit) {
-                s.cur[sb + 1] = static_cast<int>(begin);
+                least + ev.energy[static_cast<size_t>(b)] +
+                        bounds.energyTail >
+                    bounds.energyLimit)
                 continue;
-            }
-            s.sources.clear();
-            for (int k : s.live) {
-                const size_t sk = static_cast<size_t>(k);
-                if (use_switch) {
-                    // Bucket b's candidates from bucket k's states.
-                    s.sources.push_back(
-                        {s.prev[sk], s.prev[sk + 1],
-                         ev.latency[sb] + problem.switchCost[sk][sb],
-                         ev.energy[sb], b});
-                } else {
-                    for (int j = 0; j < c; ++j) {
-                        const size_t sj = static_cast<size_t>(j);
-                        s.sources.push_back({s.prev[sk], s.prev[sk + 1],
-                                             ev.latency[sj], ev.energy[sj],
-                                             j});
-                    }
-                }
-            }
-            mergeBucket(s, bounds);
+            mergeBucket(problem, si, b, s, bounds);
             if (thinBucket(arena, begin))
                 ++result.thinned;
-            s.cur[sb + 1] = static_cast<int>(arena.size());
         }
-        std::swap(s.prev, s.cur);
     }
 
     // Pick the lexicographic (tardiness, energy) best final state: the
     // first strict improvement in bucket order.
-    const int first = s.prev[0];
-    const int end = s.prev[static_cast<size_t>(buckets)];
-    if (first == end)
+    if (first == arena.size())
         return result;
-    result.best = first;
-    for (int k = first + 1; k < end; ++k) {
-        const DpState &a = arena[static_cast<size_t>(k)];
+    result.best = static_cast<int>(first);
+    for (size_t k = first + 1; k < arena.size(); ++k) {
+        const DpState &a = arena[k];
         const DpState &b = arena[static_cast<size_t>(result.best)];
         if (a.tardiness < b.tardiness - 1e-12 ||
             (std::abs(a.tardiness - b.tardiness) <= 1e-12 &&
              a.energy < b.energy - 1e-12)) {
-            result.best = k;
+            result.best = static_cast<int>(k);
         }
     }
     return result;

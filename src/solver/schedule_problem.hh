@@ -10,29 +10,47 @@
  * (finish time, cost) states per event, with a last-configuration state
  * dimension that accounts for DVFS-switch and migration costs.
  *
- * Each stage merges finish-sorted candidate lists instead of sorting,
- * and, when a greedy incumbent meets every deadline, drops states that
- * provably cannot beat it (late, unable to meet a later deadline even at
- * the fastest configurations, or needing more energy than the
- * incumbent). When the greedy finds no on-time schedule (a late
- * window), the incumbent is every event at its fastest configuration:
- * if that is on time it bounds as the greedy would, and if it is late a
- * state is dropped when its least tardiness is above the incumbent's,
- * or equal and its least energy above. Ties are broken by a total
- * order, so answers never depend on sort order. Two cuts save work
- * without changing any answer bit. A bucket merges only the previous
- * stage's buckets that hold a state, in ascending order: an empty one
- * adds no candidate, and the tie order is kept. With switch costs and
- * an on-time incumbent, a pass without energy-to-go bounds skips bucket
- * b when the least energy of any previous state, plus b's energy, plus
- * the later events' least, already exceeds the incumbent: floating-point
- * addition is monotone, so every candidate of b fails the same test, and
- * dominance never crosses buckets. A bucket's frontier above a fixed cap
- * is thinned, and the solver then runs once more against the capped
- * answer with sharper completion bounds. The answer is exact unless that
- * run thins too; ScheduleSolution::thinnedPrunes counts its thinned
- * prunes. PES windows stay under the cap; long whole-trace Oracle chains
- * can exceed it.
+ * Each stage sorts the previous stage's states once, by (finish, arena
+ * index), and builds every bucket's candidates from one walk of that
+ * list: state st extended at configuration b finishes at
+ * st.finish + (latency[b] + switchCost[st.config][b]). A bucket sorts the
+ * candidates that finish by its cut and keeps, finish group by finish
+ * group, the first in (cost, parent, config) order when it beats the
+ * running minimum cost by a margin; so the order within a group of equal
+ * finishes never matters, and there is no merge heap.
+ *
+ * With switch costs the list leaves out each state q that some state p
+ * beats: p.finish + (maxSwitch + slack) <= q.finish, with no more
+ * tardiness and no more energy, maxSwitch being the costliest switch.
+ * That is exact. In any bucket p's candidate finishes strictly earlier
+ * than q's (the slack covers the switch difference and the rounding),
+ * and costs no more, because every operation in the cost is monotone.
+ * Once p's finish group has closed, the running minimum is within the
+ * margin of a cost no above p's, so q's candidate cannot beat it by the
+ * margin; and a candidate that does not survive changes neither that
+ * minimum nor the arena. Survivors, thinning, both passes and the final
+ * pick are therefore bit-identical. A left-out state stays in the arena,
+ * as a parent and as a final state; it is only no longer extended. Only
+ * the survivors of one bucket are Pareto-pruned against each other;
+ * this filter is the one test across buckets.
+ *
+ * When a greedy incumbent meets every deadline, states that provably
+ * cannot beat it are dropped (late, unable to meet a later deadline even
+ * at the fastest configurations, or needing more energy than the
+ * incumbent). When the greedy finds no on-time schedule (a late window),
+ * the incumbent is every event at its fastest configuration: if that is
+ * on time it bounds as the greedy would, and if it is late a state is
+ * dropped when its least tardiness is above the incumbent's, or equal and
+ * its least energy above. With switch costs and an on-time incumbent, a
+ * pass without energy-to-go bounds also skips bucket b when the least
+ * energy of any previous state, plus b's energy, plus the later events'
+ * least, already exceeds the incumbent: floating-point addition is
+ * monotone, so every candidate of b fails the same test. A bucket's
+ * frontier above a fixed cap is thinned, and the solver then runs once
+ * more against the capped answer with sharper completion bounds. The
+ * answer is exact unless that run thins too;
+ * ScheduleSolution::thinnedPrunes counts its thinned prunes. PES windows
+ * stay under the cap; long whole-trace Oracle chains can exceed it.
  *
  * When no assignment can meet all deadlines (e.g. an inherently heavy
  * Type I event with an immediate conservative deadline), the solver

@@ -485,6 +485,33 @@ expectSameAsReference(const ScheduleProblem &problem,
     return sol;
 }
 
+TEST(ParetoDp, CrossBucketDominanceCountsTheSwitch)
+{
+    // From config 1, event 0 ends in bucket 0 at 7 + 3 = 10 ms for 2 mJ
+    // or in bucket 1 at 8 ms for 1 mJ. The bucket-1 state is earlier and
+    // cheaper, but by less than the 3 ms switch, so it beats the bucket-0
+    // state only in bucket 1: only the bucket-0 state can run event 1 at
+    // config 0 by its 15 ms deadline (10 + 5 = 15, while 8 + 3 + 5 = 16).
+    ScheduleProblem problem;
+    problem.switchCost = {{0.0, 3.0}, {3.0, 0.0}};
+    problem.initialConfig = 1;
+    ScheduleEvent ev;
+    ev.latency = {7.0, 8.0};
+    ev.energy = {2.0, 1.0};
+    ev.deadline = 1e9;
+    problem.events.push_back(ev);
+    ev.latency = {5.0, 50.0};
+    ev.energy = {1.0, 0.5};
+    ev.deadline = 15.0;
+    problem.events.push_back(ev);
+
+    const ScheduleSolution sol =
+        expectSameAsReference(problem, "cross-bucket dominance");
+    EXPECT_TRUE(sol.feasible);
+    EXPECT_EQ(sol.configOf, (std::vector<int>{0, 0}));
+    EXPECT_EQ(sol.totalEnergy, 3.0);
+}
+
 TEST_F(ExynosSolverFixture, MatchesBruteForceOnSmallChains)
 {
     Rng rng(2019);
@@ -633,7 +660,8 @@ TEST_F(ExynosSolverFixture, WholeTraceChainCountsItsThinning)
 {
     // The chain OracleScheduler solves for one long session outgrows the
     // frontier cap even with the bounds: the plan is complete, and the
-    // thinning that makes it approximate is counted.
+    // thinning that makes it approximate is counted. No reference DP
+    // covers a thinned answer, so its count and energy are pinned.
     const VsyncClock vsync;
     GlobalOptimizer optimizer(model, power, vsync);
     TraceGenerator generator(soc);
@@ -651,7 +679,8 @@ TEST_F(ExynosSolverFixture, WholeTraceChainCountsItsThinning)
         2.0, soc.minConfig(), specs);
     EXPECT_EQ(sol.configOf.size(), specs.size());
     EXPECT_TRUE(sol.feasible);
-    EXPECT_GT(sol.thinnedPrunes, 0);
+    EXPECT_EQ(sol.thinnedPrunes, 208);
+    EXPECT_EQ(sol.totalEnergy, 0x1.1faf3c004f2ecp+13);  // 9,205.904... mJ
 }
 
 // ---------------------- DP == ILP equivalence (property) ----------------
