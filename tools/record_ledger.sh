@@ -10,9 +10,12 @@
 #
 # One workload per scheduler, so every number names the scheduler it
 # measures; each is sized so a t1 replicate executes for at least 1 s
-# on a 4-vCPU x86-64 host. sim_reactive_store persists every run into a
-# fresh result store and shares traces across its three schedulers, so
-# it carries the trace-cache and store series.
+# on a 4-vCPU x86-64 host. A t1 replicate whose execute stage (telemetry
+# stage_ms.execute) is shorter is named on stderr, and its sample is
+# still recorded: a faster host must not fail the recording.
+# sim_reactive_store persists every run into a fresh result store and
+# shares traces across its three schedulers, so it carries the
+# trace-cache and store series.
 #
 # Usage: tools/record_ledger.sh HISTORY [WORK_DIR]
 #   HISTORY    ledger to append to (created when absent)
@@ -56,13 +59,20 @@ while read -r workload schedulers users; do
                 --telemetry-out="$run.json" --out="$work/$workload.json" \
                 --quiet </dev/null >/dev/null
             telemetry="$telemetry${telemetry:+,}$run.json"
+            [ "$t" -eq 1 ] || continue
+            ms=$(sed -n 's/.*"stage_ms": {[^}]*"execute": \([^,}]*\).*/\1/p' \
+                "$run.json")
+            if awk -v ms="$ms" 'BEGIN { exit !(ms < 1000) }'; then
+                echo "$0: sim_$workload t1 replicate $r executed for" \
+                    "$ms ms, under 1 s: resize it" >&2
+            fi
         done
     done
     "$perf" record --history="$history" --label="sim_$workload" \
         --telemetry="$telemetry" --report="$work/$workload.json" </dev/null
 done <<EOF
-pes pes 350
-oracle oracle 2
+pes pes 450
+oracle oracle 6
 ebs ebs 1200
 interactive interactive 950
 ondemand ondemand 1200
