@@ -23,8 +23,9 @@
  * beats: p.finish + (maxSwitch + slack) <= q.finish, with no more
  * tardiness and no more energy, maxSwitch being the costliest switch.
  * That is exact. In any bucket p's candidate finishes strictly earlier
- * than q's (the slack covers the switch difference and the rounding),
- * and costs no more, because every operation in the cost is monotone.
+ * than q's (the slack covers the switch difference and the rounding;
+ * switch costs are non-negative, as every bound here assumes), and costs
+ * no more, because every operation in the cost is monotone.
  * Once p's finish group has closed, the running minimum is within the
  * margin of a cost no above p's, so q's candidate cannot beat it by the
  * margin; and a candidate that does not survive changes neither that
@@ -91,7 +92,7 @@ struct ScheduleProblem
 {
     std::vector<ScheduleEvent> events;
     /**
-     * Optional switch-cost matrix: switchCost[a][b] is added to the
+     * Optional switch-cost matrix: switchCost[a][b] >= 0 is added to the
      * latency when an event runs on configuration b after configuration a.
      * Empty = no switch costs (the Eqn. 5 formulation).
      */
