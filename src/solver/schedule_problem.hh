@@ -26,10 +26,10 @@
  * than q's (the slack covers the switch difference and the rounding;
  * switch costs are non-negative, as every bound here assumes), and costs
  * no more, because every operation in the cost is monotone.
- * Once p's finish group has closed, the running minimum is within the
- * margin of a cost no above p's, so q's candidate cannot beat it by the
- * margin; and a candidate that does not survive changes neither that
- * minimum nor the arena. Survivors, thinning, both passes and the final
+ * Once p's finish group has closed, the running minimum is at most p's
+ * cost plus the margin, so q's candidate cannot beat it by the margin;
+ * and a candidate that does not survive changes neither that minimum nor
+ * the arena. Survivors, thinning, both passes and the final
  * pick are therefore bit-identical. A left-out state stays in the arena,
  * as a parent and as a final state; it is only no longer extended. Only
  * the survivors of one bucket are Pareto-pruned against each other;
