@@ -277,10 +277,23 @@ PesScheduler::buildPlan(SimulatorApi &api)
         keys.push_back(key);
     }
 
-    // Scheduler compute (prediction + constrained optimization).
+    // Measurement protocol: a never-seen event class runs at the
+    // deadline-safe probe configuration (Sec. 5.3) whatever the optimizer
+    // chooses; from the second encounter the one-point estimate feeds the
+    // optimizer. A window of only never-seen classes would keep none of
+    // the solver's choices, so it is not solved; the solver keeps nothing
+    // between solves, so every later plan is the same either way.
+    const TwoPointEstimator &estimator = ebs_->estimator();
+    const auto measured = [&](uint64_t key) {
+        return estimator.measurementCount(key) > 0;
+    };
+    // Scheduler compute (prediction + constrained optimization), charged
+    // to simulated time whether or not the window is solved.
     api.chargeSchedulerOverhead(kPlanOverheadMs);
-    const ScheduleSolution solution = optimizer_->planSchedule(
-        api.now(), api.currentConfig(), specs);
+    const ScheduleSolution solution =
+        std::any_of(keys.begin(), keys.end(), measured)
+        ? optimizer_->planSchedule(api.now(), api.currentConfig(), specs)
+        : ScheduleSolution{};
 
     plan_.clear();
     planNext_ = 0;
@@ -291,14 +304,9 @@ PesScheduler::buildPlan(SimulatorApi &api)
         item.real = i < outstanding.size();
         if (!item.real)
             item.predicted = predicted[i - outstanding.size()];
-        item.configIndex = solution.configOf[i];
-        // Measurement protocol: a never-seen event class runs at the
-        // deadline-safe probe configuration (Sec. 5.3); from the second
-        // encounter the one-point estimate feeds the optimizer.
-        if (ebs_->estimator().measurementCount(keys[i]) == 0) {
-            item.configIndex = api.platform().configIndex(
-                ebs_->estimator().probeConfig(keys[i]));
-        }
+        item.configIndex = measured(keys[i])
+            ? solution.configOf[i]
+            : api.platform().configIndex(estimator.probeConfig(keys[i]));
         plan_.push_back(item);
     }
     if (!predicted.empty())

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "core/device_context.hh"
 #include "core/ebs_policy.hh"
 #include "core/ebs_scheduler.hh"
@@ -527,6 +529,51 @@ TEST_F(DriverFixture, PesStampsItsMatchPolicyOnSpeculativeWork)
     ASSERT_FALSE(pes.stamps.empty());
     for (const MatchPolicy stamp : pes.stamps)
         EXPECT_EQ(stamp, MatchPolicy::Strict);
+}
+
+TEST_F(DriverFixture, PesProbesEachClassAtMaxOnItsFirstArrival)
+{
+    // Measurement protocol (Sec. 5.3): an event class PES has never
+    // measured runs at the deadline-safe probe configuration, whatever
+    // the optimizer would choose for its window. PES leaves a window of
+    // only such classes unsolved on the strength of this rule.
+    struct Recorder : PesScheduler
+    {
+        using PesScheduler::PesScheduler;
+        std::optional<WorkItem> nextWork(SimulatorApi &api) override
+        {
+            auto work = PesScheduler::nextWork(api);
+            if (work && work->kind == WorkItem::Kind::Real)
+                real.push_back(*work);
+            return work;
+        }
+        std::vector<WorkItem> real;
+    };
+    DeviceContext &device = trainedDevice();
+    const AcmpPlatform &soc = device.platform();
+    const int max_config = soc.configIndex(soc.maxConfig());
+    int probes = 0;
+    for (const AppProfile &profile : appRegistry()) {
+        for (uint64_t seed = 9000; seed < 9010; ++seed) {
+            SCOPED_TRACE(profile.name + " seed " + std::to_string(seed));
+            const InteractionTrace trace =
+                device.generator().generate(profile, seed);
+            Recorder pes(device.model());  // fresh: nothing measured
+            device.replay(profile, trace, pes);
+            std::unordered_map<uint64_t, int> first_arrival;
+            for (int i = 0; i < static_cast<int>(trace.events.size()); ++i)
+                first_arrival.emplace(trace.events[i].classKey, i);
+            for (const WorkItem &work : pes.real) {
+                const uint64_t key = trace.events[work.traceIndex].classKey;
+                if (first_arrival.at(key) != work.traceIndex)
+                    continue;
+                ++probes;
+                EXPECT_EQ(soc.configIndex(work.config), max_config)
+                    << "event " << work.traceIndex;
+            }
+        }
+    }
+    EXPECT_GT(probes, 0);
 }
 
 TEST_F(DriverFixture, NetworkRequestsSuppressedDuringSpeculation)
