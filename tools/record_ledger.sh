@@ -71,9 +71,9 @@ while read -r workload schedulers users; do
     "$perf" record --history="$history" --label="sim_$workload" \
         --telemetry="$telemetry" --report="$work/$workload.json" </dev/null
 done <<EOF
-pes pes 450
+pes pes 600
 oracle oracle 6
-ebs ebs 1200
+ebs ebs 1500
 interactive interactive 950
 ondemand ondemand 1200
 reactive_store ebs,interactive,ondemand 400
